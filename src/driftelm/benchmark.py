@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import (DataError, SampleSet, apply_scaler, encode_targets,
                       fit_scaler)
 from .feature_map import ACTIVATIONS, hidden_output, new_feature_map
-from .guide_selection import split_target, ssa_select
+from .guide_selection import GuideSelection, split_target, ssa_select
 from .solvers import (Classifier, Penalties, accuracy, labels_from_scores,
                       predict, train_daelm_s, train_daelm_t,
                       train_daelm_t_base, train_elm)
@@ -139,23 +139,30 @@ class _TaskContext:
     target_batch: int
 
 
-def _prepare_task(cfg: ExperimentConfig, source: SampleSet, target: SampleSet) -> _TaskContext:
-    if source.labels is None or target.labels is None:
-        raise DataError("benchmark batches must be labeled")
-    if cfg.k_guides >= target.n_samples:
-        raise DataError(
-            f"k_guides={cfg.k_guides} must be below the target batch size "
-            f"({target.n_samples})")
-    if cfg.k_guides == 0:
-        return _TaskContext(source, None, target, source.batch_id, target.batch_id)
-    selection = ssa_select(target, cfg.k_guides)
-    guides, rest = split_target(target, selection)
-    # Guides must never leak into the evaluated remainder.
-    rest_idx = np.setdiff1d(np.arange(target.n_samples), selection.indices)
-    assert np.intersect1d(selection.indices, rest_idx).size == 0
-    assert guides.n_samples + rest.n_samples == target.n_samples
-    assert rest.n_samples == rest_idx.size
-    return _TaskContext(source, guides, rest, source.batch_id, target.batch_id)
+def _task_pairs(setting: str) -> list[tuple[int, int]]:
+    """(source, target) batch ids of a setting's nine tasks."""
+    if setting == "fixed-source":
+        return [(1, k) for k in range(2, 11)]
+    return [(k - 1, k) for k in range(2, 11)]
+
+
+def _scaled_pairs(cfg: ExperimentConfig, corpus: list[SampleSet]
+                  ) -> list[tuple[SampleSet, SampleSet]]:
+    """The setting's (source, target) batches, scaled and checked."""
+    by_id = _corpus_by_id(corpus)
+    if cfg.scaler_scope == "global":
+        scaler = fit_scaler(corpus)
+        scaled = {bid: apply_scaler(scaler, b) for bid, b in by_id.items()}
+    pairs = []
+    for src_id, tgt_id in _task_pairs(cfg.setting):
+        if cfg.scaler_scope == "pair":
+            scaler = fit_scaler([by_id[src_id], by_id[tgt_id]])
+            scaled = {bid: apply_scaler(scaler, by_id[bid]) for bid in (src_id, tgt_id)}
+        source, target = scaled[src_id], scaled[tgt_id]
+        if source.labels is None or target.labels is None:
+            raise DataError("benchmark batches must be labeled")
+        pairs.append((source, target))
+    return pairs
 
 
 def _run_once(cfg: ExperimentConfig, pens: Penalties, ctx: _TaskContext,
@@ -171,7 +178,6 @@ def _run_once(cfg: ExperimentConfig, pens: Penalties, ctx: _TaskContext,
             hidden_output(base_map, ctx.source),
             encode_targets(ctx.source.labels, m), pens.c_s)
         target_map = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[1])
-        assert target_map.seed != base_map.seed
         h_guides = hidden_output(target_map, ctx.guides)
         h_rest = hidden_output(target_map, ctx.rest)
         # the base classifier scores the unlabeled samples with its own map;
@@ -199,21 +205,9 @@ def _run_once(cfg: ExperimentConfig, pens: Penalties, ctx: _TaskContext,
     return 100.0 * accuracy(predicted, ctx.rest.labels)
 
 
-def _run_protocol(cfg: ExperimentConfig, corpus: list[SampleSet],
-                  pairs: list[tuple[int, int]]) -> ExperimentReport:
-    by_id = _corpus_by_id(corpus)
+def _score(cfg: ExperimentConfig, contexts: list[_TaskContext]) -> ExperimentReport:
+    """Run every (task, run) cell of one guide count and collect the report."""
     pens = cfg.resolved_penalties()
-    if cfg.scaler_scope == "global":
-        scaler = fit_scaler(corpus)
-        scaled = {bid: apply_scaler(scaler, b) for bid, b in by_id.items()}
-        pick = lambda bid: scaled[bid]
-    contexts = []
-    for src_id, tgt_id in pairs:
-        if cfg.scaler_scope == "pair":
-            scaler = fit_scaler([by_id[src_id], by_id[tgt_id]])
-            pick = lambda bid: apply_scaler(scaler, by_id[bid])
-        contexts.append(_prepare_task(cfg, pick(src_id), pick(tgt_id)))
-
     cells = [(t, r) for t in range(len(contexts)) for r in range(cfg.runs)]
     acc = np.empty((len(contexts), cfg.runs))
 
@@ -234,29 +228,65 @@ def _run_protocol(cfg: ExperimentConfig, corpus: list[SampleSet],
     return ExperimentReport(cfg.method, cfg.setting, cfg.k_guides, tasks)
 
 
+def _run_protocol(cfg: ExperimentConfig, corpus: list[SampleSet],
+                  ks: list[int]) -> list[ExperimentReport]:
+    """One report per guide count in ``ks``, in that order.
+
+    Every guide count is checked against every target before any work. Each
+    target is then selected once, at the largest count, and each count takes
+    a prefix of that selection: greedy max-min picks do not depend on k.
+    """
+    cfgs = [replace(cfg, k_guides=k) for k in ks]
+    pairs = _scaled_pairs(cfg, corpus)
+    k_max = max(ks)
+    for _, target in pairs:
+        if k_max >= target.n_samples:
+            raise DataError(
+                f"k_guides={k_max} must be below the target batch size "
+                f"({target.n_samples})")
+    selections = [ssa_select(target, k_max) if k_max else None
+                  for _, target in pairs]
+
+    reports = []
+    for k_cfg in cfgs:
+        k = k_cfg.k_guides
+        contexts = []
+        for (source, target), selection in zip(pairs, selections):
+            guides, rest = None, target
+            if k:
+                guides, rest = split_target(target, GuideSelection(selection.indices[:k], k))
+            contexts.append(_TaskContext(source, guides, rest, source.batch_id,
+                                         target.batch_id))
+        reports.append(_score(k_cfg, contexts))
+    return reports
+
+
 def run_setting1(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
     """Fixed source: batch 1 trains, batches 2..10 are the targets."""
-    cfg = replace(cfg, setting="fixed-source")
-    return _run_protocol(cfg, corpus, [(1, k) for k in range(2, 11)])
+    return _run_protocol(replace(cfg, setting="fixed-source"), corpus,
+                         [cfg.k_guides])[0]
 
 
 def run_setting2(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
     """Rolling source: batch K-1 trains, batch K is the target, K in 2..10."""
-    cfg = replace(cfg, setting="rolling-source")
-    return _run_protocol(cfg, corpus, [(k - 1, k) for k in range(2, 11)])
+    return _run_protocol(replace(cfg, setting="rolling-source"), corpus,
+                         [cfg.k_guides])[0]
 
 
 def run_experiment(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
-    runner = run_setting1 if cfg.setting == "fixed-source" else run_setting2
-    return runner(cfg, corpus)
+    return _run_protocol(cfg, corpus, [cfg.k_guides])[0]
 
 
 def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
                  ks: list[int]) -> list[ExperimentReport]:
-    """One report per guide count."""
+    """One report per guide count, in the order of ``ks``.
+
+    Each target is selected once, at ``max(ks)``; every k is checked before
+    any selection.
+    """
     if not ks:
         raise ValueError("ks must be non-empty")
-    return [run_experiment(replace(cfg, k_guides=k), corpus) for k in ks]
+    return _run_protocol(cfg, corpus, ks)
 
 
 REPORT_FORMATS = ("table", "csv", "jsonl")

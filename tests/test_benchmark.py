@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import driftelm.benchmark
 from driftelm import (DataError, ExperimentConfig, Penalties, emit_report,
                       emit_sweep_csv, run_experiment, run_setting1,
-                      run_setting2, sweep_guides)
+                      run_setting2, ssa_select, sweep_guides)
 from driftelm.benchmark import (DAELM_S_PENALTIES, DAELM_T_PENALTIES,
                                 ELM_PENALTIES, TaskResult, feature_map_seeds)
 
@@ -143,6 +148,48 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_guides(ExperimentConfig(**FAST), small_drift_corpus, [])
 
+    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
+    @pytest.mark.parametrize("scope", ["global", "pair"])
+    @pytest.mark.parametrize("method, ks", [("daelm-s", [6, 2, 4]),
+                                            ("elm", [0, 2, 4])])
+    def test_sweep_matches_per_k_runs(self, small_drift_corpus, setting, scope,
+                                      method, ks):
+        cfg = ExperimentConfig(method=method, setting=setting, scaler_scope=scope,
+                               **FAST)
+        per_k = [run_experiment(replace(cfg, k_guides=k), small_drift_corpus)
+                 for k in ks]
+        assert (emit_sweep_csv(sweep_guides(cfg, small_drift_corpus, ks))
+                == emit_sweep_csv(per_k))
+
+    @pytest.fixture
+    def selector_calls(self, monkeypatch):
+        calls = []
+
+        def counted(x, k):
+            calls.append(k)
+            return ssa_select(x, k)
+
+        monkeypatch.setattr(driftelm.benchmark, "ssa_select", counted)
+        return calls
+
+    def test_selects_once_per_target(self, small_drift_corpus, selector_calls):
+        sweep_guides(ExperimentConfig(method="daelm-s", **FAST),
+                     small_drift_corpus, [2, 6, 4])
+        assert selector_calls == [6] * 9
+
+    def test_every_k_checked_before_selection(self, small_drift_corpus,
+                                              selector_calls):
+        with pytest.raises(DataError, match="k_guides=500"):
+            sweep_guides(ExperimentConfig(method="daelm-s", **FAST),
+                         small_drift_corpus, [2, 500])
+        assert selector_calls == []
+
+    def test_duplicate_ks_keep_their_order(self, small_drift_corpus):
+        cfg = ExperimentConfig(method="daelm-s", **FAST)
+        reports = sweep_guides(cfg, small_drift_corpus, [4, 2, 4])
+        assert [r.k_guides for r in reports] == [4, 2, 4]
+        assert reports[0] == reports[2]
+
     def test_sweep_csv_layout(self, small_drift_corpus):
         cfg = ExperimentConfig(method="daelm-s", **FAST)
         reports = sweep_guides(cfg, small_drift_corpus, [2, 4])
@@ -150,6 +197,16 @@ class TestSweep:
         lines = text.strip().splitlines()
         assert lines[0] == "k,source,target,run,accuracy"
         assert len(lines) == 1 + 2 * 9 * 2  # ks * tasks * runs
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(2, 30), j=st.integers(2, 30))
+@settings(max_examples=30, deadline=None)
+def test_selection_is_prefix_nested(seed, k, j):
+    """The first j greedy picks do not depend on k, so a sweep may slice."""
+    j = min(j, k)
+    points = np.random.default_rng(seed).normal(size=(40, 3))
+    np.testing.assert_array_equal(ssa_select(points, k).indices[:j],
+                                  ssa_select(points, j).indices)
 
 
 class TestEmitReport:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftelm import SampleSet, split_target, ssa_select
+from driftelm import DataError, SampleSet, split_target, ssa_select
+from driftelm.guide_selection import _farthest_pair
 
 
 def ssa_bruteforce(points, k):
@@ -100,6 +101,48 @@ def test_greedy_step_optimality():
             assert dist[other, prior].min() <= chosen_min + 1e-12
 
 
+def hard_points(kind, rng, n):
+    """Inputs that stress the GEMM filter: exact ties and cancellation."""
+    dim = int(rng.integers(1, 5))
+    if kind == "lattice":  # many pairs tie exactly
+        return rng.integers(-2, 3, size=(n, dim)).astype(float)
+    points = rng.normal(size=(n, dim))
+    if kind == "duplicates":
+        return points[rng.integers(0, max(2, n // 3), size=n)]
+    if kind == "constant":
+        points[:, rng.random(dim) < 0.5] = 2.5
+        points[:, 0] = -1.0
+        return points
+    if kind == "offset":  # |a|^2 + |b|^2 - 2a.b cancels almost completely
+        return 1e4 + 1e-5 * points
+    return points
+
+
+HARD_KINDS = ("lattice", "duplicates", "constant", "offset")
+
+
+@pytest.mark.parametrize("kind", HARD_KINDS)
+@given(seed=st.integers(0, 2 ** 32 - 1), all_but_one=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_matches_bruteforce_on_hard_inputs(kind, seed, all_but_one):
+    rng = np.random.default_rng(seed)
+    points = hard_points(kind, rng, int(rng.integers(3, 41)))
+    n = len(points)
+    k = n - 1 if all_but_one else int(rng.integers(2, n))
+    expected, _ = ssa_bruteforce(points, k)
+    assert list(ssa_select(points, k).indices) == expected
+
+
+@pytest.mark.parametrize("kind", ("normal",) + HARD_KINDS)
+@given(seed=st.integers(0, 2 ** 32 - 1), block=st.integers(1, 7))
+@settings(max_examples=25, deadline=None)
+def test_farthest_pair_across_blocks(kind, seed, block):
+    rng = np.random.default_rng(seed)
+    points = hard_points(kind, rng, int(rng.integers(2 * block + 1, 41)))
+    expected, _ = ssa_bruteforce(points, 2)
+    assert _farthest_pair(points, block) == tuple(expected)
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_deterministic(seed):
@@ -137,3 +180,12 @@ class TestSplitTarget:
         labeled, unlabeled = split_target(batch, ssa_select(batch, 5))
         assert labeled.n_samples == 5
         assert unlabeled.n_samples == 192
+
+    def test_repeated_indices_rejected(self):
+        batch = SampleSet(np.arange(12.0).reshape(6, 2), [1, 2, 3, 1, 2, 3], m=3)
+
+        class Repeated:
+            indices = np.array([1, 1])
+
+        with pytest.raises(DataError, match="distinct"):
+            split_target(batch, Repeated())
