@@ -16,16 +16,16 @@ from .dataset import (DataError, SampleSet, ScalerParams, ValidationReport,
                       scale_corpus, validate_corpus)
 from .feature_map import RandomFeatureMap, hidden_output, new_feature_map
 from .guide_selection import GuideSelection, split_target, ssa_select
-from .solvers import (Classifier, DualSolveScratch, Penalties, SolverError,
-                      accuracy, classifier_from_dict, classifier_to_dict,
+from .solvers import (Classifier, Penalties, SolverError, accuracy,
+                      classifier_from_dict, classifier_to_dict,
                       labels_from_scores, load_classifier, predict,
-                      save_classifier, train_daelm_s, train_daelm_t,
-                      train_daelm_t_base, train_elm)
+                      save_classifier, solve_ridge, train_daelm_s,
+                      train_daelm_t, train_elm)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Classifier", "DataError", "DualSolveScratch", "ExperimentConfig",
+    "Classifier", "DataError", "ExperimentConfig",
     "ExperimentReport", "GuideSelection", "Penalties", "RandomFeatureMap",
     "SampleSet", "ScalerParams", "SolverError", "TaskResult",
     "ValidationReport", "accuracy", "apply_scaler", "classifier_from_dict",
@@ -34,7 +34,7 @@ __all__ = [
     "load_classifier", "load_corpus", "make_synthetic_drift",
     "new_feature_map", "predict", "run_experiment", "run_setting1",
     "run_setting2", "save_batch", "save_classifier", "scale_corpus",
-    "split_target", "ssa_select", "sweep_guides", "train_daelm_s",
-    "train_daelm_t", "train_daelm_t_base", "train_elm", "validate_corpus",
+    "solve_ridge", "split_target", "ssa_select", "sweep_guides",
+    "train_daelm_s", "train_daelm_t", "train_elm", "validate_corpus",
     "DAELM_S_PENALTIES", "DAELM_T_PENALTIES", "ELM_PENALTIES",
 ]

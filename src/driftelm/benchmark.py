@@ -20,8 +20,7 @@ from .dataset import (DataError, SampleSet, apply_scaler, encode_targets,
 from .feature_map import ACTIVATIONS, hidden_output, new_feature_map
 from .guide_selection import GuideSelection, split_target, ssa_select
 from .solvers import (Classifier, Penalties, accuracy, labels_from_scores,
-                      predict, train_daelm_s, train_daelm_t,
-                      train_daelm_t_base, train_elm)
+                      predict, train_daelm_s, train_daelm_t, train_elm)
 
 METHODS = ("elm", "daelm-s", "daelm-t")
 SETTINGS = ("fixed-source", "rolling-source")
@@ -174,9 +173,8 @@ def _run_once(cfg: ExperimentConfig, pens: Penalties, ctx: _TaskContext,
 
     if cfg.method == "daelm-t":
         base_map = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[0])
-        beta_base = train_daelm_t_base(
-            hidden_output(base_map, ctx.source),
-            encode_targets(ctx.source.labels, m), pens.c_s)
+        beta_base = train_elm(hidden_output(base_map, ctx.source),
+                              encode_targets(ctx.source.labels, m), pens.c_s)
         target_map = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[1])
         h_guides = hidden_output(target_map, ctx.guides)
         h_rest = hidden_output(target_map, ctx.rest)
@@ -184,7 +182,7 @@ def _run_once(cfg: ExperimentConfig, pens: Penalties, ctx: _TaskContext,
         # those soft scores are what the coupled model is pulled toward
         pseudo = hidden_output(base_map, ctx.rest) @ beta_base
         beta = train_daelm_t(h_guides, encode_targets(ctx.guides.labels, m),
-                             h_rest, beta_base, pens, pseudo_targets=pseudo)
+                             h_rest, pseudo, pens)
         predicted = labels_from_scores(h_rest @ beta)
     else:
         fmap = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[0])

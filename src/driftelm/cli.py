@@ -212,14 +212,14 @@ def _train_classifier(cfg: ExperimentConfig, corpus, source_batch, target_batch)
 
     if cfg.method == "daelm-t":
         base_map = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[0])
-        beta_base = solvers.train_daelm_t_base(
+        beta_base = solvers.train_elm(
             hidden_output(base_map, source), dataset.encode_targets(source.labels, m),
             pens.c_s)
         fmap = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[1])
         pseudo = hidden_output(base_map, rest) @ beta_base
         beta = solvers.train_daelm_t(
             hidden_output(fmap, guides), dataset.encode_targets(guides.labels, m),
-            hidden_output(fmap, rest), beta_base, pens, pseudo_targets=pseudo)
+            hidden_output(fmap, rest), pseudo, pens)
     else:
         fmap = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[0])
         if cfg.method == "daelm-s":
@@ -256,6 +256,9 @@ def _cmd_predict(args) -> int:
     with open(args.model) as fh:
         doc = json.load(fh)
     clf = solvers.classifier_from_dict(doc)
+    if args.features != clf.feature_map.n_features:
+        raise DataError(f"--features {args.features} does not match the model's "
+                        f"{clf.feature_map.n_features} input features")
     scaler = dataset.ScalerParams(np.asarray(doc["scaler"]["min"]),
                                   np.asarray(doc["scaler"]["max"]))
     path = _data_dir(args) / f"batch{args.batch}.dat"

@@ -1,16 +1,25 @@
 """Closed-form output-weight solvers.
 
-All three trainers minimize a strictly convex ridge objective over the
-output weights beta (an L-by-m matrix), so each has two algebraically
-equivalent closed forms: a weight-space ("primal") L-by-L system and a
-multiplier ("dual") route sized by the number of training rows. The dual
-route is the cheap one when rows are scarce; both are exposed so they can
-be checked against each other.
+All three trainers minimize one strictly convex objective over the output
+weights beta (an L-by-m matrix), given a list of ridge blocks (H_i, T_i, c_i):
 
-    elm:      0.5*|beta|^2 + (c/2)   * |T  - H  beta|^2
-    daelm-s:  0.5*|beta|^2 + (c_s/2) * |Ts - Hs beta|^2 + (c_t/2)*|Tt - Ht beta|^2
-    daelm-t:  0.5*|beta|^2 + (c_t/2) * |Tt - Ht beta|^2
-                           + (c_tu/2)* |Hu beta_base - Hu beta|^2
+    0.5*|beta|^2 + sum_i (c_i/2) * |T_i - H_i beta|^2
+
+    elm:      (H, T, c)
+    daelm-s:  (Hs, Ts, c_s), (Ht, Tt, c_t)         source rows, guide rows
+    daelm-t:  (Ht, Tt, c_t), (Hu, P, c_tu)         guide rows, unlabeled rows
+
+where P holds the base classifier's soft scores on the unlabeled rows.
+`solve_ridge` has both closed forms of this regularized least-squares
+problem. The weight-space ("primal") form factors one L-by-L system,
+(I + sum_i c_i Hi'Hi) beta = sum_i c_i Hi'Ti. The multiplier ("dual") form
+stacks the N rows of every block into H and T, factors
+(HH' + diag(1/c)) alpha = T, and returns beta = H'alpha, where diag(1/c)
+repeats 1/c_i once per row of block i. A block with c_i = 0 or no rows does
+not enter the objective and is dropped first. The `auto` branch counts the
+rows N of all remaining blocks (the total, not one block's) and picks primal
+when N >= L, dual otherwise: the two costs, N*L^2 + L^3/3 and
+N^2*L + N^3/3, cross at N = L.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -51,25 +60,6 @@ class Penalties:
             object.__setattr__(self, name, v)
 
 
-@dataclass
-class DualSolveScratch:
-    """Multipliers, residuals, and Gram blocks of a dual-branch solve.
-
-    Source-regularized training fills (alpha_s, residual_s) and
-    (alpha_t, residual_t); target-regularized training fills
-    (alpha_t, residual_t) and (alpha_tu, residual_tu). At the optimum each
-    multiplier equals its penalty times the matching residual.
-    """
-
-    blocks: dict = field(default_factory=dict)
-    alpha_s: np.ndarray | None = None
-    alpha_t: np.ndarray | None = None
-    alpha_tu: np.ndarray | None = None
-    residual_s: np.ndarray | None = None
-    residual_t: np.ndarray | None = None
-    residual_tu: np.ndarray | None = None
-
-
 def _check_matrix(name: str, a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
@@ -77,12 +67,6 @@ def _check_matrix(name: str, a) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def _check_branch(branch: str) -> str:
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}")
-    return branch
 
 
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -102,160 +86,83 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 "system is not positive definite beyond jitter tolerance") from exc
 
 
+def solve_ridge(blocks, branch: str = "auto") -> np.ndarray:
+    """Minimizer of 0.5*|beta|^2 + sum_i (c_i/2)*|T_i - H_i beta|^2.
+
+    ``blocks`` is a non-empty sequence of (H_i, T_i, c_i): H_i is n_i-by-L,
+    T_i is n_i-by-m and c_i is a finite non-negative weight, with L and m
+    shared by every block. ``branch`` forces the primal or dual form; both
+    give the unique minimizer, which is zero when every weight is zero.
+    """
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}")
+    checked = [(_check_matrix(f"H of block {i}", h),
+                _check_matrix(f"T of block {i}", t), float(c))
+               for i, (h, t, c) in enumerate(blocks)]
+    if not checked:
+        raise ValueError("at least one block is required")
+    hidden, m = checked[0][0].shape[1], checked[0][1].shape[1]
+    for i, (h, t, c) in enumerate(checked):
+        if h.shape[0] != t.shape[0]:
+            raise ValueError(f"row counts of H and T differ in block {i}")
+        if h.shape[1] != hidden:
+            raise ValueError("hidden sizes differ between blocks")
+        if t.shape[1] != m:
+            raise ValueError("output widths differ between blocks")
+        if not np.isfinite(c) or c < 0:
+            raise ValueError(f"weight of block {i} must be finite and non-negative")
+    live = [(h, t, c) for h, t, c in checked if c > 0 and h.shape[0] > 0]
+    if not live:
+        return np.zeros((hidden, m))
+    rows = sum(h.shape[0] for h, _, _ in live)
+    if branch == "auto":
+        branch = "primal" if rows >= hidden else "dual"
+
+    if branch == "primal":
+        gram = np.eye(hidden)
+        for h, _, c in live:
+            gram += c * (h.T @ h)
+        return _solve_spd(gram, sum(c * (h.T @ t) for h, t, c in live))
+    h = np.vstack([h for h, _, _ in live])
+    kernel = h @ h.T
+    kernel[np.diag_indices(rows)] += np.concatenate(
+        [np.full(b.shape[0], 1.0 / c) for b, _, c in live])
+    return h.T @ _solve_spd(kernel, np.vstack([t for _, t, _ in live]))
+
+
 def train_elm(h: np.ndarray, targets: np.ndarray, c: float,
               branch: str = "auto") -> np.ndarray:
-    """Regularized ELM output weights.
-
-    Solves (H'H + I/c) beta = H'T when rows >= hidden size, otherwise the
-    row-space form beta = H'(HH' + I/c)^-1 T. Both give the unique minimizer.
-    """
-    h = _check_matrix("H", h)
-    targets = _check_matrix("T", targets)
-    if h.shape[0] != targets.shape[0]:
-        raise ValueError("H and T row counts differ")
+    """Regularized ELM output weights: the single block (H, T, c), c > 0."""
     c = float(c)
     if not np.isfinite(c) or c <= 0:
         raise ValueError("c must be a positive penalty")
-    branch = _check_branch(branch)
-    n, hidden = h.shape
-    if branch == "auto":
-        branch = "primal" if n >= hidden else "dual"
-    if branch == "primal":
-        gram = h.T @ h + np.eye(hidden) / c
-        return _solve_spd(gram, h.T @ targets)
-    kernel = h @ h.T + np.eye(n) / c
-    return h.T @ _solve_spd(kernel, targets)
-
-
-def _resolve(beta_or_pair, scratch, return_scratch):
-    return (beta_or_pair, scratch) if return_scratch else beta_or_pair
+    return solve_ridge([(h, targets, c)], branch)
 
 
 def train_daelm_s(h_source: np.ndarray, t_source: np.ndarray,
                   h_target: np.ndarray, t_target: np.ndarray,
-                  penalties: Penalties, branch: str = "auto",
-                  return_scratch: bool = False):
+                  penalties: Penalties, branch: str = "auto") -> np.ndarray:
     """Source-domain training with a guide-sample agreement penalty.
 
-    Weight-space form: (I + c_s*Hs'Hs + c_t*Ht'Ht) beta = c_s*Hs'Ts + c_t*Ht'Tt.
-    Multiplier form (used when source rows < hidden size): eliminate the
-    guide-block multipliers from the stationarity system, solve the Schur
-    complement for the source multipliers, and recover
-    beta = Hs'alpha_s + Ht'alpha_t. A zero penalty is representable only in
-    the weight-space form.
+    Blocks: the labeled source rows weighted by c_s and the labeled target
+    guides weighted by c_t.
     """
-    h_source = _check_matrix("H_s", h_source)
-    t_source = _check_matrix("T_s", t_source)
-    h_target = _check_matrix("H_t", h_target)
-    t_target = _check_matrix("T_t", t_target)
-    if h_source.shape[1] != h_target.shape[1]:
-        raise ValueError("source and target hidden sizes differ")
-    if t_source.shape[1] != t_target.shape[1]:
-        raise ValueError("source and target output widths differ")
-    if h_source.shape[0] != t_source.shape[0] or h_target.shape[0] != t_target.shape[0]:
-        raise ValueError("row counts of H and T differ")
-    branch = _check_branch(branch)
-    c_s, c_t = penalties.c_s, penalties.c_t
-    n_source, hidden = h_source.shape
-    zero_penalty = min(c_s, c_t) == 0.0
-    if branch == "dual" and zero_penalty:
-        raise ValueError("dual branch requires strictly positive penalties")
-    if branch == "auto":
-        branch = "primal" if (n_source >= hidden or zero_penalty) else "dual"
-
-    if branch == "primal":
-        gram = np.eye(hidden) + c_s * (h_source.T @ h_source) + c_t * (h_target.T @ h_target)
-        rhs = c_s * (h_source.T @ t_source) + c_t * (h_target.T @ t_target)
-        return _resolve(_solve_spd(gram, rhs), None, return_scratch)
-
-    cross = h_target @ h_source.T                    # guide rows vs source rows
-    gram_t = h_target @ h_target.T + np.eye(h_target.shape[0]) / c_t
-    gram_s = h_source @ h_source.T + np.eye(n_source) / c_s
-    factor = cho_factor(gram_t, lower=True, check_finite=False)
-    z_cross = cho_solve(factor, cross, check_finite=False)
-    z_t = cho_solve(factor, t_target, check_finite=False)
-    schur = gram_s - cross.T @ z_cross
-    alpha_s = _solve_spd(schur, t_source - cross.T @ z_t)
-    alpha_t = z_t - z_cross @ alpha_s
-    beta = h_source.T @ alpha_s + h_target.T @ alpha_t
-    scratch = None
-    if return_scratch:
-        scratch = DualSolveScratch(
-            blocks={"cross": cross, "gram_target": gram_t, "gram_source": gram_s},
-            alpha_s=alpha_s, alpha_t=alpha_t,
-            residual_s=t_source - h_source @ beta,
-            residual_t=t_target - h_target @ beta)
-    return _resolve(beta, scratch, return_scratch)
-
-
-def train_daelm_t_base(h_source: np.ndarray, t_source: np.ndarray, c_s: float,
-                       branch: str = "auto") -> np.ndarray:
-    """Base classifier for target-domain training: a plain regularized ELM."""
-    return train_elm(h_source, t_source, c_s, branch=branch)
+    return solve_ridge([(h_source, t_source, penalties.c_s),
+                        (h_target, t_target, penalties.c_t)], branch)
 
 
 def train_daelm_t(h_target: np.ndarray, t_target: np.ndarray,
-                  h_unlabeled: np.ndarray, beta_base: np.ndarray,
-                  penalties: Penalties, branch: str = "auto",
-                  return_scratch: bool = False,
-                  pseudo_targets: np.ndarray | None = None):
+                  h_unlabeled: np.ndarray, pseudo_targets: np.ndarray,
+                  penalties: Penalties, branch: str = "auto") -> np.ndarray:
     """Target-domain training pulled toward a base classifier's soft outputs.
 
-    The unlabeled rows contribute soft pseudo-targets (raw continuous
-    scores, never argmax-hardened): by default Hu @ beta_base, or the
-    ``pseudo_targets`` override when the base classifier scores the
-    unlabeled samples through its own feature map. Weight-space form:
-    (I + c_t*Ht'Ht + c_tu*Hu'Hu) beta = c_t*Ht'Tt + c_tu*Hu'pseudo.
-    Multiplier form when labeled target rows < hidden size.
+    Blocks: the labeled target guides weighted by c_t and the unlabeled
+    target rows weighted by c_tu. Their targets ``pseudo_targets`` are the
+    base classifier's raw continuous scores on those rows, computed through
+    its own feature map and never argmax-hardened.
     """
-    h_target = _check_matrix("H_t", h_target)
-    t_target = _check_matrix("T_t", t_target)
-    h_unlabeled = _check_matrix("H_tu", h_unlabeled)
-    beta_base = _check_matrix("beta_base", beta_base)
-    if h_target.shape[1] != h_unlabeled.shape[1]:
-        raise ValueError("labeled and unlabeled hidden sizes differ")
-    if h_target.shape[0] != t_target.shape[0]:
-        raise ValueError("row counts of H_t and T_t differ")
-    if beta_base.shape != (h_target.shape[1], t_target.shape[1]):
-        raise ValueError("beta_base shape does not match hidden size and output width")
-    branch = _check_branch(branch)
-    c_t, c_tu = penalties.c_t, penalties.c_tu
-    n_target, hidden = h_target.shape
-    if pseudo_targets is None:
-        pseudo = h_unlabeled @ beta_base
-    else:
-        pseudo = _check_matrix("pseudo_targets", pseudo_targets)
-        if pseudo.shape != (h_unlabeled.shape[0], t_target.shape[1]):
-            raise ValueError("pseudo_targets shape must be (unlabeled rows, m)")
-    zero_penalty = min(c_t, c_tu) == 0.0
-    if branch == "dual" and zero_penalty:
-        raise ValueError("dual branch requires strictly positive penalties")
-    if branch == "auto":
-        branch = "primal" if (n_target >= hidden or zero_penalty) else "dual"
-
-    if branch == "primal":
-        gram = np.eye(hidden) + c_t * (h_target.T @ h_target) + c_tu * (h_unlabeled.T @ h_unlabeled)
-        rhs = c_t * (h_target.T @ t_target) + c_tu * (h_unlabeled.T @ pseudo)
-        return _resolve(_solve_spd(gram, rhs), None, return_scratch)
-
-    cross = h_unlabeled @ h_target.T                 # unlabeled rows vs labeled rows
-    gram_u = h_unlabeled @ h_unlabeled.T + np.eye(h_unlabeled.shape[0]) / c_tu
-    gram_t = h_target @ h_target.T + np.eye(n_target) / c_t
-    factor = cho_factor(gram_u, lower=True, check_finite=False)
-    z_cross = cho_solve(factor, cross, check_finite=False)
-    z_u = cho_solve(factor, pseudo, check_finite=False)
-    schur = gram_t - cross.T @ z_cross
-    alpha_t = _solve_spd(schur, t_target - cross.T @ z_u)
-    alpha_tu = z_u - z_cross @ alpha_t
-    beta = h_target.T @ alpha_t + h_unlabeled.T @ alpha_tu
-    scratch = None
-    if return_scratch:
-        scratch = DualSolveScratch(
-            blocks={"cross": cross, "gram_unlabeled": gram_u, "gram_target": gram_t},
-            alpha_t=alpha_t, alpha_tu=alpha_tu,
-            residual_t=t_target - h_target @ beta,
-            residual_tu=pseudo - h_unlabeled @ beta)
-    return _resolve(beta, scratch, return_scratch)
+    return solve_ridge([(h_target, t_target, penalties.c_t),
+                        (h_unlabeled, pseudo_targets, penalties.c_tu)], branch)
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,10 +79,10 @@ def test_solver_branch_equivalence():
         tt = rng.normal(size=(n_t, m))
         n_u = int(rng.integers(2, 40))
         hu = rng.normal(size=(n_u, hidden))
-        beta_base = rng.normal(size=(hidden, m))
+        pseudo = hu @ rng.normal(size=(hidden, m))
         p = Penalties(c_t=10.0 ** rng.uniform(-2, 2), c_tu=10.0 ** rng.uniform(-2, 2))
-        assert rel_diff(train_daelm_t(ht, tt, hu, beta_base, p, branch="primal"),
-                        train_daelm_t(ht, tt, hu, beta_base, p, branch="dual")) < 1e-6
+        assert rel_diff(train_daelm_t(ht, tt, hu, pseudo, p, branch="primal"),
+                        train_daelm_t(ht, tt, hu, pseudo, p, branch="dual")) < 1e-6
 
 
 @criterion("stationarity of every trained beta (residual <= 1e-8*(1+|beta|))")
@@ -110,10 +110,10 @@ def test_stationarity():
         ht = rng.normal(size=(n_t, hidden))
         tt = rng.normal(size=(n_t, m))
         hu = rng.normal(size=(int(rng.integers(2, 40)), hidden))
-        beta_base = rng.normal(size=(hidden, m))
+        pseudo = hu @ rng.normal(size=(hidden, m))
         p = Penalties(c_t=10.0 ** rng.uniform(-2, 2), c_tu=10.0 ** rng.uniform(-2, 2))
-        beta = train_daelm_t(ht, tt, hu, beta_base, p)
-        assert ok(daelm_t_grad(beta, ht, tt, hu, beta_base, p), beta)
+        beta = train_daelm_t(ht, tt, hu, pseudo, p)
+        assert ok(daelm_t_grad(beta, ht, tt, hu, pseudo, p), beta)
 
 
 @criterion("reduction: zero coupling penalties collapse to plain elm (1e-8)")
@@ -131,9 +131,9 @@ def test_reductions():
         assert rel_diff(train_daelm_s(hs, ts, ht, tt, Penalties(c_s=c, c_t=0.0)),
                         train_elm(hs, ts, c)) < 1e-8
         hu = rng.normal(size=(10, hidden))
-        beta_base = rng.normal(size=(hidden, m))
+        pseudo = hu @ rng.normal(size=(hidden, m))
         assert rel_diff(
-            train_daelm_t(ht, tt, hu, beta_base, Penalties(c_t=c, c_tu=0.0)),
+            train_daelm_t(ht, tt, hu, pseudo, Penalties(c_t=c, c_tu=0.0)),
             train_elm(ht, tt, c)) < 1e-8
 
 

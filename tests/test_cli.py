@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
+import driftelm.solvers
 from driftelm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from driftelm.dataset import EXPECTED_CLASS_COUNTS, GAS_NAMES, SampleSet, save_batch
 
@@ -173,3 +175,31 @@ def test_sweep_csv(drift_corpus_dir, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,source,target,run,accuracy"
     assert {line.split(",")[0] for line in lines[1:]} == {"3", "5"}
+
+
+def test_predict_feature_count_mismatch_is_data_error(drift_corpus_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", "elm",
+                 "--target-batch", "6", "--out", str(model)] + FAST_BENCH) == EXIT_OK
+    # a scaler widened to 5 features gets past scaling; the 4-feature map must not
+    doc = json.loads(model.read_text())
+    doc["scaler"] = {"min": doc["scaler"]["min"] + [0.0], "max": doc["scaler"]["max"] + [1.0]}
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--data-dir", str(drift_corpus_dir), "--features", "5",
+                 "--model", str(model), "--batch", "6"]) == EXIT_DATA
+    assert "--features 5 does not match the model's 4 input features" in capsys.readouterr().err
+
+
+def test_failed_factorisation_is_data_error(drift_corpus_dir, tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise LinAlgError("not positive definite")
+
+    monkeypatch.setattr(driftelm.solvers, "cho_factor", failing)
+    # 80 hidden units exceed the 60 source rows plus 4 guides: the dual branch
+    code = main(["train", "--data-dir", str(drift_corpus_dir), "--method", "daelm-s",
+                 "--target-batch", "6", "--out", str(tmp_path / "model.json")]
+                + FAST_BENCH + ["--hidden", "80"])
+    assert code == EXIT_DATA
+    assert "positive definite" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()

@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
-from driftelm import (Classifier, Penalties, SampleSet, accuracy,
-                      classifier_from_dict, classifier_to_dict, hidden_output,
-                      labels_from_scores, load_classifier, new_feature_map,
-                      predict, save_classifier, train_daelm_s, train_daelm_t,
-                      train_daelm_t_base, train_elm)
+import driftelm.solvers
+from driftelm import (Classifier, Penalties, SampleSet, SolverError, accuracy,
+                      classifier_from_dict, classifier_to_dict, encode_targets,
+                      hidden_output, labels_from_scores, load_classifier,
+                      new_feature_map, predict, save_classifier, solve_ridge,
+                      split_target, ssa_select, train_daelm_s, train_daelm_t,
+                      train_elm)
 
 
 def rel_diff(a, b):
@@ -16,6 +20,10 @@ def rel_diff(a, b):
 
 
 # Objective gradients, written out independently of the solver code paths.
+def ridge_grad(beta, blocks):
+    return beta + sum(c * h.T @ (h @ beta - t) for h, t, c in blocks)
+
+
 def elm_grad(beta, h, t, c):
     return beta - c * h.T @ (t - h @ beta)
 
@@ -25,13 +33,116 @@ def daelm_s_grad(beta, hs, ts, ht, tt, p):
             - p.c_t * ht.T @ (tt - ht @ beta))
 
 
-def daelm_t_grad(beta, ht, tt, hu, beta_base, p):
+def daelm_t_grad(beta, ht, tt, hu, pseudo, p):
     return (beta - p.c_t * ht.T @ (tt - ht @ beta)
-            - p.c_tu * hu.T @ (hu @ beta_base - hu @ beta))
+            - p.c_tu * hu.T @ (pseudo - hu @ beta))
+
+
+def stationary(grad, beta):
+    return np.linalg.norm(grad) <= 1e-8 * (1 + np.linalg.norm(beta))
 
 
 def random_instance(rng, n_rows, hidden, m):
     return rng.normal(size=(n_rows, hidden)), rng.normal(size=(n_rows, m))
+
+
+@pytest.fixture
+def factored_dims(monkeypatch):
+    """Sizes of the matrices the solvers hand to Cholesky, in call order."""
+    dims = []
+    real = driftelm.solvers.cho_factor
+
+    def recording(matrix, *args, **kwargs):
+        dims.append(matrix.shape[0])
+        return real(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(driftelm.solvers, "cho_factor", recording)
+    return dims
+
+
+def random_blocks(seed, hidden, m, weights, rows):
+    rng = np.random.default_rng(seed)
+    return [(*random_instance(rng, n, hidden, m), c) for n, c in zip(rows, weights)]
+
+
+block_lists = st.integers(1, 4).flatmap(lambda n_blocks: st.tuples(
+    st.integers(0, 2 ** 32 - 1),                    # data seed
+    st.integers(2, 40),                             # hidden size L
+    st.integers(1, 4),                              # output width m
+    st.lists(st.one_of(st.just(0.0), st.floats(-2, 2).map(lambda e: 10.0 ** e)),
+             min_size=n_blocks, max_size=n_blocks),
+    st.lists(st.integers(0, 30), min_size=n_blocks, max_size=n_blocks)))
+
+
+class TestSolveRidge:
+    @given(block_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_primal_dual_agreement_and_stationarity(self, case):
+        seed, hidden, m, weights, rows = case
+        blocks = random_blocks(seed, hidden, m, weights, rows)
+        primal = solve_ridge(blocks, branch="primal")
+        dual = solve_ridge(blocks, branch="dual")
+        assert primal.shape == dual.shape == (hidden, m)
+        if all(c == 0 or n == 0 for c, n in zip(weights, rows)):
+            assert not primal.any() and not dual.any()
+            return
+        assert rel_diff(primal, dual) < 1e-6
+        for beta in (primal, dual, solve_ridge(blocks)):
+            assert stationary(ridge_grad(beta, blocks), beta)
+
+    def test_auto_branch_counts_total_rows(self, factored_dims):
+        # neither block reaches L = 30 on its own, together they do
+        rng = np.random.default_rng(22)
+        blocks = [(*random_instance(rng, 20, 30, 2), 1.0),
+                  (*random_instance(rng, 15, 30, 2), 2.0)]
+        solve_ridge(blocks)
+        assert factored_dims == [30]
+        solve_ridge(blocks[:1] + [(*random_instance(rng, 5, 30, 2), 2.0)])
+        assert factored_dims == [30, 25]
+        # a zero-weight block does not count toward the rows
+        solve_ridge(blocks[:1] + [(blocks[1][0], blocks[1][1], 0.0)])
+        assert factored_dims == [30, 25, 20]
+
+    def test_daelm_t_never_factors_the_unlabeled_rows(self, factored_dims):
+        rng = np.random.default_rng(23)
+        ht, tt = random_instance(rng, 5, 30, 3)
+        hu, pseudo = random_instance(rng, 40, 30, 3)
+        train_daelm_t(ht, tt, hu, pseudo, Penalties(c_t=0.001, c_tu=100.0))
+        assert factored_dims == [30]
+
+    def test_rejects_bad_blocks(self):
+        h, t = np.ones((3, 4)), np.ones((3, 2))
+        with pytest.raises(ValueError, match="at least one block"):
+            solve_ridge([])
+        with pytest.raises(ValueError, match="row counts"):
+            solve_ridge([(h, t[:2], 1.0)])
+        with pytest.raises(ValueError, match="hidden sizes"):
+            solve_ridge([(h, t, 1.0), (np.ones((3, 5)), t, 1.0)])
+        with pytest.raises(ValueError, match="output widths"):
+            solve_ridge([(h, t, 1.0), (h, np.ones((3, 3)), 1.0)])
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_ridge([(h, t, -1.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_ridge([(h, t, 1.0), (np.full((3, 4), np.nan), t, 0.0)])
+        with pytest.raises(ValueError, match="branch"):
+            solve_ridge([(h, t, 1.0)], branch="banana")
+
+    @pytest.mark.parametrize("branch", ["primal", "dual"])
+    def test_failed_factorisation_raises_solver_error(self, monkeypatch, branch):
+        def failing(*args, **kwargs):
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(driftelm.solvers, "cho_factor", failing)
+        rng = np.random.default_rng(24)
+        h1, t1 = random_instance(rng, 6, 10, 2)
+        h2, t2 = random_instance(rng, 3, 10, 2)
+        p = Penalties(c_s=1.0, c_t=2.0, c_tu=3.0)
+        with pytest.raises(SolverError):
+            train_elm(h1, t1, 1.0, branch=branch)
+        with pytest.raises(SolverError):
+            train_daelm_s(h1, t1, h2, t2, p, branch=branch)
+        with pytest.raises(SolverError):
+            train_daelm_t(h2, t2, h1, t1, p, branch=branch)
 
 
 class TestTrainElm:
@@ -107,26 +218,25 @@ class TestTrainDaelmS:
             assert np.linalg.norm(g) <= 1e-8 * (1 + np.linalg.norm(beta))
 
     def test_dual_multipliers_match_residuals(self):
+        # at the optimum each block's multiplier is its penalty times its
+        # residual, and beta = Hs'alpha_s + Ht'alpha_t; both follow from beta
         rng = np.random.default_rng(6)
         hs, ts = random_instance(rng, 12, 40, 2)
         ht, tt = random_instance(rng, 4, 40, 2)
         p = Penalties(c_s=0.8, c_t=3.0)
-        beta, scratch = train_daelm_s(hs, ts, ht, tt, p, branch="dual",
-                                      return_scratch=True)
-        assert rel_diff(scratch.alpha_s, p.c_s * (ts - hs @ beta)) < 1e-6
-        assert rel_diff(scratch.alpha_t, p.c_t * (tt - ht @ beta)) < 1e-6
-        np.testing.assert_allclose(scratch.residual_s, ts - hs @ beta)
+        beta = train_daelm_s(hs, ts, ht, tt, p, branch="dual")
+        alpha_s = p.c_s * (ts - hs @ beta)
+        alpha_t = p.c_t * (tt - ht @ beta)
+        assert rel_diff(beta, hs.T @ alpha_s + ht.T @ alpha_t) < 1e-6
 
-    def test_dual_blocks_are_spd(self):
+    def test_dual_blocks_are_spd(self, factored_dims):
+        # the dual branch factors one stacked (rows x rows) system, and it
+        # factors on the first try: no jitter retry
         rng = np.random.default_rng(7)
         hs, ts = random_instance(rng, 10, 30, 2)
         ht, tt = random_instance(rng, 5, 30, 2)
-        _, scratch = train_daelm_s(hs, ts, ht, tt, Penalties(c_s=1.0, c_t=1.0),
-                                   branch="dual", return_scratch=True)
-        for key in ("gram_source", "gram_target"):
-            block = scratch.blocks[key]
-            np.testing.assert_allclose(block, block.T)
-            cho_factor(block)  # raises if not positive definite
+        train_daelm_s(hs, ts, ht, tt, Penalties(c_s=1.0, c_t=1.0), branch="dual")
+        assert factored_dims == [15]
 
     def test_monotone_source_fit(self):
         rng = np.random.default_rng(8)
@@ -138,12 +248,13 @@ class TestTrainDaelmS:
             residuals.append(np.linalg.norm(ts - hs @ beta))
         assert all(b <= a + 1e-10 for a, b in zip(residuals, residuals[1:]))
 
-    def test_forced_dual_with_zero_penalty_rejected(self):
+    def test_forced_dual_with_zero_penalty_matches_primal(self):
         rng = np.random.default_rng(9)
         hs, ts = random_instance(rng, 5, 10, 2)
         ht, tt = random_instance(rng, 3, 10, 2)
-        with pytest.raises(ValueError, match="dual"):
-            train_daelm_s(hs, ts, ht, tt, Penalties(c_s=1.0, c_t=0.0), branch="dual")
+        p = Penalties(c_s=1.0, c_t=0.0)
+        assert rel_diff(train_daelm_s(hs, ts, ht, tt, p, branch="primal"),
+                        train_daelm_s(hs, ts, ht, tt, p, branch="dual")) < 1e-6
 
     def test_dimension_checks(self):
         rng = np.random.default_rng(10)
@@ -154,86 +265,68 @@ class TestTrainDaelmS:
 
 
 class TestTrainDaelmT:
-    def test_base_matches_elm_exactly(self):
-        rng = np.random.default_rng(11)
-        h, t = random_instance(rng, 20, 15, 6)
-        np.testing.assert_array_equal(train_daelm_t_base(h, t, 0.001),
-                                      train_elm(h, t, 0.001))
-
     def test_zero_unlabeled_penalty_collapses_to_elm(self):
         rng = np.random.default_rng(12)
         for n_t in (8, 30):
             ht, tt = random_instance(rng, n_t, 20, 4)
-            hu, _ = random_instance(rng, 25, 20, 4)
-            beta_base = rng.normal(size=(20, 4))
-            collapsed = train_daelm_t(ht, tt, hu, beta_base,
+            hu, pseudo = random_instance(rng, 25, 20, 4)
+            collapsed = train_daelm_t(ht, tt, hu, pseudo,
                                       Penalties(c_t=0.7, c_tu=0.0))
             assert rel_diff(collapsed, train_elm(ht, tt, 0.7)) < 1e-8
+            # the zero-weight block is dropped, so the solve is elm's own
+            assert collapsed.tobytes() == train_elm(ht, tt, 0.7).tobytes()
 
     def test_branch_equivalence(self):
         rng = np.random.default_rng(13)
         ht, tt = random_instance(rng, 10, 60, 6)
-        hu, _ = random_instance(rng, 40, 60, 6)
-        beta_base = rng.normal(size=(60, 6))
+        hu, pseudo = random_instance(rng, 40, 60, 6)
         p = Penalties(c_t=0.4, c_tu=9.0)
         assert rel_diff(
-            train_daelm_t(ht, tt, hu, beta_base, p, branch="primal"),
-            train_daelm_t(ht, tt, hu, beta_base, p, branch="dual")) < 1e-6
+            train_daelm_t(ht, tt, hu, pseudo, p, branch="primal"),
+            train_daelm_t(ht, tt, hu, pseudo, p, branch="dual")) < 1e-6
+
+    def test_pseudo_override_branch_equivalence(self):
+        # pseudo-targets unrelated to any base model, fewer rows than hidden nodes
+        rng = np.random.default_rng(21)
+        ht, tt = random_instance(rng, 6, 40, 2)
+        hu, _ = random_instance(rng, 20, 40, 2)
+        pseudo = rng.normal(size=(20, 2))
+        p = Penalties(c_t=0.5, c_tu=4.0)
+        assert rel_diff(
+            train_daelm_t(ht, tt, hu, pseudo, p, branch="primal"),
+            train_daelm_t(ht, tt, hu, pseudo, p, branch="dual")) < 1e-6
 
     def test_stationarity(self):
         rng = np.random.default_rng(14)
         for n_t in (6, 35):
             ht, tt = random_instance(rng, n_t, 25, 3)
-            hu, _ = random_instance(rng, 15, 25, 3)
-            beta_base = rng.normal(size=(25, 3))
+            hu, pseudo = random_instance(rng, 15, 25, 3)
             p = Penalties(c_t=1.2, c_tu=3.3)
-            beta = train_daelm_t(ht, tt, hu, beta_base, p)
-            g = daelm_t_grad(beta, ht, tt, hu, beta_base, p)
+            beta = train_daelm_t(ht, tt, hu, pseudo, p)
+            g = daelm_t_grad(beta, ht, tt, hu, pseudo, p)
             assert np.linalg.norm(g) <= 1e-8 * (1 + np.linalg.norm(beta))
 
     def test_dual_multipliers_match_residuals(self):
+        # multipliers are the weighted residuals; beta = Ht'alpha_t + Hu'alpha_tu
         rng = np.random.default_rng(15)
         ht, tt = random_instance(rng, 5, 30, 2)
-        hu, _ = random_instance(rng, 12, 30, 2)
-        beta_base = rng.normal(size=(30, 2))
+        hu, pseudo = random_instance(rng, 12, 30, 2)
         p = Penalties(c_t=0.9, c_tu=2.0)
-        beta, scratch = train_daelm_t(ht, tt, hu, beta_base, p, branch="dual",
-                                      return_scratch=True)
-        pseudo = hu @ beta_base
-        assert rel_diff(scratch.alpha_t, p.c_t * (tt - ht @ beta)) < 1e-6
-        assert rel_diff(scratch.alpha_tu, p.c_tu * (pseudo - hu @ beta)) < 1e-6
+        beta = train_daelm_t(ht, tt, hu, pseudo, p, branch="dual")
+        alpha_t = p.c_t * (tt - ht @ beta)
+        alpha_tu = p.c_tu * (pseudo - hu @ beta)
+        assert rel_diff(beta, ht.T @ alpha_t + hu.T @ alpha_tu) < 1e-6
 
-    def test_pseudo_target_override(self):
-        # explicit soft targets replace Hu @ beta_base and change the solution
+    def test_pseudo_targets_steer_the_solution(self):
         rng = np.random.default_rng(20)
         ht, tt = random_instance(rng, 5, 20, 3)
-        hu, _ = random_instance(rng, 15, 20, 3)
-        beta_base = rng.normal(size=(20, 3))
+        hu, pseudo = random_instance(rng, 15, 20, 3)
         p = Penalties(c_t=1.0, c_tu=5.0)
-        default = train_daelm_t(ht, tt, hu, beta_base, p)
-        same = train_daelm_t(ht, tt, hu, beta_base, p, pseudo_targets=hu @ beta_base)
-        np.testing.assert_array_equal(default, same)
-        pseudo = rng.normal(size=(15, 3))
-        overridden = train_daelm_t(ht, tt, hu, beta_base, p, pseudo_targets=pseudo)
-        assert rel_diff(default, overridden) > 1e-3
-        grad = (overridden - p.c_t * ht.T @ (tt - ht @ overridden)
-                - p.c_tu * hu.T @ (pseudo - hu @ overridden))
-        assert np.linalg.norm(grad) <= 1e-8 * (1 + np.linalg.norm(overridden))
-        with pytest.raises(ValueError, match="pseudo_targets"):
-            train_daelm_t(ht, tt, hu, beta_base, p, pseudo_targets=pseudo[:3])
-
-    def test_pseudo_override_branch_equivalence(self):
-        rng = np.random.default_rng(21)
-        ht, tt = random_instance(rng, 6, 40, 2)
-        hu, _ = random_instance(rng, 20, 40, 2)
-        beta_base = rng.normal(size=(40, 2))
-        pseudo = rng.normal(size=(20, 2))
-        p = Penalties(c_t=0.5, c_tu=4.0)
-        assert rel_diff(
-            train_daelm_t(ht, tt, hu, beta_base, p, branch="primal",
-                          pseudo_targets=pseudo),
-            train_daelm_t(ht, tt, hu, beta_base, p, branch="dual",
-                          pseudo_targets=pseudo)) < 1e-6
+        beta = train_daelm_t(ht, tt, hu, pseudo, p)
+        other = train_daelm_t(ht, tt, hu, rng.normal(size=(15, 3)), p)
+        assert rel_diff(beta, other) > 1e-3
+        with pytest.raises(ValueError, match="row counts"):
+            train_daelm_t(ht, tt, hu, pseudo[:3], p)
 
     def test_pseudo_targets_are_soft(self):
         # hardening the base outputs to +/-1 must change the result
@@ -242,8 +335,8 @@ class TestTrainDaelmT:
         hu, _ = random_instance(rng, 15, 20, 3)
         beta_base = rng.normal(size=(20, 3))
         p = Penalties(c_t=1.0, c_tu=5.0)
-        soft = train_daelm_t(ht, tt, hu, beta_base, p)
         pseudo = hu @ beta_base
+        soft = train_daelm_t(ht, tt, hu, pseudo, p)
         hard = -np.ones_like(pseudo)
         hard[np.arange(len(pseudo)), np.argmax(pseudo, axis=1)] = 1.0
         # reproduce the solve with hardened targets through the public form:
@@ -252,6 +345,41 @@ class TestTrainDaelmT:
         rhs = p.c_t * ht.T @ tt + p.c_tu * hu.T @ hard
         hardened = np.linalg.solve(gram, rhs)
         assert rel_diff(soft, hardened) > 1e-3
+
+
+class TestSingleClass:
+    """Every target row, or every guide, belongs to one class."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), label=st.integers(1, 6),
+           n=st.integers(3, 40), k=st.integers(2, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_trainers_stay_finite_and_stationary(self, seed, label, n, k):
+        m, hidden = 6, 25
+        rng = np.random.default_rng(seed)
+        fmap = new_feature_map(hidden, 4, "sigmoid", seed=seed % 1000)
+        source = SampleSet(rng.uniform(-1, 1, (n, 4)), np.full(n, label), m=m)
+        target = SampleSet(rng.uniform(-1, 1, (n + k, 4)), np.full(n + k, label), m=m)
+        guides, rest = split_target(target, ssa_select(target, k))
+        assert guides.n_samples == k and rest.n_samples == n
+        assert set(guides.labels) == set(rest.labels) == {label}
+
+        ts = encode_targets(source.labels, m)
+        tt = encode_targets(guides.labels, m)
+        for t in (ts, tt):
+            assert (t[:, label - 1] == 1.0).all()
+            assert (np.delete(t, label - 1, axis=1) == -1.0).all()
+        hs, ht, hu = (hidden_output(fmap, x) for x in (source, guides, rest))
+        pseudo = hu @ rng.normal(size=(hidden, m))
+        p = Penalties(c_s=0.5, c_t=10.0, c_tu=3.0)
+        betas = {
+            "elm": (train_elm(hs, ts, p.c_s), [(hs, ts, p.c_s)]),
+            "daelm-s": (train_daelm_s(hs, ts, ht, tt, p), [(hs, ts, p.c_s), (ht, tt, p.c_t)]),
+            "daelm-t": (train_daelm_t(ht, tt, hu, pseudo, p),
+                        [(ht, tt, p.c_t), (hu, pseudo, p.c_tu)]),
+        }
+        for beta, blocks in betas.values():
+            assert np.isfinite(beta).all()
+            assert stationary(ridge_grad(beta, blocks), beta)
 
 
 class TestPredictAndAccuracy:
