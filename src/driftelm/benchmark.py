@@ -5,6 +5,16 @@ on batches 2..10) and rolling-source (train on batch K-1, test on batch K).
 Each task selects k guide samples from the target batch, trains the chosen
 method, and scores the unlabeled remainder; runs repeat with consecutive
 seeds and are averaged.
+
+The work is run-major. One run builds its feature maps once from its seed
+and goes through the nine tasks in order, so every task of a run shares
+the maps. A hidden output is computed once and read again when a later
+task of the run reads the very same scaled batch: a fixed source, or a
+rolling target without guides, which is the next task's source under the
+global scaler. Each map keeps only the H of its last source and last rest
+(see `RunMap`), never a whole run's batches. `fit` is the one training
+path, shared with the `train` command. With ``jobs > 1`` whole runs go to
+a thread pool; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -17,8 +27,11 @@ import numpy as np
 
 from .dataset import (DataError, SampleSet, apply_scaler, encode_targets,
                       fit_scaler)
-from .feature_map import ACTIVATIONS, hidden_output, new_feature_map
+from .feature_map import (ACTIVATIONS, RandomFeatureMap, hidden_output,
+                          new_feature_map)
 from .guide_selection import GuideSelection, split_target, ssa_select
+# predict is not called here; it stays bound because tracers of the
+# benchmark wrap this module's names (see perfbench/tracing.py)
 from .solvers import (Classifier, Penalties, accuracy, labels_from_scores,
                       predict, train_daelm_s, train_daelm_t, train_elm)
 
@@ -35,6 +48,8 @@ DEFAULT_RUNS = 10
 ELM_PENALTIES = Penalties(c_s=1.0, c_t=1.0)
 DAELM_S_PENALTIES = Penalties(c_s=0.01, c_t=10.0)
 DAELM_T_PENALTIES = Penalties(c_s=0.001, c_t=0.001, c_tu=100.0)
+DEFAULT_PENALTIES = {"elm": ELM_PENALTIES, "daelm-s": DAELM_S_PENALTIES,
+                     "daelm-t": DAELM_T_PENALTIES}
 
 # Offset separating the target-side feature map seed from the base map seed
 # in daelm-t runs; prime, so it never collides with another run's base seed.
@@ -82,12 +97,7 @@ class ExperimentConfig:
     def resolved_penalties(self) -> Penalties:
         if self.penalties is not None:
             return self.penalties
-        return {"elm": ELM_PENALTIES, "daelm-s": DAELM_S_PENALTIES,
-                "daelm-t": DAELM_T_PENALTIES}[self.method]
-
-    @property
-    def label(self) -> str:
-        return f"{self.method}({self.k_guides})" if self.k_guides else self.method
+        return DEFAULT_PENALTIES[self.method]
 
 
 @dataclass(frozen=True)
@@ -130,12 +140,12 @@ def _corpus_by_id(corpus: list[SampleSet]) -> dict[int, SampleSet]:
 
 
 @dataclass(frozen=True)
-class _TaskContext:
-    source: SampleSet       # scaled, labeled
-    guides: SampleSet | None
-    rest: SampleSet         # scaled; labels used for scoring only
-    source_batch: int
-    target_batch: int
+class Task:
+    """One (source, target) task: the source, the guides and the rest."""
+
+    source: SampleSet         # scaled, labeled
+    guides: SampleSet | None  # labeled target rows the trainer sees
+    rest: SampleSet           # scaled target remainder; labels score only
 
 
 def _task_pairs(setting: str) -> list[tuple[int, int]]:
@@ -164,66 +174,90 @@ def _scaled_pairs(cfg: ExperimentConfig, corpus: list[SampleSet]
     return pairs
 
 
-def _run_once(cfg: ExperimentConfig, pens: Penalties, ctx: _TaskContext,
-              run_seed: int) -> float:
-    """Train one seeded model and score the unlabeled remainder (percent)."""
-    n = ctx.source.n_features
-    m = ctx.source.m
-    seeds = feature_map_seeds(cfg.method, run_seed)
+class RunMap:
+    """One run's feature map and the hidden outputs a later task may read.
 
+    A later task of the same run reads the very same SampleSet again in two
+    cases: a fixed source, which every task reads, and a rolling target
+    without guides, which is the next task's source under one scaler. So a
+    map keeps the H of the last source and of the last rest it computed,
+    read-only, and never more.
+    """
+
+    def __init__(self, fmap: RandomFeatureMap):
+        self.fmap = fmap
+        self._kept: dict[str, tuple[SampleSet, np.ndarray]] = {}
+
+    def output(self, samples: SampleSet, slot: str) -> np.ndarray:
+        """H of ``samples``, kept in ``slot`` ("source" or "rest")."""
+        hits = [h for kept, h in self._kept.values() if kept is samples]
+        self._kept.pop(slot, None)  # drop the old H before computing a new one
+        if hits:
+            h = hits[0]
+        else:
+            h = hidden_output(self.fmap, samples)
+            h.flags.writeable = False
+        self._kept[slot] = (samples, h)
+        return h
+
+
+def run_maps(cfg: ExperimentConfig, n_features: int, run_seed: int) -> list[RunMap]:
+    """The feature maps of one run, base map first for daelm-t."""
+    return [RunMap(new_feature_map(cfg.hidden_size, n_features, cfg.activation, seed))
+            for seed in feature_map_seeds(cfg.method, run_seed)]
+
+
+def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
+    """Train ``cfg.method`` on one task with the maps of one run."""
+    pens = cfg.resolved_penalties()
+    source, guides, m = task.source, task.guides, task.source.m
+    base, layer = maps[0], maps[-1]  # the same map unless daelm-t
     if cfg.method == "daelm-t":
-        base_map = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[0])
-        beta_base = train_elm(hidden_output(base_map, ctx.source),
-                              encode_targets(ctx.source.labels, m), pens.c_s)
-        target_map = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[1])
-        h_guides = hidden_output(target_map, ctx.guides)
-        h_rest = hidden_output(target_map, ctx.rest)
+        beta_base = train_elm(base.output(source, "source"),
+                              encode_targets(source.labels, m), pens.c_s)
         # the base classifier scores the unlabeled samples with its own map;
         # those soft scores are what the coupled model is pulled toward
-        pseudo = hidden_output(base_map, ctx.rest) @ beta_base
-        beta = train_daelm_t(h_guides, encode_targets(ctx.guides.labels, m),
-                             h_rest, pseudo, pens)
-        predicted = labels_from_scores(h_rest @ beta)
+        pseudo = hidden_output(base.fmap, task.rest) @ beta_base
+        beta = train_daelm_t(hidden_output(layer.fmap, guides),
+                             encode_targets(guides.labels, m),
+                             layer.output(task.rest, "rest"), pseudo, pens)
+    elif cfg.method == "daelm-s":
+        beta = train_daelm_s(
+            base.output(source, "source"), encode_targets(source.labels, m),
+            hidden_output(layer.fmap, guides), encode_targets(guides.labels, m), pens)
+    elif guides is not None:  # elm on source rows plus the labeled guides
+        feats = np.vstack([source.features, guides.features])
+        labels = np.concatenate([source.labels, guides.labels])
+        beta = train_elm(hidden_output(layer.fmap, feats), encode_targets(labels, m),
+                         pens.c_s)
     else:
-        fmap = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[0])
-        if cfg.method == "daelm-s":
-            beta = train_daelm_s(
-                hidden_output(fmap, ctx.source), encode_targets(ctx.source.labels, m),
-                hidden_output(fmap, ctx.guides), encode_targets(ctx.guides.labels, m),
-                pens)
-        else:  # elm on source rows plus the labeled guides
-            if ctx.guides is not None:
-                feats = np.vstack([ctx.source.features, ctx.guides.features])
-                labels = np.concatenate([ctx.source.labels, ctx.guides.labels])
-            else:
-                feats, labels = ctx.source.features, ctx.source.labels
-            beta = train_elm(hidden_output(fmap, feats), encode_targets(labels, m),
-                             pens.c_s)
-        _, predicted = predict(Classifier(fmap, beta, m), ctx.rest)
-    return 100.0 * accuracy(predicted, ctx.rest.labels)
+        beta = train_elm(base.output(source, "source"),
+                         encode_targets(source.labels, m), pens.c_s)
+    return Classifier(layer.fmap, beta, m)
 
 
-def _score(cfg: ExperimentConfig, contexts: list[_TaskContext]) -> ExperimentReport:
-    """Run every (task, run) cell of one guide count and collect the report."""
-    pens = cfg.resolved_penalties()
-    cells = [(t, r) for t in range(len(contexts)) for r in range(cfg.runs)]
-    acc = np.empty((len(contexts), cfg.runs))
+def _score(cfg: ExperimentConfig, tasks: list[Task]) -> ExperimentReport:
+    """Run every run of one guide count, each over the tasks in order."""
+    acc = np.empty((len(tasks), cfg.runs))
 
-    def work(cell):
-        t, r = cell
-        acc[t, r] = _run_once(cfg, pens, contexts[t], cfg.base_seed + r)
+    def run(r):
+        maps = run_maps(cfg, tasks[0].source.n_features, cfg.base_seed + r)
+        for t, task in enumerate(tasks):
+            clf = fit(cfg, task, maps)
+            scores = maps[-1].output(task.rest, "rest") @ clf.beta
+            acc[t, r] = 100.0 * accuracy(labels_from_scores(scores), task.rest.labels)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            list(pool.map(work, cells))
+            list(pool.map(run, range(cfg.runs)))
     else:
-        for cell in cells:
-            work(cell)
+        for r in range(cfg.runs):
+            run(r)
 
-    tasks = tuple(
-        TaskResult(ctx.source_batch, ctx.target_batch, tuple(acc[t]))
-        for t, ctx in enumerate(contexts))
-    return ExperimentReport(cfg.method, cfg.setting, cfg.k_guides, tasks)
+    results = tuple(
+        TaskResult(task.source.batch_id, task.rest.batch_id, tuple(acc[t]))
+        for t, task in enumerate(tasks))
+    return ExperimentReport(cfg.method, cfg.setting, cfg.k_guides, results)
 
 
 def _run_protocol(cfg: ExperimentConfig, corpus: list[SampleSet],
@@ -248,14 +282,13 @@ def _run_protocol(cfg: ExperimentConfig, corpus: list[SampleSet],
     reports = []
     for k_cfg in cfgs:
         k = k_cfg.k_guides
-        contexts = []
+        tasks = []
         for (source, target), selection in zip(pairs, selections):
             guides, rest = None, target
             if k:
                 guides, rest = split_target(target, GuideSelection(selection.indices[:k], k))
-            contexts.append(_TaskContext(source, guides, rest, source.batch_id,
-                                         target.batch_id))
-        reports.append(_score(k_cfg, contexts))
+            tasks.append(Task(source, guides, rest))
+        reports.append(_score(k_cfg, tasks))
     return reports
 
 

@@ -11,15 +11,13 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmark, dataset, solvers
 from .benchmark import ExperimentConfig, Penalties
-from .dataset import DataError
-from .feature_map import hidden_output, new_feature_map
+from .dataset import DataError, write_atomic
 from .guide_selection import split_target, ssa_select
 from .solvers import SolverError
 
@@ -38,22 +36,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        write_atomic(out, text)
     else:
         sys.stdout.write(text)
 
@@ -123,8 +108,7 @@ def _resolve_bench_config(args) -> ExperimentConfig:
         if flag is not None:
             fields[attr] = flag
     method = fields["method"] or "daelm-s"
-    defaults = {"elm": benchmark.ELM_PENALTIES, "daelm-s": benchmark.DAELM_S_PENALTIES,
-                "daelm-t": benchmark.DAELM_T_PENALTIES}.get(method)
+    defaults = benchmark.DEFAULT_PENALTIES.get(method)
     if defaults is None:
         raise ValueError(f"method must be one of {benchmark.METHODS}")
     pens = Penalties(
@@ -166,7 +150,7 @@ def _add_bench_flags(p) -> None:
                    help="unlabeled penalty, daelm-t only (default 100)")
     p.add_argument("--scaler-scope", choices=list(benchmark.SCALER_SCOPES),
                    dest="scaler_scope", help="min-max fit: whole corpus or per task pair (default global)")
-    p.add_argument("--jobs", type=int, help="parallel (task, run) workers (default 1)")
+    p.add_argument("--jobs", type=int, help="runs computed in parallel, each over all its tasks (default 1)")
     p.add_argument("--out", help="output file (written atomically; default stdout)")
 
 
@@ -201,41 +185,12 @@ def _train_classifier(cfg: ExperimentConfig, corpus, source_batch, target_batch)
         scaler = dataset.fit_scaler(corpus)
     source = dataset.apply_scaler(scaler, by_id[source_batch])
     target = dataset.apply_scaler(scaler, by_id[target_batch])
-    pens = cfg.resolved_penalties()
-    m = source.m
-    n = source.n_features
-    seeds = benchmark.feature_map_seeds(cfg.method, cfg.base_seed)
     if cfg.k_guides:
         guides, rest = split_target(target, ssa_select(target, cfg.k_guides))
     else:
         guides, rest = None, target
-
-    if cfg.method == "daelm-t":
-        base_map = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[0])
-        beta_base = solvers.train_elm(
-            hidden_output(base_map, source), dataset.encode_targets(source.labels, m),
-            pens.c_s)
-        fmap = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[1])
-        pseudo = hidden_output(base_map, rest) @ beta_base
-        beta = solvers.train_daelm_t(
-            hidden_output(fmap, guides), dataset.encode_targets(guides.labels, m),
-            hidden_output(fmap, rest), pseudo, pens)
-    else:
-        fmap = new_feature_map(cfg.hidden_size, n, cfg.activation, seeds[0])
-        if cfg.method == "daelm-s":
-            beta = solvers.train_daelm_s(
-                hidden_output(fmap, source), dataset.encode_targets(source.labels, m),
-                hidden_output(fmap, guides), dataset.encode_targets(guides.labels, m),
-                pens)
-        else:
-            if guides is not None:
-                feats = np.vstack([source.features, guides.features])
-                labels = np.concatenate([source.labels, guides.labels])
-            else:
-                feats, labels = source.features, source.labels
-            beta = solvers.train_elm(hidden_output(fmap, feats),
-                                     dataset.encode_targets(labels, m), pens.c_s)
-    return solvers.Classifier(fmap, beta, m), scaler
+    maps = benchmark.run_maps(cfg, source.n_features, cfg.base_seed)
+    return benchmark.fit(cfg, benchmark.Task(source, guides, rest), maps), scaler
 
 
 def _cmd_train(args) -> int:
@@ -247,7 +202,7 @@ def _cmd_train(args) -> int:
     doc["meta"] = {"method": cfg.method, "source_batch": args.source_batch,
                    "target_batch": args.target_batch, "k_guides": cfg.k_guides,
                    "seed": cfg.base_seed}
-    _atomic_write(args.out, json.dumps(doc, indent=2) + "\n")
+    write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
     print(f"saved classifier to {args.out}", file=sys.stderr)
     return EXIT_OK
 

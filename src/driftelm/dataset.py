@@ -8,7 +8,9 @@ fixtures for testing without the real corpus.
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,9 +90,6 @@ class SampleSet:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def without_labels(self) -> "SampleSet":
-        return SampleSet(self.features, None, self.batch_id, self.m)
-
     def take(self, indices) -> "SampleSet":
         """Row subset (copy), keeping labels when present."""
         idx = np.asarray(indices, dtype=np.int64)
@@ -165,6 +164,20 @@ def save_batch(samples: SampleSet, path) -> None:
                  if v != 0.0 or np.signbit(v)]
         lines.append(" ".join([str(int(label))] + pairs))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_corpus(data_dir, expected_n: int = N_FEATURES,

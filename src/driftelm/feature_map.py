@@ -16,13 +16,21 @@ from scipy.special import expit
 from .dataset import SampleSet
 
 
+# Each activation overwrites its argument, a fresh N-by-L product, with
+# the same elementwise arithmetic as exp(-z**2) and expit(z).
 def _radbas(z: np.ndarray) -> np.ndarray:
-    return np.exp(-np.square(z))
+    np.square(z, out=z)
+    np.negative(z, out=z)
+    return np.exp(z, out=z)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return expit(z, out=z)
 
 
 ACTIVATIONS = {
     "radbas": _radbas,
-    "sigmoid": expit,
+    "sigmoid": _sigmoid,
 }
 
 
@@ -98,4 +106,6 @@ def hidden_output(fmap: RandomFeatureMap, x: Union[SampleSet, np.ndarray]) -> np
     if feats.shape[1] != fmap.n_features:
         raise ValueError(
             f"sample dimension {feats.shape[1]} does not match map ({fmap.n_features})")
-    return ACTIVATIONS[fmap.activation](feats @ fmap.weights.T + fmap.biases)
+    z = feats @ fmap.weights.T
+    z += fmap.biases
+    return ACTIVATIONS[fmap.activation](z)

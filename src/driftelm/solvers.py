@@ -25,16 +25,13 @@ N^2*L + N^3/3, cross at N = L.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Union
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .dataset import SampleSet
+from .dataset import SampleSet, write_atomic
 from .feature_map import RandomFeatureMap, hidden_output, map_from_descriptor
 
 BRANCHES = ("auto", "primal", "dual")
@@ -230,17 +227,8 @@ def classifier_from_dict(doc: dict) -> Classifier:
 
 
 def save_classifier(classifier: Classifier, path, include_map_arrays: bool = False) -> None:
-    path = Path(path)
-    text = json.dumps(classifier_to_dict(classifier, include_map_arrays), indent=2)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(classifier_to_dict(classifier, include_map_arrays),
+                                  indent=2) + "\n")
 
 
 def load_classifier(path) -> Classifier:

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftelm.benchmark
-from driftelm import (DataError, ExperimentConfig, Penalties, emit_report,
-                      emit_sweep_csv, run_experiment, run_setting1,
-                      run_setting2, ssa_select, sweep_guides)
+from driftelm import (DataError, ExperimentConfig, Penalties, SampleSet,
+                      accuracy, emit_report, emit_sweep_csv, hidden_output,
+                      new_feature_map, predict, run_experiment, run_setting1,
+                      run_setting2, split_target, ssa_select, sweep_guides)
 from driftelm.benchmark import (DAELM_S_PENALTIES, DAELM_T_PENALTIES,
-                                ELM_PENALTIES, TaskResult, feature_map_seeds)
+                                ELM_PENALTIES, RunMap, Task, TaskResult,
+                                feature_map_seeds, fit, run_maps)
 
 FAST = dict(k_guides=4, hidden_size=30, runs=2, base_seed=5)
 
@@ -87,6 +90,14 @@ class TestProtocols:
         threaded = run_setting1(ExperimentConfig(method="daelm-s", jobs=4, **FAST),
                                 small_drift_corpus)
         assert serial == threaded
+        # jobs spreads whole runs over threads: the CSV bytes do not move
+        for method in ("elm", "daelm-s", "daelm-t"):
+            for setting in ("fixed-source", "rolling-source"):
+                cfg = ExperimentConfig(method=method, setting=setting,
+                                       **dict(FAST, runs=3))
+                assert (emit_report(run_experiment(replace(cfg, jobs=2),
+                                                   small_drift_corpus), "csv")
+                        == emit_report(run_experiment(cfg, small_drift_corpus), "csv"))
 
     def test_pair_scaler_scope(self, small_drift_corpus):
         cfg = ExperimentConfig(method="daelm-s", scaler_scope="pair", **FAST)
@@ -136,6 +147,84 @@ class TestProtocols:
         assert coupled.average > plain.average - 5.0
         # early, mildly drifted batches stay far above chance (1/6)
         assert coupled.tasks[0].mean > 60.0
+
+
+class TestReuse:
+    """Each run builds its maps once and computes each kept H once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"hidden": [], "maps": []}
+
+        def counted_hidden(fmap, x):
+            calls["hidden"].append((fmap.seed, x))
+            return hidden_output(fmap, x)
+
+        def counted_map(*args):
+            calls["maps"].append(args)
+            return new_feature_map(*args)
+
+        monkeypatch.setattr(driftelm.benchmark, "hidden_output", counted_hidden)
+        monkeypatch.setattr(driftelm.benchmark, "new_feature_map", counted_map)
+        return calls
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    def test_rolling_elm_computes_one_output_per_batch_per_run(
+            self, small_drift_corpus, calls, runs):
+        cfg = ExperimentConfig(method="elm", k_guides=0, hidden_size=30, runs=runs,
+                               base_seed=5)
+        run_setting2(cfg, small_drift_corpus)
+        assert len(calls["maps"]) == runs
+        assert len(calls["hidden"]) == 10 * runs
+        assert Counter((seed, x.batch_id) for seed, x in calls["hidden"]) == {
+            (5 + r, b): 1 for r in range(runs) for b in range(1, 11)}
+
+    @pytest.mark.parametrize("method, k", [("elm", 0), ("daelm-s", 4), ("daelm-t", 4)])
+    def test_fixed_source_output_is_computed_once_per_run(
+            self, small_drift_corpus, calls, method, k):
+        cfg = ExperimentConfig(method=method, k_guides=k, hidden_size=30, runs=3,
+                               base_seed=5)
+        run_setting1(cfg, small_drift_corpus)
+        assert len(calls["maps"]) == 3 * len(feature_map_seeds(method, 0))
+        source_calls = [seed for seed, x in calls["hidden"]
+                        if isinstance(x, SampleSet) and x.batch_id == 1]
+        assert source_calls == [5, 6, 7]
+
+    def test_kept_outputs_are_read_only_and_bounded(self, small_drift_corpus, calls):
+        a, b, c = small_drift_corpus[:3]
+        layer = RunMap(new_feature_map(8, 4, seed=1))
+        h = layer.output(a, "source")
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 1.0
+        assert layer.output(a, "rest") is h  # a hit from the other slot
+        layer.output(b, "rest")
+        assert layer.output(a, "source") is h
+        layer.output(c, "source")  # a is no longer kept
+        assert layer.output(a, "source") is not h
+        twin = SampleSet(a.features, a.labels, a.batch_id, a.m)
+        layer.output(twin, "source")  # the same values in another object
+        assert [x for _, x in calls["hidden"]] == [a, b, c, a, twin]
+
+    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
+    @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
+                                           ("daelm-t", 4)])
+    def test_reuse_matches_fresh_maps_per_task(self, small_drift_corpus, setting,
+                                               method, k):
+        """Reference: every (task, run) cell on fresh maps, scored by predict."""
+        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
+                               hidden_size=30, runs=2, base_seed=5)
+        report = run_experiment(cfg, small_drift_corpus)
+        scaled = driftelm.benchmark._scaled_pairs(cfg, small_drift_corpus)
+        for task_result, (source, target) in zip(report.tasks, scaled):
+            guides, rest = (split_target(target, ssa_select(target, k)) if k
+                            else (None, target))
+            expected = []
+            for r in range(cfg.runs):
+                clf = fit(cfg, Task(source, guides, rest),
+                          run_maps(cfg, source.n_features, cfg.base_seed + r))
+                expected.append(100.0 * accuracy(predict(clf, rest)[1], rest.labels))
+            assert task_result.accuracies == tuple(expected)
 
 
 class TestSweep:

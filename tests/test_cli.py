@@ -5,6 +5,11 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import driftelm.solvers
+from driftelm import (Classifier, apply_scaler, classifier_to_dict, encode_targets,
+                      fit_scaler, hidden_output, load_corpus, new_feature_map,
+                      split_target, ssa_select, train_daelm_s, train_daelm_t,
+                      train_elm)
+from driftelm.benchmark import DEFAULT_PENALTIES
 from driftelm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from driftelm.dataset import EXPECTED_CLASS_COUNTS, GAS_NAMES, SampleSet, save_batch
 
@@ -160,6 +165,48 @@ def test_train_daelm_t_model_uses_second_map_seed(drift_corpus_dir, tmp_path):
                  "--target-batch", "3", "--out", str(model)] + FAST_BENCH) == EXIT_OK
     doc = json.loads(model.read_text())
     assert doc["feature_map"]["seed"] == 5 + 1_000_003
+
+
+def _reference_model_json(corpus_dir, method, k, target_batch, hidden=30, seed=5):
+    """The model `train` writes, built step by step from the public pieces."""
+    corpus = load_corpus(corpus_dir, expected_n=4)
+    scaler = fit_scaler(corpus)
+    source, target = (apply_scaler(scaler, corpus[b - 1]) for b in (1, target_batch))
+    guides, rest = split_target(target, ssa_select(target, k)) if k else (None, target)
+    pens, m = DEFAULT_PENALTIES[method], source.m
+    fmap = new_feature_map(hidden, 4, "radbas", seed)
+    if method == "daelm-t":
+        base, fmap = fmap, new_feature_map(hidden, 4, "radbas", seed + 1_000_003)
+        beta_base = train_elm(hidden_output(base, source),
+                              encode_targets(source.labels, m), pens.c_s)
+        beta = train_daelm_t(hidden_output(fmap, guides), encode_targets(guides.labels, m),
+                             hidden_output(fmap, rest), hidden_output(base, rest) @ beta_base,
+                             pens)
+    elif method == "daelm-s":
+        beta = train_daelm_s(hidden_output(fmap, source), encode_targets(source.labels, m),
+                             hidden_output(fmap, guides), encode_targets(guides.labels, m),
+                             pens)
+    else:
+        feats, labels = source.features, source.labels
+        if guides is not None:
+            feats = np.vstack([feats, guides.features])
+            labels = np.concatenate([labels, guides.labels])
+        beta = train_elm(hidden_output(fmap, feats), encode_targets(labels, m), pens.c_s)
+    doc = classifier_to_dict(Classifier(fmap, beta, m))
+    doc["scaler"] = {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()}
+    doc["meta"] = {"method": method, "source_batch": 1, "target_batch": target_batch,
+                   "k_guides": k, "seed": seed}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
+                                       ("daelm-t", 4)])
+def test_train_model_json_is_pinned(drift_corpus_dir, tmp_path, method, k):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", method,
+                 "--target-batch", "6", "--out", str(model)]
+                + FAST_BENCH + ["--guides", str(k)]) == EXIT_OK
+    assert model.read_text() == _reference_model_json(drift_corpus_dir, method, k, 6)
 
 
 def test_train_requires_out(drift_corpus_dir, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from driftelm import RandomFeatureMap, SampleSet, hidden_output, new_feature_map
 from driftelm.feature_map import map_from_descriptor
@@ -35,6 +36,23 @@ def test_activation_values():
     f_sig = RandomFeatureMap(np.array([[1.0]]), np.array([0.0]), "sigmoid", seed=0)
     h = hidden_output(f_sig, np.array([[0.0]]))
     assert h[0, 0] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("activation, reference", [
+    ("radbas", lambda z: np.exp(-np.square(z))),
+    ("sigmoid", expit),
+])
+def test_in_place_activation_is_bit_identical(activation, reference):
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1, 1, size=(57, 9))
+    f = new_feature_map(40, 9, activation, seed=3)
+    x_before, w_before, b_before = x.copy(), f.weights.copy(), f.biases.copy()
+    h = hidden_output(f, x)
+    np.testing.assert_array_equal(h, reference(x @ f.weights.T + f.biases))
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(f.weights, w_before)
+    np.testing.assert_array_equal(f.biases, b_before)
+    assert h.flags.writeable and not np.shares_memory(h, x)
 
 
 def test_output_ranges():
