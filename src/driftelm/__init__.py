@@ -9,32 +9,30 @@ and a seeded benchmark harness with a CLI.
 from .benchmark import (DAELM_S_PENALTIES, DAELM_T_PENALTIES, ELM_PENALTIES,
                         ExperimentConfig, ExperimentReport, TaskResult,
                         emit_report, emit_sweep_csv, run_experiment,
-                        run_setting1, run_setting2, sweep_guides)
+                        sweep_guides)
 from .dataset import (DataError, SampleSet, ScalerParams, ValidationReport,
                       apply_scaler, encode_targets, fit_scaler, load_batch,
                       load_corpus, make_synthetic_drift, save_batch,
                       scale_corpus, validate_corpus)
 from .feature_map import RandomFeatureMap, hidden_output, new_feature_map
-from .guide_selection import GuideSelection, split_target, ssa_select
+from .guide_selection import split_target, ssa_select
 from .solvers import (Classifier, Penalties, SolverError, accuracy,
                       classifier_from_dict, classifier_to_dict,
-                      labels_from_scores, load_classifier, predict,
-                      save_classifier, solve_ridge, train_daelm_s,
+                      labels_from_scores, predict, solve_ridge, train_daelm_s,
                       train_daelm_t, train_elm)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Classifier", "DataError", "ExperimentConfig",
-    "ExperimentReport", "GuideSelection", "Penalties", "RandomFeatureMap",
+    "ExperimentReport", "Penalties", "RandomFeatureMap",
     "SampleSet", "ScalerParams", "SolverError", "TaskResult",
     "ValidationReport", "accuracy", "apply_scaler", "classifier_from_dict",
     "classifier_to_dict", "emit_report", "emit_sweep_csv", "encode_targets",
     "fit_scaler", "hidden_output", "labels_from_scores", "load_batch",
-    "load_classifier", "load_corpus", "make_synthetic_drift",
-    "new_feature_map", "predict", "run_experiment", "run_setting1",
-    "run_setting2", "save_batch", "save_classifier", "scale_corpus",
-    "solve_ridge", "split_target", "ssa_select", "sweep_guides",
-    "train_daelm_s", "train_daelm_t", "train_elm", "validate_corpus",
+    "load_corpus", "make_synthetic_drift", "new_feature_map", "predict",
+    "run_experiment", "save_batch", "scale_corpus", "solve_ridge",
+    "split_target", "ssa_select", "sweep_guides", "train_daelm_s",
+    "train_daelm_t", "train_elm", "validate_corpus",
     "DAELM_S_PENALTIES", "DAELM_T_PENALTIES", "ELM_PENALTIES",
 ]

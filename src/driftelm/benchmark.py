@@ -13,8 +13,9 @@ task of the run reads the very same scaled batch: a fixed source, or a
 rolling target without guides, which is the next task's source under the
 global scaler. Each map keeps only the H of its last source and last rest
 (see `RunMap`), never a whole run's batches. `fit` is the one training
-path, shared with the `train` command. With ``jobs > 1`` whole runs go to
-a thread pool; results do not depend on it.
+path; `fit_pair` builds the one task of the `train` command as the protocols
+build theirs. With ``jobs > 1`` whole runs go to a thread pool; results do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import (DataError, SampleSet, apply_scaler, encode_targets,
-                      fit_scaler)
+from .dataset import (DataError, SampleSet, ScalerParams, apply_scaler,
+                      encode_targets, fit_scaler)
 from .feature_map import (ACTIVATIONS, RandomFeatureMap, hidden_output,
                           new_feature_map)
-from .guide_selection import GuideSelection, split_target, ssa_select
+from .guide_selection import split_target, ssa_select
 # predict is not called here; it stays bound because tracers of the
 # benchmark wrap this module's names (see perfbench/tracing.py)
 from .solvers import (Classifier, Penalties, accuracy, labels_from_scores,
@@ -38,9 +39,6 @@ from .solvers import (Classifier, Penalties, accuracy, labels_from_scores,
 METHODS = ("elm", "daelm-s", "daelm-t")
 SETTINGS = ("fixed-source", "rolling-source")
 SCALER_SCOPES = ("global", "pair")
-
-DEFAULT_HIDDEN = 1000
-DEFAULT_RUNS = 10
 
 # Benchmark defaults. The baseline ELM penalty is a convention of this
 # artifact (the protocol fixes only the DAELM penalties); override via
@@ -68,9 +66,9 @@ class ExperimentConfig:
     method: str = "daelm-s"
     setting: str = "fixed-source"
     k_guides: int = 30
-    hidden_size: int = DEFAULT_HIDDEN
+    hidden_size: int = 1000
     penalties: Penalties | None = None  # None picks the method's defaults
-    runs: int = DEFAULT_RUNS
+    runs: int = 10
     base_seed: int = 0
     activation: str = "radbas"
     scaler_scope: str = "global"
@@ -155,23 +153,50 @@ def _task_pairs(setting: str) -> list[tuple[int, int]]:
     return [(k - 1, k) for k in range(2, 11)]
 
 
-def _scaled_pairs(cfg: ExperimentConfig, corpus: list[SampleSet]
-                  ) -> list[tuple[SampleSet, SampleSet]]:
-    """The setting's (source, target) batches, scaled and checked."""
+def _scaled_pairs(cfg: ExperimentConfig, corpus: list[SampleSet],
+                  ids: list[tuple[int, int]]
+                  ) -> list[tuple[ScalerParams, SampleSet, SampleSet]]:
+    """(scaler, source, target) per (source, target) batch-id pair, checked.
+
+    Under the global scaler each batch is scaled once, so a batch that two
+    tasks read is the same SampleSet in both (see `RunMap`).
+    """
     by_id = _corpus_by_id(corpus)
+    unknown = sorted({bid for pair in ids for bid in pair} - by_id.keys())
+    if unknown:
+        raise DataError(f"batch {unknown[0]} is not in the corpus")
     if cfg.scaler_scope == "global":
-        scaler = fit_scaler(corpus)
-        scaled = {bid: apply_scaler(scaler, b) for bid, b in by_id.items()}
+        scaler, scaled = fit_scaler(corpus), {}
     pairs = []
-    for src_id, tgt_id in _task_pairs(cfg.setting):
+    for src_id, tgt_id in ids:
         if cfg.scaler_scope == "pair":
-            scaler = fit_scaler([by_id[src_id], by_id[tgt_id]])
-            scaled = {bid: apply_scaler(scaler, by_id[bid]) for bid in (src_id, tgt_id)}
+            scaler, scaled = fit_scaler([by_id[src_id], by_id[tgt_id]]), {}
+        for bid in (src_id, tgt_id):
+            if bid not in scaled:
+                scaled[bid] = apply_scaler(scaler, by_id[bid])
         source, target = scaled[src_id], scaled[tgt_id]
         if source.labels is None or target.labels is None:
             raise DataError("benchmark batches must be labeled")
-        pairs.append((source, target))
+        pairs.append((scaler, source, target))
     return pairs
+
+
+def _select(targets: list[SampleSet], k: int) -> list[np.ndarray | None]:
+    """k guide indices per target (None when k is 0), every target checked first."""
+    for target in targets:
+        if k >= target.n_samples:
+            raise DataError(
+                f"k_guides={k} must be below the target batch size "
+                f"({target.n_samples})")
+    return [ssa_select(target, k) if k else None for target in targets]
+
+
+def _task(source: SampleSet, target: SampleSet, indices: np.ndarray | None,
+          k: int) -> Task:
+    """The task whose guides are the first k selected rows of ``target``."""
+    if not k:
+        return Task(source, None, target)
+    return Task(source, *split_target(target, indices[:k]))
 
 
 class RunMap:
@@ -269,43 +294,29 @@ def _run_protocol(cfg: ExperimentConfig, corpus: list[SampleSet],
     a prefix of that selection: greedy max-min picks do not depend on k.
     """
     cfgs = [replace(cfg, k_guides=k) for k in ks]
-    pairs = _scaled_pairs(cfg, corpus)
-    k_max = max(ks)
-    for _, target in pairs:
-        if k_max >= target.n_samples:
-            raise DataError(
-                f"k_guides={k_max} must be below the target batch size "
-                f"({target.n_samples})")
-    selections = [ssa_select(target, k_max) if k_max else None
-                  for _, target in pairs]
-
-    reports = []
-    for k_cfg in cfgs:
-        k = k_cfg.k_guides
-        tasks = []
-        for (source, target), selection in zip(pairs, selections):
-            guides, rest = None, target
-            if k:
-                guides, rest = split_target(target, GuideSelection(selection.indices[:k], k))
-            tasks.append(Task(source, guides, rest))
-        reports.append(_score(k_cfg, tasks))
-    return reports
-
-
-def run_setting1(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
-    """Fixed source: batch 1 trains, batches 2..10 are the targets."""
-    return _run_protocol(replace(cfg, setting="fixed-source"), corpus,
-                         [cfg.k_guides])[0]
-
-
-def run_setting2(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
-    """Rolling source: batch K-1 trains, batch K is the target, K in 2..10."""
-    return _run_protocol(replace(cfg, setting="rolling-source"), corpus,
-                         [cfg.k_guides])[0]
+    pairs = _scaled_pairs(cfg, corpus, _task_pairs(cfg.setting))
+    selections = _select([target for _, _, target in pairs], max(ks))
+    return [_score(k_cfg, [_task(source, target, indices, k_cfg.k_guides)
+                           for (_, source, target), indices in zip(pairs, selections)])
+            for k_cfg in cfgs]
 
 
 def run_experiment(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
+    """The nine tasks of ``cfg.setting``, averaged over ``cfg.runs`` runs."""
     return _run_protocol(cfg, corpus, [cfg.k_guides])[0]
+
+
+def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
+             target_id: int) -> tuple[Classifier, ScalerParams]:
+    """One classifier for one (source, target) batch pair, and its scaler.
+
+    The task is scaled, checked and split as the protocols do it, and trained
+    with the maps of run 0 (seed ``cfg.base_seed``).
+    """
+    [(scaler, source, target)] = _scaled_pairs(cfg, corpus, [(source_id, target_id)])
+    [indices] = _select([target], cfg.k_guides)
+    maps = run_maps(cfg, source.n_features, cfg.base_seed)
+    return fit(cfg, _task(source, target, indices, cfg.k_guides), maps), scaler
 
 
 def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],

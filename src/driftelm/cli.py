@@ -11,14 +11,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmark, dataset, solvers
-from .benchmark import ExperimentConfig, Penalties
+from .benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from .dataset import DataError, write_atomic
-from .guide_selection import split_target, ssa_select
+from .guide_selection import ssa_select
 from .solvers import SolverError
 
 EXIT_OK = 0
@@ -75,82 +76,71 @@ def _read_config_file(path) -> dict:
         values[key.strip()] = value.strip()
     return values
 
-# config-file key -> (attribute, parser)
+
+# config-file key -> parser; each key is also the dest of a bench flag
 _CONFIG_KEYS = {
-    "method": ("method", str),
-    "setting": ("setting_flag", str),
-    "k_guides": ("guides", int),
-    "hidden_size": ("hidden", int),
-    "runs": ("runs", int),
-    "base_seed": ("seed", int),
-    "activation": ("activation", str),
-    "scaler_scope": ("scaler_scope", str),
-    "jobs": ("jobs", int),
-    "c_s": ("cs", float),
-    "c_t": ("ct", float),
-    "c_tu": ("ctu", float),
+    "method": str, "setting": str, "k_guides": int, "hidden_size": int,
+    "runs": int, "base_seed": int, "activation": str, "scaler_scope": str,
+    "jobs": int, "c_s": float, "c_t": float, "c_tu": float,
 }
+_PENALTY_KEYS = ("c_s", "c_t", "c_tu")
 
 
 def _resolve_bench_config(args) -> ExperimentConfig:
-    """Defaults < config file < explicit flags."""
-    fields = {attr: None for attr, _ in _CONFIG_KEYS.values()}
+    """ExperimentConfig's defaults < config file < explicit flags."""
+    fields = {}
     if args.config:
         file_values = _read_config_file(args.config)
         unknown = set(file_values) - set(_CONFIG_KEYS)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        for key, text in file_values.items():
-            attr, parse = _CONFIG_KEYS[key]
-            fields[attr] = parse(text)
-    for attr in fields:
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            fields[attr] = flag
-    method = fields["method"] or "daelm-s"
-    defaults = benchmark.DEFAULT_PENALTIES.get(method)
-    if defaults is None:
-        raise ValueError(f"method must be one of {benchmark.METHODS}")
-    pens = Penalties(
-        c_s=fields["cs"] if fields["cs"] is not None else defaults.c_s,
-        c_t=fields["ct"] if fields["ct"] is not None else defaults.c_t,
-        c_tu=fields["ctu"] if fields["ctu"] is not None else defaults.c_tu)
-    raw_setting = fields["setting_flag"] or "1"
-    return ExperimentConfig(
-        method=method,
-        setting=SETTING_NAMES.get(raw_setting, raw_setting),
-        k_guides=fields["guides"] if fields["guides"] is not None else 30,
-        hidden_size=fields["hidden"] or benchmark.DEFAULT_HIDDEN,
-        penalties=pens,
-        runs=fields["runs"] or benchmark.DEFAULT_RUNS,
-        base_seed=fields["seed"] if fields["seed"] is not None else 0,
-        activation=fields["activation"] or "radbas",
-        scaler_scope=fields["scaler_scope"] or "global",
-        jobs=fields["jobs"] or 1)
+        fields = {key: _CONFIG_KEYS[key](text) for key, text in file_values.items()}
+    fields.update((key, getattr(args, key)) for key in _CONFIG_KEYS
+                  if getattr(args, key) is not None)
+    if "setting" in fields:
+        fields["setting"] = SETTING_NAMES.get(fields["setting"], fields["setting"])
+    overrides = {key: fields.pop(key) for key in _PENALTY_KEYS if key in fields}
+    cfg = ExperimentConfig(**fields)
+    if not overrides:
+        return cfg
+    return replace(cfg, penalties=replace(DEFAULT_PENALTIES[cfg.method], **overrides))
 
 
 def _add_bench_flags(p) -> None:
     _add_data_flags(p)
+    default = ExperimentConfig()
+
+    def penalty(key):
+        return ", ".join(f"{getattr(pens, key):g} {method}"
+                         for method, pens in DEFAULT_PENALTIES.items())
+
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--setting", choices=["1", "2"], dest="setting_flag",
-                   help="1 = fixed source (batch 1), 2 = rolling source (default 1)")
+    p.add_argument("--setting", choices=list(SETTING_NAMES),
+                   help="1 = fixed source (batch 1), 2 = rolling source "
+                        f"(default {default.setting})")
     p.add_argument("--method", choices=list(benchmark.METHODS),
-                   help="classifier to benchmark (default daelm-s)")
-    p.add_argument("--guides", type=int, help="labeled guide samples per target batch (default 30)")
-    p.add_argument("--runs", type=int, help="seeded repetitions to average (default 10)")
-    p.add_argument("--seed", type=int, help="base seed; run r uses seed+r (default 0)")
-    p.add_argument("--hidden", type=int, help="hidden neurons (default 1000)")
-    p.add_argument("--activation", choices=["radbas", "sigmoid"],
-                   help="hidden activation (default radbas)")
-    p.add_argument("--cs", type=float,
-                   help="source penalty (default: 0.01 daelm-s, 0.001 daelm-t, 1.0 elm)")
-    p.add_argument("--ct", type=float,
-                   help="guide penalty (default: 10 daelm-s, 0.001 daelm-t)")
-    p.add_argument("--ctu", type=float,
-                   help="unlabeled penalty, daelm-t only (default 100)")
+                   help=f"classifier to benchmark (default {default.method})")
+    p.add_argument("--guides", type=int, dest="k_guides",
+                   help=f"labeled guide samples per target batch (default {default.k_guides})")
+    p.add_argument("--runs", type=int,
+                   help=f"seeded repetitions to average (default {default.runs})")
+    p.add_argument("--seed", type=int, dest="base_seed",
+                   help=f"base seed; run r uses seed+r (default {default.base_seed})")
+    p.add_argument("--hidden", type=int, dest="hidden_size",
+                   help=f"hidden neurons (default {default.hidden_size})")
+    p.add_argument("--activation", choices=list(benchmark.ACTIVATIONS),
+                   help=f"hidden activation (default {default.activation})")
+    p.add_argument("--cs", type=float, dest="c_s",
+                   help=f"source penalty (default: {penalty('c_s')})")
+    p.add_argument("--ct", type=float, dest="c_t",
+                   help=f"guide penalty (default: {penalty('c_t')})")
+    p.add_argument("--ctu", type=float, dest="c_tu",
+                   help=f"unlabeled penalty, daelm-t only (default: {penalty('c_tu')})")
     p.add_argument("--scaler-scope", choices=list(benchmark.SCALER_SCOPES),
-                   dest="scaler_scope", help="min-max fit: whole corpus or per task pair (default global)")
-    p.add_argument("--jobs", type=int, help="runs computed in parallel, each over all its tasks (default 1)")
+                   help="min-max fit: whole corpus or per task pair "
+                        f"(default {default.scaler_scope})")
+    p.add_argument("--jobs", type=int,
+                   help=f"runs computed in parallel, each over all its tasks (default {default.jobs})")
     p.add_argument("--out", help="output file (written atomically; default stdout)")
 
 
@@ -163,40 +153,22 @@ def _cmd_validate_data(args) -> int:
 
 def _cmd_select_guides(args) -> int:
     corpus = _load_corpus(args)
-    scaled, _ = dataset.scale_corpus(corpus)
-    target = next(b for b in scaled if b.batch_id == args.batch)
-    selection = ssa_select(target, args.guides)
-    lines = [str(i) for i in selection.indices]
-    if selection.truncated:
-        print(f"warning: requested {selection.k} of {target.n_samples} samples; "
-              "selected all", file=sys.stderr)
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
-def _train_classifier(cfg: ExperimentConfig, corpus, source_batch, target_batch):
-    """One seeded training pass; returns (classifier, scaler)."""
     by_id = {b.batch_id: b for b in corpus}
-    if source_batch not in by_id or target_batch not in by_id:
-        raise DataError("source/target batch not found in the data directory")
-    if cfg.scaler_scope == "pair":
-        scaler = dataset.fit_scaler([by_id[source_batch], by_id[target_batch]])
-    else:
-        scaler = dataset.fit_scaler(corpus)
-    source = dataset.apply_scaler(scaler, by_id[source_batch])
-    target = dataset.apply_scaler(scaler, by_id[target_batch])
-    if cfg.k_guides:
-        guides, rest = split_target(target, ssa_select(target, cfg.k_guides))
-    else:
-        guides, rest = None, target
-    maps = benchmark.run_maps(cfg, source.n_features, cfg.base_seed)
-    return benchmark.fit(cfg, benchmark.Task(source, guides, rest), maps), scaler
+    if args.batch not in by_id:
+        raise DataError(f"batch {args.batch} is not in the corpus")
+    target = dataset.apply_scaler(dataset.fit_scaler(corpus), by_id[args.batch])
+    indices = ssa_select(target, args.guides)
+    if args.guides > target.n_samples:
+        print(f"warning: requested {args.guides} of {target.n_samples} samples; "
+              "selected all", file=sys.stderr)
+    _emit("\n".join(str(i) for i in indices) + "\n", args.out)
+    return EXIT_OK
 
 
 def _cmd_train(args) -> int:
     cfg = _resolve_bench_config(args)
     corpus = _load_corpus(args)
-    clf, scaler = _train_classifier(cfg, corpus, args.source_batch, args.target_batch)
+    clf, scaler = benchmark.fit_pair(cfg, corpus, args.source_batch, args.target_batch)
     doc = solvers.classifier_to_dict(clf)
     doc["scaler"] = {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()}
     doc["meta"] = {"method": cfg.method, "source_batch": args.source_batch,

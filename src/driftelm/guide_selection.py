@@ -20,29 +20,12 @@ so a sweep over several k selects once at the largest and slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .dataset import DataError, SampleSet
 from .feature_map import _as_features
-
-
-@dataclass(frozen=True, eq=False)
-class GuideSelection:
-    """Ordered indices of the chosen guide samples."""
-
-    indices: np.ndarray
-    k: int
-    truncated: bool = False  # True when k exceeded the batch size
-
-    def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or len(np.unique(idx)) != idx.size:
-            raise ValueError("indices must be a vector of distinct values")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
 
 
 def _distances_from(feats: np.ndarray, i: int) -> np.ndarray:
@@ -100,11 +83,11 @@ def _farthest_pair(feats: np.ndarray, block: int) -> tuple[int, int]:
     return pair
 
 
-def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> GuideSelection:
+def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
     """Farthest-pair seeding plus greedy max-min extension to k samples.
 
-    If k exceeds the batch size, every index is returned (in selection
-    order) and the result is flagged as truncated.
+    Returns the chosen row indices in selection order, as a read-only int64
+    vector. If k exceeds the batch size, every index is returned.
     """
     feats = _as_features(x)
     n = feats.shape[0]
@@ -112,7 +95,6 @@ def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> GuideSelection:
         raise ValueError("selection needs at least 2 samples")
     if k < 2:
         raise ValueError("k must be at least 2")
-    truncated = k > n
     k_eff = min(k, n)
 
     pair = _farthest_pair(feats, max(1, _SCRATCH_VALUES // n))
@@ -124,21 +106,26 @@ def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> GuideSelection:
         selected.append(nxt)
         min_dist = np.minimum(min_dist, _distances_from(feats, nxt))
         min_dist[nxt] = -np.inf
-    return GuideSelection(np.asarray(selected), k, truncated)
+    indices = np.array(selected, dtype=np.int64)
+    indices.flags.writeable = False
+    return indices
 
 
-def split_target(x: SampleSet, selection: GuideSelection) -> tuple[SampleSet, SampleSet]:
-    """Split a target batch into guide rows and the unlabeled remainder.
+def split_target(x: SampleSet, indices: np.ndarray) -> tuple[SampleSet, SampleSet]:
+    """Split a target batch into the guide rows at ``indices`` and the rest.
 
     Guides keep their labels for training; the remainder keeps labels too,
     but only for evaluation, never for training.
     """
+    indices = np.asarray(indices)
+    if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
+        raise DataError("selection indices must be a vector of integers")
     n = x.n_samples
-    if selection.indices.size and (selection.indices.min() < 0 or selection.indices.max() >= n):
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise DataError("selection indices out of range for this batch")
     mask = np.zeros(n, dtype=bool)
-    mask[selection.indices] = True
+    mask[indices] = True
     rest = np.flatnonzero(~mask)
-    if rest.size != n - selection.indices.size:
+    if rest.size != n - indices.size:
         raise DataError("selection indices must be distinct")
-    return x.take(selection.indices), x.take(rest)
+    return x.take(indices), x.take(rest)

@@ -24,14 +24,13 @@ N^2*L + N^3/3, cross at N = L.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .dataset import SampleSet, write_atomic
+from .dataset import SampleSet
 from .feature_map import RandomFeatureMap, hidden_output, map_from_descriptor
 
 BRANCHES = ("auto", "primal", "dual")
@@ -205,18 +204,14 @@ def accuracy(predicted, truth) -> float:
 CLASSIFIER_FORMAT = "driftelm-classifier-v1"
 
 
-def classifier_to_dict(classifier: Classifier, include_map_arrays: bool = False) -> dict:
+def classifier_to_dict(classifier: Classifier) -> dict:
     """JSON-safe dict; floats survive the round trip bit-exactly."""
-    doc = {
+    return {
         "format": CLASSIFIER_FORMAT,
         "feature_map": classifier.feature_map.describe(),
         "m": int(classifier.m),
         "beta": classifier.beta.tolist(),
     }
-    if include_map_arrays:
-        doc["feature_map"]["weights"] = classifier.feature_map.weights.tolist()
-        doc["feature_map"]["biases"] = classifier.feature_map.biases.tolist()
-    return doc
 
 
 def classifier_from_dict(doc: dict) -> Classifier:
@@ -225,12 +220,3 @@ def classifier_from_dict(doc: dict) -> Classifier:
     fmap = map_from_descriptor(doc["feature_map"])
     return Classifier(fmap, np.asarray(doc["beta"]), int(doc["m"]))
 
-
-def save_classifier(classifier: Classifier, path, include_map_arrays: bool = False) -> None:
-    write_atomic(path, json.dumps(classifier_to_dict(classifier, include_map_arrays),
-                                  indent=2) + "\n")
-
-
-def load_classifier(path) -> Classifier:
-    with open(path) as fh:
-        return classifier_from_dict(json.load(fh))

@@ -12,10 +12,9 @@ import functools
 import numpy as np
 import pytest
 
-from driftelm import (ExperimentConfig, Penalties, load_corpus, ssa_select,
-                      sweep_guides, train_daelm_s, train_daelm_t, train_elm,
-                      validate_corpus)
-from driftelm.benchmark import run_setting1, run_setting2
+from driftelm import (ExperimentConfig, Penalties, load_corpus, run_experiment,
+                      ssa_select, sweep_guides, train_daelm_s, train_daelm_t,
+                      train_elm, validate_corpus)
 from driftelm.cli import EXIT_OK, main
 
 from conftest import make_drift_corpus, official_corpus_dir
@@ -147,8 +146,8 @@ def test_ssa_matches_bruteforce():
         points = rng.normal(size=(n, dim))
         expected, max_dist = ssa_bruteforce(points, k)
         sel = ssa_select(points, k)
-        assert list(sel.indices) == expected
-        assert np.linalg.norm(points[sel.indices[0]] - points[sel.indices[1]]) \
+        assert list(sel) == expected
+        assert np.linalg.norm(points[sel[0]] - points[sel[1]]) \
             == pytest.approx(max_dist, rel=1e-12)
 
 
@@ -168,13 +167,13 @@ def test_fixed_source_benchmark_reference():
     if data_dir is None:
         pytest.skip("official corpus not present")
     corpus = load_corpus(data_dir)
-    daelm_s = run_setting1(ExperimentConfig(method="daelm-s", k_guides=30), corpus)
+    daelm_s = run_experiment(ExperimentConfig(method="daelm-s", k_guides=30), corpus)
     assert abs(daelm_s.average - SETTING1_REFERENCE["daelm-s-30"]) <= 4.0
     batch9 = next(t for t in daelm_s.tasks if t.target_batch == 9)
     assert batch9.mean >= 95.0
-    daelm_t = run_setting1(ExperimentConfig(method="daelm-t", k_guides=50), corpus)
+    daelm_t = run_experiment(ExperimentConfig(method="daelm-t", k_guides=50), corpus)
     assert abs(daelm_t.average - SETTING1_REFERENCE["daelm-t-50"]) <= 4.0
-    elm = run_setting1(ExperimentConfig(method="elm", k_guides=30), corpus)
+    elm = run_experiment(ExperimentConfig(method="elm", k_guides=30), corpus)
     assert abs(elm.average - SETTING1_REFERENCE["elm"]) <= 5.0
 
 
@@ -184,9 +183,13 @@ def test_rolling_source_benchmark_reference():
     if data_dir is None:
         pytest.skip("official corpus not present")
     corpus = load_corpus(data_dir)
-    daelm_s = run_setting2(ExperimentConfig(method="daelm-s", k_guides=30), corpus)
+    daelm_s = run_experiment(
+        ExperimentConfig(method="daelm-s", setting="rolling-source", k_guides=30),
+        corpus)
     assert abs(daelm_s.average - SETTING2_REFERENCE["daelm-s-30"]) <= 4.0
-    daelm_t = run_setting2(ExperimentConfig(method="daelm-t", k_guides=50), corpus)
+    daelm_t = run_experiment(
+        ExperimentConfig(method="daelm-t", setting="rolling-source", k_guides=50),
+        corpus)
     assert abs(daelm_t.average - SETTING2_REFERENCE["daelm-t-50"]) <= 4.0
 
 

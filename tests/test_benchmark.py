@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import driftelm.benchmark
 from driftelm import (DataError, ExperimentConfig, Penalties, SampleSet,
                       accuracy, emit_report, emit_sweep_csv, hidden_output,
-                      new_feature_map, predict, run_experiment, run_setting1,
-                      run_setting2, split_target, ssa_select, sweep_guides)
+                      new_feature_map, predict, run_experiment, split_target,
+                      ssa_select, sweep_guides)
 from driftelm.benchmark import (DAELM_S_PENALTIES, DAELM_T_PENALTIES,
                                 ELM_PENALTIES, RunMap, Task, TaskResult,
                                 feature_map_seeds, fit, run_maps)
@@ -45,32 +45,34 @@ class TestConfig:
 
 class TestProtocols:
     def test_setting1_task_pairing(self, small_drift_corpus):
-        report = run_setting1(ExperimentConfig(method="elm", **FAST), small_drift_corpus)
+        report = run_experiment(ExperimentConfig(method="elm", **FAST), small_drift_corpus)
         assert [(t.source_batch, t.target_batch) for t in report.tasks] \
             == [(1, k) for k in range(2, 11)]
         assert report.setting == "fixed-source"
 
     def test_setting2_task_pairing(self, small_drift_corpus):
-        report = run_setting2(ExperimentConfig(method="elm", **FAST), small_drift_corpus)
+        report = run_experiment(
+            ExperimentConfig(method="elm", setting="rolling-source", **FAST),
+            small_drift_corpus)
         assert [(t.source_batch, t.target_batch) for t in report.tasks] \
             == [(k - 1, k) for k in range(2, 11)]
 
     def test_reproducible(self, small_drift_corpus):
         cfg = ExperimentConfig(method="daelm-s", **FAST)
-        a = run_setting1(cfg, small_drift_corpus)
-        b = run_setting1(cfg, small_drift_corpus)
+        a = run_experiment(cfg, small_drift_corpus)
+        b = run_experiment(cfg, small_drift_corpus)
         assert a == b
 
     def test_seed_changes_results(self, small_drift_corpus):
         cfg = ExperimentConfig(method="daelm-s", **FAST)
         other = ExperimentConfig(method="daelm-s", k_guides=4, hidden_size=30,
                                  runs=2, base_seed=999)
-        a = run_setting1(cfg, small_drift_corpus)
-        b = run_setting1(other, small_drift_corpus)
+        a = run_experiment(cfg, small_drift_corpus)
+        b = run_experiment(other, small_drift_corpus)
         assert any(x.accuracies != y.accuracies for x, y in zip(a.tasks, b.tasks))
 
     def test_average_is_mean_of_task_means(self, small_drift_corpus):
-        report = run_setting1(ExperimentConfig(method="daelm-t", **FAST),
+        report = run_experiment(ExperimentConfig(method="daelm-t", **FAST),
                               small_drift_corpus)
         recomputed = float(np.mean([np.mean(t.accuracies) for t in report.tasks]))
         assert abs(report.average - recomputed) < 1e-12
@@ -85,9 +87,9 @@ class TestProtocols:
                 assert all(0.0 <= a <= 100.0 for a in t.accuracies)
 
     def test_jobs_parallelism_is_deterministic(self, small_drift_corpus):
-        serial = run_setting1(ExperimentConfig(method="daelm-s", **FAST),
+        serial = run_experiment(ExperimentConfig(method="daelm-s", **FAST),
                               small_drift_corpus)
-        threaded = run_setting1(ExperimentConfig(method="daelm-s", jobs=4, **FAST),
+        threaded = run_experiment(ExperimentConfig(method="daelm-s", jobs=4, **FAST),
                                 small_drift_corpus)
         assert serial == threaded
         # jobs spreads whole runs over threads: the CSV bytes do not move
@@ -101,19 +103,19 @@ class TestProtocols:
 
     def test_pair_scaler_scope(self, small_drift_corpus):
         cfg = ExperimentConfig(method="daelm-s", scaler_scope="pair", **FAST)
-        report = run_setting1(cfg, small_drift_corpus)
+        report = run_experiment(cfg, small_drift_corpus)
         assert len(report.tasks) == 9
 
     def test_missing_batch_rejected(self, small_drift_corpus):
         with pytest.raises(DataError, match="missing"):
-            run_setting1(ExperimentConfig(method="elm", **FAST),
+            run_experiment(ExperimentConfig(method="elm", **FAST),
                          small_drift_corpus[:8])
 
     def test_oversized_guide_request_rejected(self, small_drift_corpus):
         cfg = ExperimentConfig(method="daelm-s", k_guides=500, hidden_size=20,
                                runs=1, base_seed=0)
         with pytest.raises(DataError, match="k_guides"):
-            run_setting1(cfg, small_drift_corpus)
+            run_experiment(cfg, small_drift_corpus)
 
     def test_guides_help_under_drift(self, drift_corpus):
         """On drifted batches the adapted model beats the source-only elm."""
@@ -121,15 +123,15 @@ class TestProtocols:
                                 base_seed=2)
         adapted = ExperimentConfig(method="daelm-s", k_guides=30, hidden_size=60,
                                    runs=2, base_seed=2)
-        plain = run_setting1(base, drift_corpus)
-        helped = run_setting1(adapted, drift_corpus)
+        plain = run_experiment(base, drift_corpus)
+        helped = run_experiment(adapted, drift_corpus)
         assert helped.average > plain.average + 10.0
 
     def test_synthetic_drift_reduces_source_accuracy(self, drift_corpus):
         """Later (more drifted) batches score worse than batch 2 for plain elm."""
         cfg = ExperimentConfig(method="elm", k_guides=0, hidden_size=60, runs=2,
                                base_seed=2)
-        report = run_setting1(cfg, drift_corpus)
+        report = run_experiment(cfg, drift_corpus)
         assert report.tasks[-1].mean < report.tasks[0].mean - 15.0
 
     def test_daelm_t_transfers_base_knowledge(self, drift_corpus):
@@ -138,10 +140,10 @@ class TestProtocols:
         Its unlabeled term pulls toward the base classifier's own scores, so
         on mild drift it should track or beat a plain source-trained elm.
         """
-        plain = run_setting1(
+        plain = run_experiment(
             ExperimentConfig(method="elm", k_guides=0, hidden_size=60, runs=2,
                              base_seed=2), drift_corpus)
-        coupled = run_setting1(
+        coupled = run_experiment(
             ExperimentConfig(method="daelm-t", k_guides=10, hidden_size=60, runs=2,
                              base_seed=2), drift_corpus)
         assert coupled.average > plain.average - 5.0
@@ -171,9 +173,9 @@ class TestReuse:
     @pytest.mark.parametrize("runs", [1, 3])
     def test_rolling_elm_computes_one_output_per_batch_per_run(
             self, small_drift_corpus, calls, runs):
-        cfg = ExperimentConfig(method="elm", k_guides=0, hidden_size=30, runs=runs,
-                               base_seed=5)
-        run_setting2(cfg, small_drift_corpus)
+        cfg = ExperimentConfig(method="elm", setting="rolling-source", k_guides=0,
+                               hidden_size=30, runs=runs, base_seed=5)
+        run_experiment(cfg, small_drift_corpus)
         assert len(calls["maps"]) == runs
         assert len(calls["hidden"]) == 10 * runs
         assert Counter((seed, x.batch_id) for seed, x in calls["hidden"]) == {
@@ -184,7 +186,7 @@ class TestReuse:
             self, small_drift_corpus, calls, method, k):
         cfg = ExperimentConfig(method=method, k_guides=k, hidden_size=30, runs=3,
                                base_seed=5)
-        run_setting1(cfg, small_drift_corpus)
+        run_experiment(cfg, small_drift_corpus)
         assert len(calls["maps"]) == 3 * len(feature_map_seeds(method, 0))
         source_calls = [seed for seed, x in calls["hidden"]
                         if isinstance(x, SampleSet) and x.batch_id == 1]
@@ -215,8 +217,9 @@ class TestReuse:
         cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
                                hidden_size=30, runs=2, base_seed=5)
         report = run_experiment(cfg, small_drift_corpus)
-        scaled = driftelm.benchmark._scaled_pairs(cfg, small_drift_corpus)
-        for task_result, (source, target) in zip(report.tasks, scaled):
+        scaled = driftelm.benchmark._scaled_pairs(
+            cfg, small_drift_corpus, driftelm.benchmark._task_pairs(setting))
+        for task_result, (_, source, target) in zip(report.tasks, scaled):
             guides, rest = (split_target(target, ssa_select(target, k)) if k
                             else (None, target))
             expected = []
@@ -294,8 +297,8 @@ def test_selection_is_prefix_nested(seed, k, j):
     """The first j greedy picks do not depend on k, so a sweep may slice."""
     j = min(j, k)
     points = np.random.default_rng(seed).normal(size=(40, 3))
-    np.testing.assert_array_equal(ssa_select(points, k).indices[:j],
-                                  ssa_select(points, j).indices)
+    np.testing.assert_array_equal(ssa_select(points, k)[:j],
+                                  ssa_select(points, j))
 
 
 class TestEmitReport:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,8 +10,8 @@ from driftelm import (Classifier, apply_scaler, classifier_to_dict, encode_targe
                       fit_scaler, hidden_output, load_corpus, new_feature_map,
                       split_target, ssa_select, train_daelm_s, train_daelm_t,
                       train_elm)
-from driftelm.benchmark import DEFAULT_PENALTIES
-from driftelm.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from driftelm.benchmark import DEFAULT_PENALTIES, ExperimentConfig
+from driftelm.cli import _CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from driftelm.dataset import EXPECTED_CLASS_COUNTS, GAS_NAMES, SampleSet, save_batch
 
 FAST_BENCH = ["--hidden", "30", "--runs", "2", "--guides", "4", "--seed", "5",
@@ -84,6 +85,24 @@ def test_select_guides(drift_corpus_dir, capsys):
     assert len(set(indices)) == 6
 
 
+def test_select_guides_beyond_batch_size_warns(drift_corpus_dir, capsys):
+    code = main(["select-guides", "--data-dir", str(drift_corpus_dir),
+                 "--features", "4", "--batch", "5", "--guides", "40"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert sorted(int(line) for line in captured.out.split()) == list(range(36))
+    assert "requested 40 of 36 samples" in captured.err
+
+
+def test_unknown_batch_is_data_error(drift_corpus_dir, tmp_path, capsys):
+    assert main(["select-guides", "--data-dir", str(drift_corpus_dir),
+                 "--features", "4", "--batch", "11", "--guides", "6"]) == EXIT_DATA
+    assert "batch 11 is not in the corpus" in capsys.readouterr().err
+    assert main(["train", "--data-dir", str(drift_corpus_dir), "--target-batch", "11",
+                 "--out", str(tmp_path / "model.json")] + FAST_BENCH) == EXIT_DATA
+    assert "batch 11 is not in the corpus" in capsys.readouterr().err
+
+
 def test_bench_table_to_stdout(drift_corpus_dir, capsys):
     code = main(["bench", "--data-dir", str(drift_corpus_dir),
                  "--method", "daelm-s"] + FAST_BENCH)
@@ -130,6 +149,38 @@ def test_bench_config_file_and_flag_precedence(drift_corpus_dir, tmp_path, capsy
     assert code == EXIT_OK
     # --runs flag overrode the config file's runs = 1
     assert len(out.strip().splitlines()) == 1 + 9 * 2
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--runs", "runs must be at least 1"),
+    ("--hidden", "hidden_size must be at least 1"),
+    ("--jobs", "jobs must be at least 1"),
+])
+def test_bench_zero_flag_is_rejected_by_the_config(drift_corpus_dir, capsys, flag,
+                                                   message):
+    assert main(["bench", "--data-dir", str(drift_corpus_dir), "--features", "4",
+                 "--method", "elm", "--guides", "0", flag, "0"]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_bench_zero_runs_in_config_file_is_rejected(drift_corpus_dir, tmp_path, capsys):
+    config = tmp_path / "zero.cfg"
+    config.write_text("runs = 0\n")
+    assert main(["bench", "--data-dir", str(drift_corpus_dir), "--features", "4",
+                 "--config", str(config)]) == EXIT_USAGE
+    assert "runs must be at least 1" in capsys.readouterr().err
+
+
+def test_config_keys_are_the_experiment_fields_and_the_bench_dests():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(_CONFIG_KEYS) == fields - {"penalties"} | {"c_s", "c_t", "c_tu"}
+    # every key is a flag's dest whose unset value is None, so a flag that is
+    # not given never overrides the config file or ExperimentConfig's default
+    parser = build_parser()
+    for command in (["bench"], ["sweep"], ["train", "--target-batch", "2"]):
+        args = vars(parser.parse_args(command))
+        assert {key: args.get(key, "missing") for key in _CONFIG_KEYS} \
+            == dict.fromkeys(_CONFIG_KEYS)
 
 
 def test_bench_bad_config_key(drift_corpus_dir, tmp_path):
@@ -207,6 +258,16 @@ def test_train_model_json_is_pinned(drift_corpus_dir, tmp_path, method, k):
                  "--target-batch", "6", "--out", str(model)]
                 + FAST_BENCH + ["--guides", str(k)]) == EXIT_OK
     assert model.read_text() == _reference_model_json(drift_corpus_dir, method, k, 6)
+
+
+def test_train_rejects_guides_at_the_target_size(drift_corpus_dir, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", "daelm-s",
+                 "--target-batch", "6", "--out", str(model)]
+                + FAST_BENCH + ["--guides", "36"]) == EXIT_DATA
+    assert "k_guides=36 must be below the target batch size (36)" \
+        in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_train_requires_out(drift_corpus_dir, capsys):

@@ -41,28 +41,26 @@ def test_hand_trace_on_line():
     points = np.array([[0.0], [1.0], [2.0], [10.0]])
     sel = ssa_select(points, 3)
     # farthest pair is (0, 10); the remaining min-distances are 1 and 2
-    np.testing.assert_array_equal(sel.indices, [0, 3, 2])
-    assert not sel.truncated
+    np.testing.assert_array_equal(sel, [0, 3, 2])
+    assert sel.dtype == np.int64 and not sel.flags.writeable
 
 
 def test_k_equals_n_selects_everything():
     points = np.random.default_rng(0).normal(size=(6, 2))
     sel = ssa_select(points, 6)
-    assert sorted(sel.indices) == list(range(6))
+    assert sorted(sel) == list(range(6))
 
 
-def test_k_beyond_n_truncates_with_flag():
+def test_k_beyond_n_selects_every_index():
     points = np.random.default_rng(1).normal(size=(4, 2))
     sel = ssa_select(points, 9)
-    assert sel.truncated
-    assert sel.k == 9
-    assert sorted(sel.indices) == list(range(4))
+    assert sorted(sel) == list(range(4))
 
 
 def test_all_duplicates_pick_lowest_indices():
     points = np.zeros((5, 3))
     sel = ssa_select(points, 3)
-    np.testing.assert_array_equal(sel.indices, [0, 1, 2])
+    np.testing.assert_array_equal(sel, [0, 1, 2])
 
 
 def test_rejects_degenerate_requests():
@@ -81,8 +79,8 @@ def test_matches_bruteforce_trace():
         points = rng.normal(size=(n, dim))
         expected, max_dist = ssa_bruteforce(points, k)
         sel = ssa_select(points, k)
-        assert list(sel.indices) == expected
-        first_pair_dist = np.linalg.norm(points[sel.indices[0]] - points[sel.indices[1]])
+        assert list(sel) == expected
+        first_pair_dist = np.linalg.norm(points[sel[0]] - points[sel[1]])
         assert first_pair_dist == pytest.approx(max_dist, rel=1e-12)
 
 
@@ -92,11 +90,11 @@ def test_greedy_step_optimality():
     sel = ssa_select(points, 10)
     dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
     for step in range(2, 10):
-        chosen = sel.indices[step]
-        prior = sel.indices[:step]
+        chosen = sel[step]
+        prior = sel[:step]
         chosen_min = dist[chosen, prior].min()
         for other in range(40):
-            if other in sel.indices[:step + 1]:
+            if other in sel[:step + 1]:
                 continue
             assert dist[other, prior].min() <= chosen_min + 1e-12
 
@@ -130,7 +128,7 @@ def test_matches_bruteforce_on_hard_inputs(kind, seed, all_but_one):
     n = len(points)
     k = n - 1 if all_but_one else int(rng.integers(2, n))
     expected, _ = ssa_bruteforce(points, k)
-    assert list(ssa_select(points, k).indices) == expected
+    assert list(ssa_select(points, k)) == expected
 
 
 @pytest.mark.parametrize("kind", ("normal",) + HARD_KINDS)
@@ -150,7 +148,7 @@ def test_deterministic(seed):
     points = rng.normal(size=(25, 3))
     a = ssa_select(points, 7)
     b = ssa_select(points, 7)
-    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a, b)
 
 
 class TestSplitTarget:
@@ -169,7 +167,7 @@ class TestSplitTarget:
         batch = SampleSet(np.arange(12.0).reshape(6, 2), [1, 2, 3, 1, 2, 3], m=3)
         sel = ssa_select(batch, 2)
         labeled, unlabeled = split_target(batch, sel)
-        np.testing.assert_array_equal(labeled.labels, batch.labels[sel.indices])
+        np.testing.assert_array_equal(labeled.labels, batch.labels[sel])
         assert unlabeled.labels is not None
         assert labeled.n_samples + unlabeled.n_samples == 6
 
@@ -183,9 +181,9 @@ class TestSplitTarget:
 
     def test_repeated_indices_rejected(self):
         batch = SampleSet(np.arange(12.0).reshape(6, 2), [1, 2, 3, 1, 2, 3], m=3)
-
-        class Repeated:
-            indices = np.array([1, 1])
-
         with pytest.raises(DataError, match="distinct"):
-            split_target(batch, Repeated())
+            split_target(batch, np.array([1, 1]))
+        with pytest.raises(DataError, match="out of range"):
+            split_target(batch, np.array([0, 6]))
+        with pytest.raises(DataError, match="vector of integers"):
+            split_target(batch, np.array([0.0, 1.0]))
