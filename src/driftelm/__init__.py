@@ -6,14 +6,12 @@ source/target domain-adaptive variants, a max-min guide-sample selector,
 and a seeded benchmark harness with a CLI.
 """
 
-from .benchmark import (DAELM_S_PENALTIES, DAELM_T_PENALTIES, ELM_PENALTIES,
-                        ExperimentConfig, ExperimentReport, TaskResult,
+from .benchmark import (ExperimentConfig, ExperimentReport, TaskResult,
                         emit_report, emit_sweep_csv, run_experiment,
                         sweep_guides)
 from .dataset import (DataError, SampleSet, ScalerParams, ValidationReport,
                       apply_scaler, encode_targets, fit_scaler, load_batch,
-                      load_corpus, make_synthetic_drift, save_batch,
-                      scale_corpus, validate_corpus)
+                      load_corpus, save_batch, validate_corpus)
 from .feature_map import RandomFeatureMap, hidden_output, new_feature_map
 from .guide_selection import split_target, ssa_select
 from .solvers import (Classifier, Penalties, SolverError, accuracy,
@@ -30,9 +28,8 @@ __all__ = [
     "ValidationReport", "accuracy", "apply_scaler", "classifier_from_dict",
     "classifier_to_dict", "emit_report", "emit_sweep_csv", "encode_targets",
     "fit_scaler", "hidden_output", "labels_from_scores", "load_batch",
-    "load_corpus", "make_synthetic_drift", "new_feature_map", "predict",
-    "run_experiment", "save_batch", "scale_corpus", "solve_ridge",
-    "split_target", "ssa_select", "sweep_guides", "train_daelm_s",
-    "train_daelm_t", "train_elm", "validate_corpus",
-    "DAELM_S_PENALTIES", "DAELM_T_PENALTIES", "ELM_PENALTIES",
+    "load_corpus", "new_feature_map", "predict", "run_experiment",
+    "save_batch", "solve_ridge", "split_target", "ssa_select",
+    "sweep_guides", "train_daelm_s", "train_daelm_t", "train_elm",
+    "validate_corpus",
 ]

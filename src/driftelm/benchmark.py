@@ -43,11 +43,9 @@ SCALER_SCOPES = ("global", "pair")
 # Benchmark defaults. The baseline ELM penalty is a convention of this
 # artifact (the protocol fixes only the DAELM penalties); override via
 # config when comparing against other regularization choices.
-ELM_PENALTIES = Penalties(c_s=1.0, c_t=1.0)
-DAELM_S_PENALTIES = Penalties(c_s=0.01, c_t=10.0)
-DAELM_T_PENALTIES = Penalties(c_s=0.001, c_t=0.001, c_tu=100.0)
-DEFAULT_PENALTIES = {"elm": ELM_PENALTIES, "daelm-s": DAELM_S_PENALTIES,
-                     "daelm-t": DAELM_T_PENALTIES}
+DEFAULT_PENALTIES = {"elm": Penalties(c_s=1.0, c_t=1.0),
+                     "daelm-s": Penalties(c_s=0.01, c_t=10.0),
+                     "daelm-t": Penalties(c_s=0.001, c_t=0.001, c_tu=100.0)}
 
 # Offset separating the target-side feature map seed from the base map seed
 # in daelm-t runs; prime, so it never collides with another run's base seed.
@@ -258,7 +256,7 @@ def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
     else:
         beta = train_elm(base.output(source, "source"),
                          encode_targets(source.labels, m), pens.c_s)
-    return Classifier(layer.fmap, beta, m)
+    return Classifier(layer.fmap, beta)
 
 
 def _score(cfg: ExperimentConfig, tasks: list[Task]) -> ExperimentReport:

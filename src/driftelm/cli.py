@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import benchmark, dataset, solvers
 from .benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from .dataset import DataError, write_atomic
@@ -77,7 +75,8 @@ def _read_config_file(path) -> dict:
     return values
 
 
-# config-file key -> parser; each key is also the dest of a bench flag
+# config-file key -> parser; each is the dest of a bench and sweep flag, and
+# train has every one but setting, runs and jobs
 _CONFIG_KEYS = {
     "method": str, "setting": str, "k_guides": int, "hidden_size": int,
     "runs": int, "base_seed": int, "activation": str, "scaler_scope": str,
@@ -87,15 +86,16 @@ _PENALTY_KEYS = ("c_s", "c_t", "c_tu")
 
 
 def _resolve_bench_config(args) -> ExperimentConfig:
-    """ExperimentConfig's defaults < config file < explicit flags."""
+    """ExperimentConfig's defaults < config file < flags, for the command's keys."""
+    keys = {key: parse for key, parse in _CONFIG_KEYS.items() if hasattr(args, key)}
     fields = {}
     if args.config:
         file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_CONFIG_KEYS)
+        unknown = set(file_values) - set(keys)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        fields = {key: _CONFIG_KEYS[key](text) for key, text in file_values.items()}
-    fields.update((key, getattr(args, key)) for key in _CONFIG_KEYS
+        fields = {key: keys[key](text) for key, text in file_values.items()}
+    fields.update((key, getattr(args, key)) for key in keys
                   if getattr(args, key) is not None)
     if "setting" in fields:
         fields["setting"] = SETTING_NAMES.get(fields["setting"], fields["setting"])
@@ -106,7 +106,7 @@ def _resolve_bench_config(args) -> ExperimentConfig:
     return replace(cfg, penalties=replace(DEFAULT_PENALTIES[cfg.method], **overrides))
 
 
-def _add_bench_flags(p) -> None:
+def _add_experiment_flags(p) -> None:
     _add_data_flags(p)
     default = ExperimentConfig()
 
@@ -115,15 +115,10 @@ def _add_bench_flags(p) -> None:
                          for method, pens in DEFAULT_PENALTIES.items())
 
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--setting", choices=list(SETTING_NAMES),
-                   help="1 = fixed source (batch 1), 2 = rolling source "
-                        f"(default {default.setting})")
     p.add_argument("--method", choices=list(benchmark.METHODS),
-                   help=f"classifier to benchmark (default {default.method})")
+                   help=f"classifier to train (default {default.method})")
     p.add_argument("--guides", type=int, dest="k_guides",
                    help=f"labeled guide samples per target batch (default {default.k_guides})")
-    p.add_argument("--runs", type=int,
-                   help=f"seeded repetitions to average (default {default.runs})")
     p.add_argument("--seed", type=int, dest="base_seed",
                    help=f"base seed; run r uses seed+r (default {default.base_seed})")
     p.add_argument("--hidden", type=int, dest="hidden_size",
@@ -139,9 +134,19 @@ def _add_bench_flags(p) -> None:
     p.add_argument("--scaler-scope", choices=list(benchmark.SCALER_SCOPES),
                    help="min-max fit: whole corpus or per task pair "
                         f"(default {default.scaler_scope})")
+
+
+def _add_bench_flags(p) -> None:
+    _add_experiment_flags(p)
+    default = ExperimentConfig()
+    p.add_argument("--out", help="output file (written atomically; default stdout)")
+    p.add_argument("--setting", choices=list(SETTING_NAMES),
+                   help="1 = fixed source (batch 1), 2 = rolling source "
+                        f"(default {default.setting})")
+    p.add_argument("--runs", type=int,
+                   help=f"seeded repetitions to average (default {default.runs})")
     p.add_argument("--jobs", type=int,
                    help=f"runs computed in parallel, each over all its tasks (default {default.jobs})")
-    p.add_argument("--out", help="output file (written atomically; default stdout)")
 
 
 def _cmd_validate_data(args) -> int:
@@ -169,11 +174,10 @@ def _cmd_train(args) -> int:
     cfg = _resolve_bench_config(args)
     corpus = _load_corpus(args)
     clf, scaler = benchmark.fit_pair(cfg, corpus, args.source_batch, args.target_batch)
-    doc = solvers.classifier_to_dict(clf)
-    doc["scaler"] = {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()}
-    doc["meta"] = {"method": cfg.method, "source_batch": args.source_batch,
-                   "target_batch": args.target_batch, "k_guides": cfg.k_guides,
-                   "seed": cfg.base_seed}
+    doc = solvers.classifier_to_dict(clf, scaler, {
+        "method": cfg.method, "source_batch": args.source_batch,
+        "target_batch": args.target_batch, "k_guides": cfg.k_guides,
+        "seed": cfg.base_seed})
     write_atomic(args.out, json.dumps(doc, indent=2) + "\n")
     print(f"saved classifier to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -181,15 +185,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     with open(args.model) as fh:
-        doc = json.load(fh)
-    clf = solvers.classifier_from_dict(doc)
-    if args.features != clf.feature_map.n_features:
-        raise DataError(f"--features {args.features} does not match the model's "
-                        f"{clf.feature_map.n_features} input features")
-    scaler = dataset.ScalerParams(np.asarray(doc["scaler"]["min"]),
-                                  np.asarray(doc["scaler"]["max"]))
+        clf, scaler = solvers.classifier_from_dict(json.load(fh))
     path = _data_dir(args) / f"batch{args.batch}.dat"
-    batch = dataset.load_batch(path, expected_n=args.features, batch_id=args.batch)
+    batch = dataset.load_batch(path, expected_n=clf.feature_map.n_features,
+                               batch_id=args.batch)
     scaled = dataset.apply_scaler(scaler, batch)
     _, labels = solvers.predict(clf, scaled)
     lines = ["index,label"] + [f"{i},{lab}" for i, lab in enumerate(labels)]
@@ -235,15 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_select_guides)
 
     p = sub.add_parser("train", help="train one classifier and save it as JSON")
-    _add_bench_flags(p)
+    _add_experiment_flags(p)
     p.add_argument("--source-batch", type=int, default=1,
                    help="training batch id (default: %(default)s)")
     p.add_argument("--target-batch", type=int, required=True,
                    help="batch the guides are drawn from")
-    p.set_defaults(func=_cmd_train, out_required=True)
+    p.add_argument("--out", required=True, help="model JSON (written atomically)")
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="classify a batch with a saved classifier")
-    _add_data_flags(p)
+    p.add_argument("--data-dir", help=f"corpus directory (default: ${ENV_DATA_DIR})")
     p.add_argument("--model", required=True, help="classifier JSON from `train`")
     p.add_argument("--batch", type=int, required=True, help="batch id to classify")
     p.add_argument("--out", help="predictions CSV (default stdout)")
@@ -276,12 +276,10 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "out_required", False) and not args.out:
-        print("error: --out is required for this command", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return int(args.func(args))
-    except (DataError, SolverError, OSError, json.JSONDecodeError) as exc:
+    except (DataError, SolverError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, KeyError) as exc:

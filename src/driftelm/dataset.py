@@ -2,8 +2,7 @@
 
 Loads the libsvm-style ``batch1.dat`` .. ``batch10.dat`` files, checks them
 against the reference per-batch composition, scales features to [-1, 1],
-encodes class labels as +/-1 target rows, and generates synthetic drifted
-fixtures for testing without the real corpus.
+and encodes class labels as +/-1 target rows.
 """
 
 from __future__ import annotations
@@ -287,10 +286,6 @@ class ScalerParams:
         """Features with min == max; these scale to 0."""
         return self.minimum == self.maximum
 
-    @property
-    def n_constant(self) -> int:
-        return int(self.constant_mask.sum())
-
 
 def fit_scaler(batches: list[SampleSet]) -> ScalerParams:
     """Per-feature min/max over the union of the given batches."""
@@ -312,12 +307,6 @@ def apply_scaler(scaler: ScalerParams, samples: SampleSet) -> SampleSet:
     return SampleSet(scaled, samples.labels, samples.batch_id, samples.m)
 
 
-def scale_corpus(batches: list[SampleSet]) -> tuple[list[SampleSet], ScalerParams]:
-    """Fit a global scaler on the union and apply it to every batch."""
-    scaler = fit_scaler(batches)
-    return [apply_scaler(scaler, b) for b in batches], scaler
-
-
 def encode_targets(labels, m: int) -> np.ndarray:
     """One-vs-rest target rows: +1 in the label's column, -1 elsewhere."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -329,28 +318,3 @@ def encode_targets(labels, m: int) -> np.ndarray:
     targets[np.arange(labels.size), labels - 1] = 1.0
     return targets
 
-
-def make_synthetic_drift(classes: int, per_class: int, shift: float, seed: int,
-                         n_features: int = 8) -> tuple[SampleSet, SampleSet]:
-    """Gaussian class blobs plus a translated copy, mimicking sensor drift.
-
-    The target set is drawn from the same blobs translated by ``shift`` along
-    a fixed direction (the normalized all-ones diagonal, so the drift touches
-    every feature). Deterministic for a given seed.
-    """
-    if classes < 2:
-        raise DataError("need at least 2 classes")
-    if per_class < 1:
-        raise DataError("need at least 1 sample per class")
-    rng = np.random.default_rng(seed)
-    centers = rng.uniform(-4.0, 4.0, size=(classes, n_features))
-    labels = np.repeat(np.arange(1, classes + 1), per_class)
-    direction = np.full(n_features, 1.0 / np.sqrt(n_features))
-
-    def draw(offset):
-        noise = rng.normal(0.0, 0.5, size=(labels.size, n_features))
-        return centers[labels - 1] + noise + offset
-
-    source = SampleSet(draw(0.0), labels, batch_id=1, m=classes)
-    target = SampleSet(draw(shift * direction), labels, batch_id=2, m=classes)
-    return source, target

@@ -2,18 +2,21 @@
 
 A feature map is a frozen set of uniform random input weights and biases plus
 an activation; it turns an (N, n) sample matrix into the (N, L) hidden
-output matrix that the closed-form solvers consume.
+output matrix that the closed-form solvers consume. A saved map is rebuilt
+from its seed, and refused unless its weights match the saved sha256: NumPy
+does not promise that a seeded generator keeps its stream across versions.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from scipy.special import expit
 
-from .dataset import SampleSet
+from .dataset import DataError, SampleSet
 
 
 # Each activation overwrites its argument, a fresh N-by-L product, with
@@ -66,8 +69,11 @@ class RandomFeatureMap:
         return self.weights.shape[1]
 
     def describe(self) -> dict:
-        """Serializable descriptor; seed + dims + activation reconstruct the map."""
+        """Serializable descriptor; `map_from_descriptor` rebuilds and checks it."""
+        digest = hashlib.sha256(self.weights.astype("<f8").tobytes()
+                                + self.biases.astype("<f8").tobytes())
         return {
+            "sha256": digest.hexdigest(),
             "seed": int(self.seed),
             "hidden_size": self.hidden_size,
             "n_features": self.n_features,
@@ -88,9 +94,16 @@ def new_feature_map(hidden_size: int, n_features: int, activation: str = "radbas
     return RandomFeatureMap(weights, biases, activation, seed)
 
 
-def map_from_descriptor(desc: dict) -> RandomFeatureMap:
-    return new_feature_map(int(desc["hidden_size"]), int(desc["n_features"]),
-                           str(desc["activation"]), int(desc["seed"]))
+def map_from_descriptor(desc) -> RandomFeatureMap:
+    """The map `describe` saved; DataError unless it rebuilds to the same descriptor."""
+    try:
+        fmap = new_feature_map(desc["hidden_size"], desc["n_features"],
+                               desc["activation"], desc["seed"])
+    except (KeyError, TypeError, ValueError) as exc:  # missing or ill-typed fields
+        raise DataError(f"feature map descriptor is not valid ({exc})") from None
+    if fmap.describe() != desc:
+        raise DataError("feature map does not rebuild to its descriptor's sha256")
+    return fmap
 
 
 def _as_features(x: Union[SampleSet, np.ndarray]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Closed-form output-weight solvers.
+"""Closed-form output-weight solvers, and the model file that holds their result.
 
 All three trainers minimize one strictly convex objective over the output
 weights beta (an L-by-m matrix), given a list of ridge blocks (H_i, T_i, c_i):
@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .dataset import SampleSet
+from .dataset import DataError, SampleSet, ScalerParams
 from .feature_map import RandomFeatureMap, hidden_output, map_from_descriptor
 
 BRANCHES = ("auto", "primal", "dual")
@@ -167,11 +167,10 @@ class Classifier:
 
     feature_map: RandomFeatureMap
     beta: np.ndarray
-    m: int
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=np.float64, order="C")
-        if beta.shape != (self.feature_map.hidden_size, self.m):
+        if beta.ndim != 2 or beta.shape[0] != self.feature_map.hidden_size:
             raise ValueError("beta shape must be (hidden_size, m)")
         if not np.isfinite(beta).all():
             raise ValueError("beta contains non-finite entries")
@@ -204,19 +203,47 @@ def accuracy(predicted, truth) -> float:
 CLASSIFIER_FORMAT = "driftelm-classifier-v1"
 
 
-def classifier_to_dict(classifier: Classifier) -> dict:
-    """JSON-safe dict; floats survive the round trip bit-exactly."""
+def classifier_to_dict(classifier: Classifier, scaler: ScalerParams,
+                       meta: dict) -> dict:
+    """The model document; floats survive JSON bit-exactly, and readers skip meta."""
     return {
         "format": CLASSIFIER_FORMAT,
         "feature_map": classifier.feature_map.describe(),
-        "m": int(classifier.m),
+        "m": classifier.beta.shape[1],
         "beta": classifier.beta.tolist(),
+        "scaler": {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()},
+        "meta": meta,
     }
 
 
-def classifier_from_dict(doc: dict) -> Classifier:
-    if doc.get("format") != CLASSIFIER_FORMAT:
-        raise ValueError(f"unsupported classifier format {doc.get('format')!r}")
-    fmap = map_from_descriptor(doc["feature_map"])
-    return Classifier(fmap, np.asarray(doc["beta"]), int(doc["m"]))
+def _numbers(value, ndim: int, what: str) -> np.ndarray:
+    """A non-empty ``ndim``-D array of finite JSON numbers, else DataError."""
+    try:
+        arr = np.asarray(value)
+        if (arr.ndim == ndim and arr.size and arr.dtype.kind in "iuf"
+                and np.isfinite(arr).all()):
+            return arr.astype(np.float64)
+    except ValueError:  # rows of different lengths
+        pass
+    raise DataError(f"model file: {what} must be a {ndim}-D array of finite numbers")
 
+
+def classifier_from_dict(doc) -> tuple[Classifier, ScalerParams]:
+    """The classifier and scaler of a model document; DataError on any flaw."""
+    if not isinstance(doc, dict):
+        raise DataError("model file must hold a JSON object")
+    if doc.get("format") != CLASSIFIER_FORMAT:
+        raise DataError(f"unsupported classifier format {doc.get('format')!r}")
+    missing = [key for key in ("feature_map", "m", "beta", "scaler", "meta") if key not in doc]
+    if missing:
+        raise DataError(f"model file lacks {missing}")
+    bounds = doc["scaler"] if isinstance(doc["scaler"], dict) else {}
+    scaler = ScalerParams(*(_numbers(bounds.get(key), 1, f"scaler {key}")
+                            for key in ("min", "max")))
+    beta = _numbers(doc["beta"], 2, "beta")
+    fmap = map_from_descriptor(doc["feature_map"])
+    m, (rows, cols), width = doc["m"], beta.shape, scaler.minimum.shape[0]
+    if type(m) is not int or (m, rows, width) != (cols, fmap.hidden_size, fmap.n_features):
+        raise DataError(f"model file: m = {m!r}, beta {rows}x{cols} and scaler width {width} "
+                        f"do not fit a {fmap.hidden_size}x{fmap.n_features} feature map")
+    return Classifier(fmap, beta), scaler

@@ -1,3 +1,4 @@
+import copy
 import os
 from pathlib import Path
 
@@ -65,3 +66,48 @@ def official_corpus_dir():
         if path.is_dir() and (path / "batch1.dat").is_file():
             return path
     return None
+
+
+def _edit(doc, *path, change=None):
+    """Deep copy of a model document whose entry at ``path`` is changed.
+
+    ``change`` maps the entry's old value to its new one; without it the
+    entry is deleted.
+    """
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    if change is None:
+        del node[key]
+    else:
+        node[key] = change(node[key])
+    return doc
+
+
+# Each maps a valid model document to one that `classifier_from_dict` and
+# `predict` must refuse.
+MALFORMED_MODELS = {
+    "json-list": lambda d: [d],
+    "unknown-format": lambda d: _edit(d, "format", change=lambda _: "driftelm-classifier-v0"),
+    "no-scaler": lambda d: _edit(d, "scaler"),
+    "no-meta": lambda d: _edit(d, "meta"),
+    "no-map-seed": lambda d: _edit(d, "feature_map", "seed"),
+    "no-map-sha256": lambda d: _edit(d, "feature_map", "sha256"),
+    "float-map-size": lambda d: _edit(d, "feature_map", "hidden_size", change=float),
+    "string-beta": lambda d: _edit(d, "beta", change=str),
+    "string-in-beta": lambda d: _edit(d, "beta", 0, 0, change=str),
+    "nan-in-beta": lambda d: _edit(d, "beta", 0, 0, change=lambda _: float("nan")),
+    "ragged-beta": lambda d: _edit(d, "beta", 0, change=lambda row: row[1:]),
+    "flat-beta": lambda d: _edit(d, "beta", change=lambda rows: rows[0]),
+    "short-beta": lambda d: _edit(d, "beta", change=lambda rows: rows[1:]),
+    "wrong-m": lambda d: _edit(d, "m", change=lambda m: m + 1),
+    "string-m": lambda d: _edit(d, "m", change=str),
+    "scaler-list": lambda d: _edit(d, "scaler", change=lambda s: [s["min"], s["max"]]),
+    "string-scaler-min": lambda d: _edit(d, "scaler", "min", 0, change=str),
+    "widened-scaler": lambda d: _edit(_edit(d, "scaler", "min", change=lambda v: v + [0.0]),
+                                      "scaler", "max", change=lambda v: v + [1.0]),
+    "changed-seed-kept-sha256": lambda d: _edit(d, "feature_map", "seed",
+                                                change=lambda seed: seed + 1),
+}

@@ -11,8 +11,7 @@ from driftelm import (DataError, ExperimentConfig, Penalties, SampleSet,
                       accuracy, emit_report, emit_sweep_csv, hidden_output,
                       new_feature_map, predict, run_experiment, split_target,
                       ssa_select, sweep_guides)
-from driftelm.benchmark import (DAELM_S_PENALTIES, DAELM_T_PENALTIES,
-                                ELM_PENALTIES, RunMap, Task, TaskResult,
+from driftelm.benchmark import (DEFAULT_PENALTIES, RunMap, Task, TaskResult,
                                 feature_map_seeds, fit, run_maps)
 
 FAST = dict(k_guides=4, hidden_size=30, runs=2, base_seed=5)
@@ -24,9 +23,9 @@ class TestConfig:
         assert cfg.hidden_size == 1000
         assert cfg.runs == 10
         assert cfg.activation == "radbas"
-        assert DAELM_S_PENALTIES == Penalties(c_s=0.01, c_t=10.0)
-        assert DAELM_T_PENALTIES == Penalties(c_s=0.001, c_t=0.001, c_tu=100.0)
-        assert cfg.resolved_penalties() == DAELM_S_PENALTIES
+        assert DEFAULT_PENALTIES["daelm-s"] == Penalties(c_s=0.01, c_t=10.0)
+        assert DEFAULT_PENALTIES["daelm-t"] == Penalties(c_s=0.001, c_t=0.001, c_tu=100.0)
+        assert cfg.resolved_penalties() == DEFAULT_PENALTIES["daelm-s"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -6,16 +7,18 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import driftelm.solvers
-from driftelm import (Classifier, apply_scaler, classifier_to_dict, encode_targets,
-                      fit_scaler, hidden_output, load_corpus, new_feature_map,
-                      split_target, ssa_select, train_daelm_s, train_daelm_t,
-                      train_elm)
+from driftelm import (apply_scaler, encode_targets, fit_scaler, hidden_output,
+                      load_corpus, new_feature_map, split_target, ssa_select,
+                      train_daelm_s, train_daelm_t, train_elm)
 from driftelm.benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from driftelm.cli import _CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
-from driftelm.dataset import EXPECTED_CLASS_COUNTS, GAS_NAMES, SampleSet, save_batch
+from driftelm.dataset import (EXPECTED_CLASS_COUNTS, GAS_NAMES, N_FEATURES, SampleSet,
+                              save_batch)
 
-FAST_BENCH = ["--hidden", "30", "--runs", "2", "--guides", "4", "--seed", "5",
-              "--features", "4"]
+from conftest import MALFORMED_MODELS, make_drift_corpus
+
+FAST_TRAIN = ["--hidden", "30", "--guides", "4", "--seed", "5", "--features", "4"]
+FAST_BENCH = FAST_TRAIN + ["--runs", "2"]
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +102,7 @@ def test_unknown_batch_is_data_error(drift_corpus_dir, tmp_path, capsys):
                  "--features", "4", "--batch", "11", "--guides", "6"]) == EXIT_DATA
     assert "batch 11 is not in the corpus" in capsys.readouterr().err
     assert main(["train", "--data-dir", str(drift_corpus_dir), "--target-batch", "11",
-                 "--out", str(tmp_path / "model.json")] + FAST_BENCH) == EXIT_DATA
+                 "--out", str(tmp_path / "model.json")] + FAST_TRAIN) == EXIT_DATA
     assert "batch 11 is not in the corpus" in capsys.readouterr().err
 
 
@@ -175,12 +178,31 @@ def test_config_keys_are_the_experiment_fields_and_the_bench_dests():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(_CONFIG_KEYS) == fields - {"penalties"} | {"c_s", "c_t", "c_tu"}
     # every key is a flag's dest whose unset value is None, so a flag that is
-    # not given never overrides the config file or ExperimentConfig's default
+    # not given never overrides the config file or ExperimentConfig's default;
+    # train repeats nothing, so it has no setting, runs or jobs
     parser = build_parser()
-    for command in (["bench"], ["sweep"], ["train", "--target-batch", "2"]):
+    train_keys = set(_CONFIG_KEYS) - {"setting", "runs", "jobs"}
+    for command, keys in ((["bench"], _CONFIG_KEYS), (["sweep"], _CONFIG_KEYS),
+                          (["train", "--target-batch", "2", "--out", "m.json"],
+                           train_keys)):
         args = vars(parser.parse_args(command))
         assert {key: args.get(key, "missing") for key in _CONFIG_KEYS} \
-            == dict.fromkeys(_CONFIG_KEYS)
+            == {key: None if key in keys else "missing" for key in _CONFIG_KEYS}
+
+
+@pytest.mark.parametrize("flag", ["--setting", "--runs", "--jobs"])
+def test_train_rejects_the_protocol_flags_and_keys(drift_corpus_dir, tmp_path, capsys,
+                                                   flag):
+    model = tmp_path / "model.json"
+    train = ["train", "--data-dir", str(drift_corpus_dir), "--target-batch", "6",
+             "--out", str(model)] + FAST_TRAIN
+    assert main(train + [flag, "2"]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    config = tmp_path / "train.cfg"
+    config.write_text(f"{flag[2:]} = 2\n")
+    assert main(train + ["--config", str(config)]) == EXIT_DATA
+    assert f"unknown config keys: ['{flag[2:]}']" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_bench_bad_config_key(drift_corpus_dir, tmp_path):
@@ -193,14 +215,14 @@ def test_bench_bad_config_key(drift_corpus_dir, tmp_path):
 def test_train_then_predict_round_trip(drift_corpus_dir, tmp_path, capsys):
     model = tmp_path / "model.json"
     code = main(["train", "--data-dir", str(drift_corpus_dir), "--method", "daelm-s",
-                 "--target-batch", "6", "--out", str(model)] + FAST_BENCH)
+                 "--target-batch", "6", "--out", str(model)] + FAST_TRAIN)
     assert code == EXIT_OK
     doc = json.loads(model.read_text())
     assert doc["format"] == "driftelm-classifier-v1"
     assert "scaler" in doc
 
     pred_csv = tmp_path / "pred.csv"
-    code = main(["predict", "--data-dir", str(drift_corpus_dir), "--features", "4",
+    code = main(["predict", "--data-dir", str(drift_corpus_dir),
                  "--model", str(model), "--batch", "6", "--out", str(pred_csv)])
     err = capsys.readouterr().err
     assert code == EXIT_OK
@@ -213,13 +235,16 @@ def test_train_then_predict_round_trip(drift_corpus_dir, tmp_path, capsys):
 def test_train_daelm_t_model_uses_second_map_seed(drift_corpus_dir, tmp_path):
     model = tmp_path / "model.json"
     assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", "daelm-t",
-                 "--target-batch", "3", "--out", str(model)] + FAST_BENCH) == EXIT_OK
+                 "--target-batch", "3", "--out", str(model)] + FAST_TRAIN) == EXIT_OK
     doc = json.loads(model.read_text())
     assert doc["feature_map"]["seed"] == 5 + 1_000_003
 
 
 def _reference_model_json(corpus_dir, method, k, target_batch, hidden=30, seed=5):
-    """The model `train` writes, built step by step from the public pieces."""
+    """The model `train` writes, built step by step from the public pieces.
+
+    The document is written out here key by key, not by the package's writer.
+    """
     corpus = load_corpus(corpus_dir, expected_n=4)
     scaler = fit_scaler(corpus)
     source, target = (apply_scaler(scaler, corpus[b - 1]) for b in (1, target_batch))
@@ -243,10 +268,15 @@ def _reference_model_json(corpus_dir, method, k, target_batch, hidden=30, seed=5
             feats = np.vstack([feats, guides.features])
             labels = np.concatenate([labels, guides.labels])
         beta = train_elm(hidden_output(fmap, feats), encode_targets(labels, m), pens.c_s)
-    doc = classifier_to_dict(Classifier(fmap, beta, m))
-    doc["scaler"] = {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()}
-    doc["meta"] = {"method": method, "source_batch": 1, "target_batch": target_batch,
-                   "k_guides": k, "seed": seed}
+    digest = hashlib.sha256(fmap.weights.astype("<f8").tobytes()
+                            + fmap.biases.astype("<f8").tobytes()).hexdigest()
+    doc = {"format": "driftelm-classifier-v1",
+           "feature_map": {"sha256": digest, "seed": fmap.seed, "hidden_size": hidden,
+                           "n_features": 4, "activation": "radbas"},
+           "m": m, "beta": beta.tolist(),
+           "scaler": {"min": scaler.minimum.tolist(), "max": scaler.maximum.tolist()},
+           "meta": {"method": method, "source_batch": 1, "target_batch": target_batch,
+                    "k_guides": k, "seed": seed}}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -256,7 +286,7 @@ def test_train_model_json_is_pinned(drift_corpus_dir, tmp_path, method, k):
     model = tmp_path / "model.json"
     assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", method,
                  "--target-batch", "6", "--out", str(model)]
-                + FAST_BENCH + ["--guides", str(k)]) == EXIT_OK
+                + FAST_TRAIN + ["--guides", str(k)]) == EXIT_OK
     assert model.read_text() == _reference_model_json(drift_corpus_dir, method, k, 6)
 
 
@@ -264,7 +294,7 @@ def test_train_rejects_guides_at_the_target_size(drift_corpus_dir, tmp_path, cap
     model = tmp_path / "model.json"
     assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", "daelm-s",
                  "--target-batch", "6", "--out", str(model)]
-                + FAST_BENCH + ["--guides", "36"]) == EXIT_DATA
+                + FAST_TRAIN + ["--guides", "36"]) == EXIT_DATA
     assert "k_guides=36 must be below the target batch size (36)" \
         in capsys.readouterr().err
     assert not model.exists()
@@ -272,7 +302,7 @@ def test_train_rejects_guides_at_the_target_size(drift_corpus_dir, tmp_path, cap
 
 def test_train_requires_out(drift_corpus_dir, capsys):
     assert main(["train", "--data-dir", str(drift_corpus_dir),
-                 "--target-batch", "3"] + FAST_BENCH) == EXIT_USAGE
+                 "--target-batch", "3"] + FAST_TRAIN) == EXIT_USAGE
 
 
 def test_sweep_csv(drift_corpus_dir, tmp_path):
@@ -285,18 +315,57 @@ def test_sweep_csv(drift_corpus_dir, tmp_path):
     assert {line.split(",")[0] for line in lines[1:]} == {"3", "5"}
 
 
-def test_predict_feature_count_mismatch_is_data_error(drift_corpus_dir, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def full_width_corpus_dir(tmp_path_factory):
+    """A small corpus with the reference feature count, which `predict` once assumed."""
+    root = tmp_path_factory.mktemp("full-width")
+    for batch in make_drift_corpus(classes=3, per_class_source=20, per_class_target=12,
+                                   n_features=N_FEATURES, seed=3):
+        save_batch(batch, root / f"batch{batch.batch_id}.dat")
+    return root
+
+
+@pytest.fixture(scope="module")
+def model_doc(full_width_corpus_dir, tmp_path_factory):
+    """The document `train` writes for elm(4) on the full-width corpus."""
+    model = tmp_path_factory.mktemp("model") / "model.json"
+    assert main(["train", "--data-dir", str(full_width_corpus_dir), "--method", "elm",
+                 "--target-batch", "6", "--out", str(model), "--hidden", "30",
+                 "--guides", "4", "--seed", "5"]) == EXIT_OK
+    return json.loads(model.read_text())
+
+
+def test_predict_reads_the_model_it_was_given(full_width_corpus_dir, model_doc, tmp_path,
+                                              capsys):
     model = tmp_path / "model.json"
-    assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", "elm",
-                 "--target-batch", "6", "--out", str(model)] + FAST_BENCH) == EXIT_OK
-    # a scaler widened to 5 features gets past scaling; the 4-feature map must not
-    doc = json.loads(model.read_text())
-    doc["scaler"] = {"min": doc["scaler"]["min"] + [0.0], "max": doc["scaler"]["max"] + [1.0]}
-    model.write_text(json.dumps(doc))
+    model.write_text(json.dumps(model_doc))
+    assert main(["predict", "--data-dir", str(full_width_corpus_dir),
+                 "--model", str(model), "--batch", "6"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 36
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+def test_predict_refuses_a_malformed_model(full_width_corpus_dir, model_doc, tmp_path,
+                                           capsys, case):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(MALFORMED_MODELS[case](model_doc)))
     capsys.readouterr()
-    assert main(["predict", "--data-dir", str(drift_corpus_dir), "--features", "5",
+    assert main(["predict", "--data-dir", str(full_width_corpus_dir),
                  "--model", str(model), "--batch", "6"]) == EXIT_DATA
-    assert "--features 5 does not match the model's 4 input features" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("content", [b'{"format": ', b"\x84\xff model"],
+                         ids=["truncated", "not-utf8"])
+def test_predict_refuses_a_model_that_is_not_json(drift_corpus_dir, tmp_path, capsys,
+                                                  content):
+    model = tmp_path / "model.json"
+    model.write_bytes(content)
+    assert main(["predict", "--data-dir", str(drift_corpus_dir),
+                 "--model", str(model), "--batch", "6"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_failed_factorisation_is_data_error(drift_corpus_dir, tmp_path, monkeypatch, capsys):
@@ -307,7 +376,7 @@ def test_failed_factorisation_is_data_error(drift_corpus_dir, tmp_path, monkeypa
     # 80 hidden units exceed the 60 source rows plus 4 guides: the dual branch
     code = main(["train", "--data-dir", str(drift_corpus_dir), "--method", "daelm-s",
                  "--target-batch", "6", "--out", str(tmp_path / "model.json")]
-                + FAST_BENCH + ["--hidden", "80"])
+                + FAST_TRAIN + ["--hidden", "80"])
     assert code == EXIT_DATA
     assert "positive definite" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()

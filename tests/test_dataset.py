@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftelm import (DataError, SampleSet, apply_scaler, encode_targets,
-                      fit_scaler, load_batch, make_synthetic_drift, save_batch,
-                      scale_corpus, validate_corpus)
+                      fit_scaler, load_batch, save_batch, validate_corpus)
 from driftelm.dataset import (EXPECTED_BATCH_TOTALS, EXPECTED_CLASS_COUNTS,
                               EXPECTED_GRAND_TOTAL, GAS_NAMES)
 
@@ -153,7 +152,7 @@ class TestScaler:
         scaler = fit_scaler([s])
         np.testing.assert_array_equal(scaler.minimum, [1.5, -2.0])
         np.testing.assert_array_equal(scaler.maximum, [1.5, -2.0])
-        assert scaler.n_constant == 2
+        assert scaler.constant_mask.sum() == 2
 
     def test_two_sample_extremes(self):
         s = SampleSet(np.array([[0.0, 1.0], [2.0, 1.0]]), m=2)
@@ -172,11 +171,12 @@ class TestScaler:
         assert np.all(scaled.features == 0.0)
 
     def test_corpus_scaled_into_unit_interval(self, drift_corpus):
-        scaled, scaler = scale_corpus(drift_corpus)
-        for batch in scaled:
-            assert batch.features.min() >= -1.0
-            assert batch.features.max() <= 1.0
-        assert scaler.n_constant == 0
+        scaler = fit_scaler(drift_corpus)
+        for batch in drift_corpus:
+            scaled = apply_scaler(scaler, batch)
+            assert scaled.features.min() >= -1.0
+            assert scaled.features.max() <= 1.0
+        assert scaler.constant_mask.sum() == 0
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
@@ -212,6 +212,32 @@ class TestEncodeTargets:
         np.testing.assert_array_equal(np.argmax(encoded, axis=1) + 1, labels)
 
 
+def make_synthetic_drift(classes: int, per_class: int, shift: float, seed: int,
+                         n_features: int = 8) -> tuple[SampleSet, SampleSet]:
+    """Gaussian class blobs plus a translated copy, mimicking sensor drift.
+
+    The target set is drawn from the same blobs translated by ``shift`` along
+    a fixed direction (the normalized all-ones diagonal, so the drift touches
+    every feature). Deterministic for a given seed.
+    """
+    if classes < 2:
+        raise DataError("need at least 2 classes")
+    if per_class < 1:
+        raise DataError("need at least 1 sample per class")
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-4.0, 4.0, size=(classes, n_features))
+    labels = np.repeat(np.arange(1, classes + 1), per_class)
+    direction = np.full(n_features, 1.0 / np.sqrt(n_features))
+
+    def draw(offset):
+        noise = rng.normal(0.0, 0.5, size=(labels.size, n_features))
+        return centers[labels - 1] + noise + offset
+
+    source = SampleSet(draw(0.0), labels, batch_id=1, m=classes)
+    target = SampleSet(draw(shift * direction), labels, batch_id=2, m=classes)
+    return source, target
+
+
 class TestSyntheticDrift:
     def test_deterministic(self):
         a = make_synthetic_drift(3, 5, 2.0, seed=42)
@@ -242,7 +268,7 @@ class TestSyntheticDrift:
         s, t = apply_scaler(scaler, source), apply_scaler(scaler, target)
         fmap = new_feature_map(80, 8, "radbas", seed=1)
         beta = train_elm(hidden_output(fmap, s), encode_targets(source.labels, 4), 1.0)
-        clf = Classifier(fmap, beta, m=4)
+        clf = Classifier(fmap, beta)
         acc_source = accuracy(predict(clf, s)[1], source.labels)
         acc_target = accuracy(predict(clf, t)[1], target.labels)
         assert acc_target < acc_source - 0.03

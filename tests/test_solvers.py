@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,11 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 import driftelm.solvers
-from driftelm import (Classifier, Penalties, SampleSet, SolverError, accuracy,
-                      classifier_from_dict, classifier_to_dict, encode_targets,
-                      hidden_output, labels_from_scores, new_feature_map,
-                      predict, solve_ridge, split_target, ssa_select,
-                      train_daelm_s, train_daelm_t, train_elm)
+from driftelm import (Classifier, DataError, Penalties, SampleSet, ScalerParams,
+                      SolverError, accuracy, classifier_from_dict,
+                      classifier_to_dict, encode_targets, hidden_output,
+                      labels_from_scores, new_feature_map, predict, solve_ridge,
+                      split_target, ssa_select, train_daelm_s, train_daelm_t,
+                      train_elm)
+
+from conftest import MALFORMED_MODELS
 
 
 def rel_diff(a, b):
@@ -408,7 +412,7 @@ class TestPredictAndAccuracy:
         targets = -np.ones((60, 2))
         targets[np.arange(60), labels - 1] = 1.0
         beta = train_elm(h, targets, c=1e6)
-        clf = Classifier(fmap, beta, m=2)
+        clf = Classifier(fmap, beta)
         _, predicted = predict(clf, scaled)
         assert accuracy(predicted, labels) == 1.0
 
@@ -425,27 +429,52 @@ class TestPredictAndAccuracy:
 
 
 class TestClassifierSerialization:
+    SCALER = ScalerParams(np.array([-1.5, 0.0, 2.0]), np.array([0.5, 0.0, 3.25]))
+    META = {"method": "elm", "seed": 99}
+
     def make_classifier(self):
         fmap = new_feature_map(7, 3, "sigmoid", seed=99)
         beta = np.random.default_rng(0).normal(size=(7, 4))
-        return Classifier(fmap, beta, m=4)
+        return Classifier(fmap, beta)
+
+    def make_document(self):
+        return json.loads(json.dumps(
+            classifier_to_dict(self.make_classifier(), self.SCALER, self.META)))
 
     def test_dict_round_trip_bit_exact(self):
         clf = self.make_classifier()
-        doc = json.loads(json.dumps(classifier_to_dict(clf)))
-        back = classifier_from_dict(doc)
+        back, scaler = classifier_from_dict(self.make_document())
         assert back.beta.tobytes() == clf.beta.tobytes()
         np.testing.assert_array_equal(back.feature_map.weights, clf.feature_map.weights)
-        assert back.m == clf.m
+        assert back.beta.shape[1] == clf.beta.shape[1] == 4
+        assert scaler.minimum.tobytes() == self.SCALER.minimum.tobytes()
+        assert scaler.maximum.tobytes() == self.SCALER.maximum.tobytes()
+
+    def test_document_keys_and_map_digest(self):
+        doc = self.make_document()
+        assert list(doc) == ["format", "feature_map", "m", "beta", "scaler", "meta"]
+        assert doc["m"] == 4 and doc["meta"] == self.META
+        fmap = self.make_classifier().feature_map
+        assert doc["feature_map"]["sha256"] == hashlib.sha256(
+            fmap.weights.astype("<f8").tobytes()
+            + fmap.biases.astype("<f8").tobytes()).hexdigest()
 
     def test_file_round_trip(self, tmp_path):
         clf = self.make_classifier()
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(classifier_to_dict(clf), indent=2))
-        back = classifier_from_dict(json.loads(path.read_text()))
+        path.write_text(json.dumps(classifier_to_dict(clf, self.SCALER, self.META),
+                                   indent=2))
+        back, scaler = classifier_from_dict(json.loads(path.read_text()))
         assert back.beta.tobytes() == clf.beta.tobytes()
-        assert json.dumps(classifier_to_dict(back), indent=2) == path.read_text()
+        assert json.dumps(classifier_to_dict(back, scaler, self.META),
+                          indent=2) == path.read_text()
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             classifier_from_dict({"format": "other"})
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+    def test_rejects_a_malformed_document(self, case):
+        doc = MALFORMED_MODELS[case](self.make_document())
+        with pytest.raises(DataError):
+            classifier_from_dict(json.loads(json.dumps(doc)))
