@@ -7,6 +7,7 @@ and encodes class labels as +/-1 target rows.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import tempfile
@@ -106,18 +107,36 @@ def load_batch(path, expected_n: int = N_FEATURES, m: int = N_CLASSES,
     """Parse one libsvm-style batch file.
 
     Lines are ``<class>[;<concentration>] <idx>:<value> ...`` with 1-based
-    feature indices; the concentration token is discarded and absent indices
-    default to 0. Errors report the offending line number.
+    feature indices; the concentration token is discarded, absent indices
+    default to 0 and a repeated index keeps its last value. The file is read
+    once, as UTF-8. When every line is dense and in order
+    (``<class>[;<conc>] 1:v 2:v ... n:v``) it is parsed in one vectorised
+    pass; any other file is parsed line by line, and both give the same
+    arrays. Errors, including undecodable bytes and non-finite values, raise
+    ``DataError`` naming the file and, where there is one, the line.
     """
     path = Path(path)
     if batch_id is None:
         batch_id = _infer_batch_id(path)
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    parsed = _parse_dense(data, expected_n, m)
+    if parsed is None:
+        parsed = _parse_lines(data, path, expected_n, m)
+    return SampleSet(*parsed, batch_id, m)
+
+
+def _parse_lines(data: bytes, path: Path, expected_n: int,
+                 m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of a batch file's bytes, one line at a time."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    rows: list[np.ndarray] = []
+    labels: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -141,12 +160,64 @@ def load_batch(path, expected_n: int = N_FEATURES, m: int = N_CLASSES,
                 raise DataError(f"{path}:{lineno}: malformed feature token {tok!r}") from None
             if not 1 <= idx <= expected_n:
                 raise DataError(f"{path}:{lineno}: feature index {idx} outside 1..{expected_n}")
+            if not math.isfinite(val):
+                raise DataError(f"{path}:{lineno}: non-finite feature value {tok!r}")
             vec[idx - 1] = val
         rows.append(vec)
         labels.append(label)
     if not rows:
         raise DataError(f"{path}: no samples")
-    return SampleSet(np.vstack(rows), np.asarray(labels), batch_id, m)
+    return np.vstack(rows), np.asarray(labels)
+
+
+_SPACE, _COLON, _SEMICOLON, _NEWLINE = b" :;\n"
+
+
+def _parse_dense(data: bytes, n: int, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Features and labels of a file whose every line is ``<class>[;<conc>] 1:v ... n:v``.
+
+    Returns None for any other file, and for one with a token, label or value
+    that ``_parse_lines`` would refuse, so that it runs and reports the error.
+    ``np.loadtxt`` reads integers and floats as ``int()`` and ``float()`` do,
+    except that it refuses underscores, so an accepted file gives exactly the
+    arrays ``_parse_lines`` would.
+    """
+    if n < 1:
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if b"\r" in data or b" \n" in data:  # CRLF line ends and trailing blanks
+        data = re.sub(rb" *\r?\n", b"\n", data)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Printable ASCII and newlines only: str.split() and str.splitlines()
+    # also break on other control and non-ASCII bytes.
+    if not (((buf >= 32) & (buf < 127)) | (buf == _NEWLINE)).all():
+        return None
+    kinds = buf[(buf == _SPACE) | (buf == _COLON) | (buf == _SEMICOLON) | (buf == _NEWLINE)]
+    semicolon = kinds == _SEMICOLON
+    # A ';' may only follow a line's label; each line then holds exactly
+    # " idx:value" n times. An empty token leaves its line a field short,
+    # which np.loadtxt refuses.
+    if (np.concatenate(([_NEWLINE], kinds[:-1]))[semicolon] != _NEWLINE).any():
+        return None
+    line = np.array([_SPACE, _COLON] * n + [_NEWLINE], dtype=np.uint8)
+    kinds = kinds[~semicolon]
+    if kinds.size % line.size or (kinds.reshape(-1, line.size) != line).any():
+        return None
+    if semicolon.any():
+        data = re.sub(rb";[^ \n]*", b"", data)
+    lines = data.replace(b":", b" ").decode("ascii").splitlines()
+    fields = [("label", "i8"), ("pairs", [("idx", "i8"), ("value", "f8")], (n,))]
+    try:
+        rec = np.loadtxt(lines, dtype=fields, comments=None, ndmin=1)
+    except ValueError:  # a field short, or a spelling such as "1_0" or an index "1.0"
+        return None
+    labels, pairs = rec["label"], rec["pairs"]
+    if (labels.min() < 1 or labels.max() > m
+            or (pairs["idx"] != np.arange(1, n + 1)).any()
+            or not np.isfinite(pairs["value"]).all()):
+        return None
+    return pairs["value"], labels
 
 
 def save_batch(samples: SampleSet, path) -> None:

@@ -78,6 +78,15 @@ def test_validate_data_mismatch(drift_corpus_dir, capsys):
     assert "status=mismatch" in out
 
 
+def test_validate_data_refuses_an_undecodable_batch(tmp_path, capsys):
+    path = tmp_path / "batch1.dat"
+    path.write_bytes(b"1 1:0.5\n2 1:\xff\n")
+    assert main(["validate-data", "--data-dir", str(tmp_path), "--features", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
 def test_select_guides(drift_corpus_dir, capsys):
     code = main(["select-guides", "--data-dir", str(drift_corpus_dir),
                  "--features", "4", "--batch", "5", "--guides", "6"])
