@@ -50,9 +50,19 @@ def _data_dir(args) -> Path:
     return Path(path)
 
 
+def _feature_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _add_data_flags(p) -> None:
     p.add_argument("--data-dir", help=f"corpus directory (default: ${ENV_DATA_DIR})")
-    p.add_argument("--features", type=int, default=dataset.N_FEATURES,
+    p.add_argument("--features", type=_feature_count, default=dataset.N_FEATURES,
                    help="feature count per sample (default: %(default)s)")
 
 

@@ -87,6 +87,14 @@ def test_validate_data_refuses_an_undecodable_batch(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_feature_count_below_one_is_usage_error(tmp_path, capsys, count):
+    (tmp_path / "batch1.dat").write_text("1 1:0.5\n")
+    assert main(["validate-data", "--data-dir", str(tmp_path), "--features", count]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument --features: expected an integer of at least 1, got '{count}'" in err
+
+
 def test_select_guides(drift_corpus_dir, capsys):
     code = main(["select-guides", "--data-dir", str(drift_corpus_dir),
                  "--features", "4", "--batch", "5", "--guides", "6"])

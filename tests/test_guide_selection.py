@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftelm import DataError, SampleSet, split_target, ssa_select
-from driftelm.guide_selection import _farthest_pair
+from driftelm import DataError, SampleSet, guide_selection, split_target, ssa_select
+from driftelm.guide_selection import _farthest_pair, _pair_rows
 
 
 def ssa_bruteforce(points, k):
@@ -68,6 +68,12 @@ def test_rejects_degenerate_requests():
         ssa_select(np.zeros((1, 2)), 2)
     with pytest.raises(ValueError):
         ssa_select(np.zeros((5, 2)), 1)
+    points = np.random.default_rng(6).normal(size=(20, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        spoilt = points.copy()
+        spoilt[7] = bad
+        with pytest.raises(DataError, match="NaN or Inf"):
+            ssa_select(spoilt, 4)
 
 
 def test_matches_bruteforce_trace():
@@ -100,7 +106,7 @@ def test_greedy_step_optimality():
 
 
 def hard_points(kind, rng, n):
-    """Inputs that stress the GEMM filter: exact ties and cancellation."""
+    """Inputs that stress the pruning bounds: exact ties and cancellation."""
     dim = int(rng.integers(1, 5))
     if kind == "lattice":  # many pairs tie exactly
         return rng.integers(-2, 3, size=(n, dim)).astype(float)
@@ -113,10 +119,18 @@ def hard_points(kind, rng, n):
         return points
     if kind == "offset":  # |a|^2 + |b|^2 - 2a.b cancels almost completely
         return 1e4 + 1e-5 * points
+    if kind == "line":  # collinear, evenly spaced: d(new, owner) = 2 * min_dist up to rounding
+        return rng.integers(-4, 5, size=(n, 1)) * rng.normal(size=dim)
+    if kind == "sphere":  # every centred norm equal (mean exactly 0): nothing is pruned
+        half = rng.permuted(np.tile(rng.integers(1, 4, dim), ((n + 1) // 2, 1)), axis=1)
+        half *= rng.choice([-1, 1], size=half.shape)
+        return rng.permutation(np.vstack([half, -half])).astype(float)
+    if kind == "outliers":  # a few far rows: most rows are pruned
+        points[rng.choice(n, size=min(n, int(rng.integers(1, 4))), replace=False)] *= 50.0
     return points
 
 
-HARD_KINDS = ("lattice", "duplicates", "constant", "offset")
+HARD_KINDS = ("lattice", "line", "duplicates", "constant", "offset", "sphere", "outliers")
 
 
 @pytest.mark.parametrize("kind", HARD_KINDS)
@@ -139,6 +153,35 @@ def test_farthest_pair_across_blocks(kind, seed, block):
     points = hard_points(kind, rng, int(rng.integers(2 * block + 1, 41)))
     expected, _ = ssa_bruteforce(points, 2)
     assert _farthest_pair(points, block) == tuple(expected)
+
+
+def test_pair_rows_follow_the_norm_spread():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        sphere = hard_points("sphere", rng, 40)
+        np.testing.assert_array_equal(_pair_rows(sphere), np.arange(len(sphere)))
+        outliers = hard_points("outliers", rng, 40)
+        assert _pair_rows(outliers).size < 20
+
+
+def test_matches_bruteforce_across_blocks_with_skips(monkeypatch):
+    rng = np.random.default_rng(12)
+    centres = 3.0 * rng.normal(size=(5, 4))  # five classes, as in a gas batch
+    points = centres[rng.integers(0, 5, 300)] + rng.normal(size=(300, 4))
+    monkeypatch.setattr(guide_selection, "_SCRATCH_VALUES", 300 * 8)  # 8-row blocks
+    assert 3 * 8 < _pair_rows(points).size < 150
+    gathered = []
+    distances_from = guide_selection._distances_from
+
+    def spy(feats, i, rows=slice(None)):
+        if isinstance(rows, np.ndarray):
+            gathered.append(rows.size)
+        return distances_from(feats, i, rows)
+
+    monkeypatch.setattr(guide_selection, "_distances_from", spy)
+    expected, _ = ssa_bruteforce(points, 20)
+    assert list(ssa_select(points, 20)) == expected
+    assert len(gathered) > 10  # a greedy step gathers rows only when it skips a quarter
 
 
 @given(st.integers(0, 2 ** 32 - 1))
