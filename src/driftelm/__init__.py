@@ -11,7 +11,7 @@ from .benchmark import (ExperimentConfig, ExperimentReport, TaskResult,
                         sweep_guides)
 from .dataset import (DataError, SampleSet, ScalerParams, ValidationReport,
                       apply_scaler, encode_targets, fit_scaler, load_batch,
-                      load_corpus, save_batch, validate_corpus)
+                      load_corpus, validate_corpus)
 from .feature_map import RandomFeatureMap, hidden_output, new_feature_map
 from .guide_selection import split_target, ssa_select
 from .solvers import (Classifier, Penalties, SolverError, accuracy,
@@ -29,7 +29,7 @@ __all__ = [
     "classifier_to_dict", "emit_report", "emit_sweep_csv", "encode_targets",
     "fit_scaler", "hidden_output", "labels_from_scores", "load_batch",
     "load_corpus", "new_feature_map", "predict", "run_experiment",
-    "save_batch", "solve_ridge", "split_target", "ssa_select",
+    "solve_ridge", "split_target", "ssa_select",
     "sweep_guides", "train_daelm_s", "train_daelm_t", "train_elm",
     "validate_corpus",
 ]

@@ -11,11 +11,11 @@ and goes through the nine tasks in order, so every task of a run shares
 the maps. A hidden output is computed once and read again when a later
 task of the run reads the very same scaled batch: a fixed source, or a
 rolling target without guides, which is the next task's source under the
-global scaler. Each map keeps only the H of its last source and last rest
-(see `RunMap`), never a whole run's batches. `fit` is the one training
-path; `fit_pair` builds the one task of the `train` command as the protocols
-build theirs. With ``jobs > 1`` whole runs go to a thread pool; results do
-not depend on it.
+global scaler. Each map keeps only the H of its last source and last rest,
+and the ELM trained on that source alone (see `RunMap`). `sweep_guides` is
+the one protocol and `fit` the one training path; `fit_pair` builds the one
+task of the `train` command as the protocols build theirs. With
+``jobs > 1`` whole runs go to a thread pool; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import (DataError, SampleSet, ScalerParams, apply_scaler,
-                      encode_targets, fit_scaler)
+from .dataset import (BATCH_IDS, DataError, SampleSet, ScalerParams,
+                      apply_scaler, encode_targets, fit_scaler)
 from .feature_map import (ACTIVATIONS, RandomFeatureMap, hidden_output,
                           new_feature_map)
 from .guide_selection import split_target, ssa_select
@@ -65,7 +65,10 @@ class ExperimentConfig:
     setting: str = "fixed-source"
     k_guides: int = 30
     hidden_size: int = 1000
-    penalties: Penalties | None = None  # None picks the method's defaults
+    # penalties; None keeps the method's default (see resolved_penalties)
+    c_s: float | None = None
+    c_t: float | None = None
+    c_tu: float | None = None
     runs: int = 10
     base_seed: int = 0
     activation: str = "radbas"
@@ -81,19 +84,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.scaler_scope not in SCALER_SCOPES:
             raise ValueError(f"scaler_scope must be one of {SCALER_SCOPES}")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.hidden_size < 1:
-            raise ValueError("hidden_size must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        for name, low in (("runs", 1), ("hidden_size", 1), ("base_seed", 0), ("jobs", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}")
         if self.k_guides < 2 and not (self.method == "elm" and self.k_guides == 0):
             raise ValueError("k_guides must be >= 2 (0 allowed for plain elm)")
+        self.resolved_penalties()  # a negative or non-finite penalty fails here
 
     def resolved_penalties(self) -> Penalties:
-        if self.penalties is not None:
-            return self.penalties
-        return DEFAULT_PENALTIES[self.method]
+        """The method's default penalties, with every field that is set laid over them."""
+        overrides = {name: getattr(self, name) for name in ("c_s", "c_t", "c_tu")
+                     if getattr(self, name) is not None}
+        return replace(DEFAULT_PENALTIES[self.method], **overrides)
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class ExperimentReport:
 
 def _corpus_by_id(corpus: list[SampleSet]) -> dict[int, SampleSet]:
     by_id = {b.batch_id: b for b in corpus}
-    missing = [i for i in range(1, 11) if i not in by_id]
+    missing = [i for i in BATCH_IDS if i not in by_id]
     if missing:
         raise DataError(f"missing batches: {missing}")
     return by_id
@@ -147,8 +149,8 @@ class Task:
 def _task_pairs(setting: str) -> list[tuple[int, int]]:
     """(source, target) batch ids of a setting's nine tasks."""
     if setting == "fixed-source":
-        return [(1, k) for k in range(2, 11)]
-    return [(k - 1, k) for k in range(2, 11)]
+        return [(BATCH_IDS[0], k) for k in BATCH_IDS[1:]]
+    return list(zip(BATCH_IDS, BATCH_IDS[1:]))
 
 
 def _scaled_pairs(cfg: ExperimentConfig, corpus: list[SampleSet],
@@ -204,12 +206,14 @@ class RunMap:
     cases: a fixed source, which every task reads, and a rolling target
     without guides, which is the next task's source under one scaler. So a
     map keeps the H of the last source and of the last rest it computed,
-    read-only, and never more.
+    read-only, and never more. The ELM weights trained on the source alone
+    (the daelm-t base classifier, or elm without guides) are kept with it.
     """
 
     def __init__(self, fmap: RandomFeatureMap):
         self.fmap = fmap
         self._kept: dict[str, tuple[SampleSet, np.ndarray]] = {}
+        self._source_elm: tuple = (None, None, None)  # source, penalty, weights
 
     def output(self, samples: SampleSet, slot: str) -> np.ndarray:
         """H of ``samples``, kept in ``slot`` ("source" or "rest")."""
@@ -222,6 +226,16 @@ class RunMap:
             h.flags.writeable = False
         self._kept[slot] = (samples, h)
         return h
+
+    def source_elm(self, source: SampleSet, c: float) -> np.ndarray:
+        """ELM weights on ``source`` alone with penalty ``c``, read-only and
+        trained once while ``source`` stays this map's source."""
+        h = self.output(source, "source")
+        if self._source_elm[:2] != (source, c):  # SampleSets compare by identity
+            beta = train_elm(h, encode_targets(source.labels, source.m), c)
+            beta.flags.writeable = False
+            self._source_elm = (source, c, beta)
+        return self._source_elm[2]
 
 
 def run_maps(cfg: ExperimentConfig, n_features: int, run_seed: int) -> list[RunMap]:
@@ -236,8 +250,7 @@ def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
     source, guides, m = task.source, task.guides, task.source.m
     base, layer = maps[0], maps[-1]  # the same map unless daelm-t
     if cfg.method == "daelm-t":
-        beta_base = train_elm(base.output(source, "source"),
-                              encode_targets(source.labels, m), pens.c_s)
+        beta_base = base.source_elm(source, pens.c_s)
         # the base classifier scores the unlabeled samples with its own map;
         # those soft scores are what the coupled model is pulled toward
         pseudo = hidden_output(base.fmap, task.rest) @ beta_base
@@ -254,8 +267,7 @@ def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
         beta = train_elm(hidden_output(layer.fmap, feats), encode_targets(labels, m),
                          pens.c_s)
     else:
-        beta = train_elm(base.output(source, "source"),
-                         encode_targets(source.labels, m), pens.c_s)
+        beta = base.source_elm(source, pens.c_s)
     return Classifier(layer.fmap, beta)
 
 
@@ -283,14 +295,16 @@ def _score(cfg: ExperimentConfig, tasks: list[Task]) -> ExperimentReport:
     return ExperimentReport(cfg.method, cfg.setting, cfg.k_guides, results)
 
 
-def _run_protocol(cfg: ExperimentConfig, corpus: list[SampleSet],
-                  ks: list[int]) -> list[ExperimentReport]:
+def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
+                 ks: list[int]) -> list[ExperimentReport]:
     """One report per guide count in ``ks``, in that order.
 
     Every guide count is checked against every target before any work. Each
     target is then selected once, at the largest count, and each count takes
     a prefix of that selection: greedy max-min picks do not depend on k.
     """
+    if not ks:
+        raise ValueError("ks must be non-empty")
     cfgs = [replace(cfg, k_guides=k) for k in ks]
     pairs = _scaled_pairs(cfg, corpus, _task_pairs(cfg.setting))
     selections = _select([target for _, _, target in pairs], max(ks))
@@ -301,7 +315,7 @@ def _run_protocol(cfg: ExperimentConfig, corpus: list[SampleSet],
 
 def run_experiment(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
     """The nine tasks of ``cfg.setting``, averaged over ``cfg.runs`` runs."""
-    return _run_protocol(cfg, corpus, [cfg.k_guides])[0]
+    return sweep_guides(cfg, corpus, [cfg.k_guides])[0]
 
 
 def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
@@ -309,37 +323,30 @@ def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
     """One classifier for one (source, target) batch pair, and its scaler.
 
     The task is scaled, checked and split as the protocols do it, and trained
-    with the maps of run 0 (seed ``cfg.base_seed``).
+    with the maps of run 0 (seed ``cfg.base_seed``). No protocol task scores
+    the batch it trains on, so neither may this one.
     """
+    if source_id == target_id:
+        raise DataError(f"batch {source_id} cannot be both the source and the target")
     [(scaler, source, target)] = _scaled_pairs(cfg, corpus, [(source_id, target_id)])
     [indices] = _select([target], cfg.k_guides)
     maps = run_maps(cfg, source.n_features, cfg.base_seed)
     return fit(cfg, _task(source, target, indices, cfg.k_guides), maps), scaler
 
 
-def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
-                 ks: list[int]) -> list[ExperimentReport]:
-    """One report per guide count, in the order of ``ks``.
-
-    Each target is selected once, at ``max(ks)``; every k is checked before
-    any selection.
-    """
-    if not ks:
-        raise ValueError("ks must be non-empty")
-    return _run_protocol(cfg, corpus, ks)
-
-
 REPORT_FORMATS = ("table", "csv", "jsonl")
+
+
+def _csv_rows(report: ExperimentReport) -> list[str]:
+    """One ``source,target,run,accuracy`` row per run of every task."""
+    return [f"{task.source_batch},{task.target_batch},{r},{a!r}"
+            for task in report.tasks for r, a in enumerate(task.accuracies)]
 
 
 def emit_report(report: ExperimentReport, fmt: str = "table") -> str:
     """Deterministic text rendering of a report."""
     if fmt == "csv":
-        lines = ["source,target,run,accuracy"]
-        for task in report.tasks:
-            for r, a in enumerate(task.accuracies):
-                lines.append(f"{task.source_batch},{task.target_batch},{r},{a!r}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(["source,target,run,accuracy", *_csv_rows(report)]) + "\n"
     if fmt == "jsonl":
         lines = []
         for task in report.tasks:
@@ -365,9 +372,5 @@ def emit_report(report: ExperimentReport, fmt: str = "table") -> str:
 def emit_sweep_csv(reports: list[ExperimentReport]) -> str:
     """Combined per-run CSV across a guide-count sweep."""
     lines = ["k,source,target,run,accuracy"]
-    for report in reports:
-        for task in report.tasks:
-            for r, a in enumerate(task.accuracies):
-                lines.append(
-                    f"{report.k_guides},{task.source_batch},{task.target_batch},{r},{a!r}")
+    lines += [f"{report.k_guides},{row}" for report in reports for row in _csv_rows(report)]
     return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import benchmark, dataset, solvers
@@ -85,14 +84,13 @@ def _read_config_file(path) -> dict:
     return values
 
 
-# config-file key -> parser; each is the dest of a bench and sweep flag, and
-# train has every one but setting, runs and jobs
+# config-file key -> parser: the fields of ExperimentConfig. Each is the dest
+# of a bench and sweep flag, and train has every one but setting, runs and jobs
 _CONFIG_KEYS = {
     "method": str, "setting": str, "k_guides": int, "hidden_size": int,
-    "runs": int, "base_seed": int, "activation": str, "scaler_scope": str,
-    "jobs": int, "c_s": float, "c_t": float, "c_tu": float,
+    "c_s": float, "c_t": float, "c_tu": float, "runs": int, "base_seed": int,
+    "activation": str, "scaler_scope": str, "jobs": int,
 }
-_PENALTY_KEYS = ("c_s", "c_t", "c_tu")
 
 
 def _resolve_bench_config(args) -> ExperimentConfig:
@@ -109,11 +107,7 @@ def _resolve_bench_config(args) -> ExperimentConfig:
                   if getattr(args, key) is not None)
     if "setting" in fields:
         fields["setting"] = SETTING_NAMES.get(fields["setting"], fields["setting"])
-    overrides = {key: fields.pop(key) for key in _PENALTY_KEYS if key in fields}
-    cfg = ExperimentConfig(**fields)
-    if not overrides:
-        return cfg
-    return replace(cfg, penalties=replace(DEFAULT_PENALTIES[cfg.method], **overrides))
+    return ExperimentConfig(**fields)
 
 
 def _add_experiment_flags(p) -> None:

@@ -1,6 +1,7 @@
 """Gas-sensor drift corpus handling.
 
-Loads the libsvm-style ``batch1.dat`` .. ``batch10.dat`` files, checks them
+Loads the libsvm-style ``batch1.dat`` .. ``batch10.dat`` files, each as the
+batch id its caller names and with class ids in 1..N_CLASSES, checks them
 against the reference per-batch composition, scales features to [-1, 1],
 and encodes class labels as +/-1 target rows.
 """
@@ -97,39 +98,30 @@ class SampleSet:
         return SampleSet(self.features[idx], labels, self.batch_id, self.m)
 
 
-def _infer_batch_id(path: Path) -> int:
-    match = re.search(r"batch(\d+)", path.stem)
-    return int(match.group(1)) if match else 0
+def load_batch(path, batch_id: int, expected_n: int = N_FEATURES) -> SampleSet:
+    """Parse one libsvm-style batch file as batch ``batch_id``.
 
-
-def load_batch(path, expected_n: int = N_FEATURES, m: int = N_CLASSES,
-               batch_id: int | None = None) -> SampleSet:
-    """Parse one libsvm-style batch file.
-
-    Lines are ``<class>[;<concentration>] <idx>:<value> ...`` with 1-based
-    feature indices; the concentration token is discarded, absent indices
-    default to 0 and a repeated index keeps its last value. The file is read
-    once, as UTF-8. When every line is dense and in order
-    (``<class>[;<conc>] 1:v 2:v ... n:v``) it is parsed in one vectorised
+    Lines are ``<class>[;<concentration>] <idx>:<value> ...`` with class ids
+    in 1..N_CLASSES and 1-based feature indices; the concentration token is
+    discarded, absent indices default to 0 and a repeated index keeps its
+    last value. The file is read once, as UTF-8. When every line is dense and
+    in order (``<class>[;<conc>] 1:v ... n:v``) it is parsed in one vectorised
     pass; any other file is parsed line by line, and both give the same
     arrays. Errors, including undecodable bytes and non-finite values, raise
     ``DataError`` naming the file and, where there is one, the line.
     """
     path = Path(path)
-    if batch_id is None:
-        batch_id = _infer_batch_id(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    parsed = _parse_dense(data, expected_n, m)
+    parsed = _parse_dense(data, expected_n)
     if parsed is None:
-        parsed = _parse_lines(data, path, expected_n, m)
-    return SampleSet(*parsed, batch_id, m)
+        parsed = _parse_lines(data, path, expected_n)
+    return SampleSet(*parsed, batch_id)
 
 
-def _parse_lines(data: bytes, path: Path, expected_n: int,
-                 m: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Features and labels of a batch file's bytes, one line at a time."""
     try:
         text = data.decode("utf-8")
@@ -146,8 +138,8 @@ def _parse_lines(data: bytes, path: Path, expected_n: int,
             label = int(head)
         except ValueError:
             raise DataError(f"{path}:{lineno}: malformed label token {tokens[0]!r}") from None
-        if not 1 <= label <= m:
-            raise DataError(f"{path}:{lineno}: class id {label} outside 1..{m}")
+        if not 1 <= label <= N_CLASSES:
+            raise DataError(f"{path}:{lineno}: class id {label} outside 1..{N_CLASSES}")
         vec = np.zeros(expected_n)
         for tok in tokens[1:]:
             idx_str, sep, val_str = tok.partition(":")
@@ -173,7 +165,7 @@ def _parse_lines(data: bytes, path: Path, expected_n: int,
 _SPACE, _COLON, _SEMICOLON, _NEWLINE = b" :;\n"
 
 
-def _parse_dense(data: bytes, n: int, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_dense(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Features and labels of a file whose every line is ``<class>[;<conc>] 1:v ... n:v``.
 
     Returns None for any other file, and for one with a token, label or value
@@ -213,27 +205,11 @@ def _parse_dense(data: bytes, n: int, m: int) -> tuple[np.ndarray, np.ndarray] |
     except ValueError:  # a field short, or a spelling such as "1_0" or an index "1.0"
         return None
     labels, pairs = rec["label"], rec["pairs"]
-    if (labels.min() < 1 or labels.max() > m
+    if (labels.min() < 1 or labels.max() > N_CLASSES
             or (pairs["idx"] != np.arange(1, n + 1)).any()
             or not np.isfinite(pairs["value"]).all()):
         return None
     return pairs["value"], labels
-
-
-def save_batch(samples: SampleSet, path) -> None:
-    """Write a labeled SampleSet in the batch-file format.
-
-    Values are written with shortest round-trip precision, so
-    ``load_batch(save_batch(s))`` reproduces the features bit-exactly.
-    """
-    if samples.labels is None:
-        raise DataError("save_batch requires labels")
-    lines = []
-    for row, label in zip(samples.features, samples.labels):
-        pairs = [f"{j + 1}:{float(v)!r}" for j, v in enumerate(row)
-                 if v != 0.0 or np.signbit(v)]
-        lines.append(" ".join([str(int(label))] + pairs))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_atomic(path, text: str) -> None:

@@ -19,7 +19,8 @@ repeats 1/c_i once per row of block i. A block with c_i = 0 or no rows does
 not enter the objective and is dropped first. The `auto` branch counts the
 rows N of all remaining blocks (the total, not one block's) and picks primal
 when N >= L, dual otherwise: the two costs, N*L^2 + L^3/3 and
-N^2*L + N^3/3, cross at N = L.
+N^2*L + N^3/3, cross at N = L. The trainers always take `auto`; only
+`solve_ridge` can force a form, the reference each form is checked against.
 """
 
 from __future__ import annotations
@@ -126,30 +127,29 @@ def solve_ridge(blocks, branch: str = "auto") -> np.ndarray:
     return h.T @ _solve_spd(kernel, np.vstack([t for _, t, _ in live]))
 
 
-def train_elm(h: np.ndarray, targets: np.ndarray, c: float,
-              branch: str = "auto") -> np.ndarray:
+def train_elm(h: np.ndarray, targets: np.ndarray, c: float) -> np.ndarray:
     """Regularized ELM output weights: the single block (H, T, c), c > 0."""
     c = float(c)
     if not np.isfinite(c) or c <= 0:
         raise ValueError("c must be a positive penalty")
-    return solve_ridge([(h, targets, c)], branch)
+    return solve_ridge([(h, targets, c)])
 
 
 def train_daelm_s(h_source: np.ndarray, t_source: np.ndarray,
                   h_target: np.ndarray, t_target: np.ndarray,
-                  penalties: Penalties, branch: str = "auto") -> np.ndarray:
+                  penalties: Penalties) -> np.ndarray:
     """Source-domain training with a guide-sample agreement penalty.
 
     Blocks: the labeled source rows weighted by c_s and the labeled target
     guides weighted by c_t.
     """
     return solve_ridge([(h_source, t_source, penalties.c_s),
-                        (h_target, t_target, penalties.c_t)], branch)
+                        (h_target, t_target, penalties.c_t)])
 
 
 def train_daelm_t(h_target: np.ndarray, t_target: np.ndarray,
                   h_unlabeled: np.ndarray, pseudo_targets: np.ndarray,
-                  penalties: Penalties, branch: str = "auto") -> np.ndarray:
+                  penalties: Penalties) -> np.ndarray:
     """Target-domain training pulled toward a base classifier's soft outputs.
 
     Blocks: the labeled target guides weighted by c_t and the unlabeled
@@ -158,7 +158,7 @@ def train_daelm_t(h_target: np.ndarray, t_target: np.ndarray,
     its own feature map and never argmax-hardened.
     """
     return solve_ridge([(h_target, t_target, penalties.c_t),
-                        (h_unlabeled, pseudo_targets, penalties.c_tu)], branch)
+                        (h_unlabeled, pseudo_targets, penalties.c_tu)])
 
 
 @dataclass(frozen=True, eq=False)

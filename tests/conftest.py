@@ -5,7 +5,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftelm import SampleSet, save_batch
+from driftelm import SampleSet, solve_ridge
+
+
+def save_batch(samples: SampleSet, path) -> None:
+    """Write a labeled SampleSet in the batch-file format.
+
+    Values are written with shortest round-trip precision, so ``load_batch``
+    reads the features back bit-exactly.
+    """
+    lines = []
+    for row, label in zip(samples.features, samples.labels):
+        pairs = [f"{j + 1}:{float(v)!r}" for j, v in enumerate(row)
+                 if v != 0.0 or np.signbit(v)]
+        lines.append(" ".join([str(int(label))] + pairs))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def make_drift_corpus(classes=6, per_class_source=200, per_class_target=30,
@@ -53,6 +67,15 @@ def drift_corpus_dir(tmp_path_factory, small_drift_corpus):
     for batch in small_drift_corpus:
         save_batch(batch, root / f"batch{batch.batch_id}.dat")
     return root
+
+
+def both_forms(blocks):
+    """``solve_ridge`` on ``blocks`` forced into each closed form.
+
+    A trainer takes whichever form `auto` picks; its result must match both,
+    so one of these checks it against the other form.
+    """
+    return [solve_ridge(blocks, branch) for branch in ("primal", "dual")]
 
 
 def official_corpus_dir():

@@ -17,7 +17,7 @@ from driftelm import (ExperimentConfig, Penalties, load_corpus, run_experiment,
                       train_elm, validate_corpus)
 from driftelm.cli import EXIT_OK, main
 
-from conftest import make_drift_corpus, official_corpus_dir
+from conftest import both_forms, make_drift_corpus, official_corpus_dir
 from test_guide_selection import ssa_bruteforce
 from test_solvers import daelm_s_grad, daelm_t_grad, elm_grad, rel_diff
 
@@ -60,8 +60,8 @@ def test_solver_branch_equivalence():
         h = rng.normal(size=(n_rows, hidden))
         t = rng.normal(size=(n_rows, m))
         c = 10.0 ** rng.uniform(-2, 2)
-        assert rel_diff(train_elm(h, t, c, branch="primal"),
-                        train_elm(h, t, c, branch="dual")) < 1e-6
+        beta = train_elm(h, t, c)
+        assert all(rel_diff(beta, ref) < 1e-6 for ref in both_forms([(h, t, c)]))
 
     for rng, hidden, m, n_source in solver_instances(102):
         hs = rng.normal(size=(n_source, hidden))
@@ -70,8 +70,9 @@ def test_solver_branch_equivalence():
         ht = rng.normal(size=(n_t, hidden))
         tt = rng.normal(size=(n_t, m))
         p = Penalties(c_s=10.0 ** rng.uniform(-2, 2), c_t=10.0 ** rng.uniform(-2, 2))
-        assert rel_diff(train_daelm_s(hs, ts, ht, tt, p, branch="primal"),
-                        train_daelm_s(hs, ts, ht, tt, p, branch="dual")) < 1e-6
+        beta = train_daelm_s(hs, ts, ht, tt, p)
+        assert all(rel_diff(beta, ref) < 1e-6
+                   for ref in both_forms([(hs, ts, p.c_s), (ht, tt, p.c_t)]))
 
     for rng, hidden, m, n_t in solver_instances(103):
         ht = rng.normal(size=(n_t, hidden))
@@ -80,8 +81,9 @@ def test_solver_branch_equivalence():
         hu = rng.normal(size=(n_u, hidden))
         pseudo = hu @ rng.normal(size=(hidden, m))
         p = Penalties(c_t=10.0 ** rng.uniform(-2, 2), c_tu=10.0 ** rng.uniform(-2, 2))
-        assert rel_diff(train_daelm_t(ht, tt, hu, pseudo, p, branch="primal"),
-                        train_daelm_t(ht, tt, hu, pseudo, p, branch="dual")) < 1e-6
+        beta = train_daelm_t(ht, tt, hu, pseudo, p)
+        assert all(rel_diff(beta, ref) < 1e-6
+                   for ref in both_forms([(ht, tt, p.c_t), (hu, pseudo, p.c_tu)]))
 
 
 @criterion("stationarity of every trained beta (residual <= 1e-8*(1+|beta|))")

@@ -10,7 +10,7 @@ import driftelm.benchmark
 from driftelm import (DataError, ExperimentConfig, Penalties, SampleSet,
                       accuracy, emit_report, emit_sweep_csv, hidden_output,
                       new_feature_map, predict, run_experiment, split_target,
-                      ssa_select, sweep_guides)
+                      ssa_select, sweep_guides, train_elm)
 from driftelm.benchmark import (DEFAULT_PENALTIES, RunMap, Task, TaskResult,
                                 feature_map_seeds, fit, run_maps)
 
@@ -32,6 +32,8 @@ class TestConfig:
             ExperimentConfig(method="svm")
         with pytest.raises(ValueError):
             ExperimentConfig(runs=0)
+        with pytest.raises(ValueError, match="base_seed"):
+            ExperimentConfig(base_seed=-1)
         with pytest.raises(ValueError):
             ExperimentConfig(method="daelm-s", k_guides=0)
         ExperimentConfig(method="elm", k_guides=0)  # plain source-only elm
@@ -190,6 +192,25 @@ class TestReuse:
         source_calls = [seed for seed, x in calls["hidden"]
                         if isinstance(x, SampleSet) and x.batch_id == 1]
         assert source_calls == [5, 6, 7]
+
+    @pytest.mark.parametrize("setting, per_run", [("fixed-source", 1),
+                                                  ("rolling-source", 9)])
+    @pytest.mark.parametrize("method, k", [("elm", 0), ("daelm-t", 4)])
+    def test_source_elm_is_trained_once_per_source(self, small_drift_corpus, monkeypatch,
+                                                   setting, per_run, method, k):
+        # the daelm-t base classifier and the plain elm train on the source
+        # alone, so a run trains them once per distinct source batch
+        trained = []
+
+        def counted(h, targets, c):
+            trained.append(h.shape[0])
+            return train_elm(h, targets, c)
+
+        monkeypatch.setattr(driftelm.benchmark, "train_elm", counted)
+        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
+                               hidden_size=30, runs=3, base_seed=5)
+        run_experiment(cfg, small_drift_corpus)
+        assert len(trained) == per_run * cfg.runs
 
     def test_kept_outputs_are_read_only_and_bounded(self, small_drift_corpus, calls):
         a, b, c = small_drift_corpus[:3]

@@ -7,15 +7,15 @@ import pytest
 from scipy.linalg import LinAlgError
 
 import driftelm.solvers
-from driftelm import (apply_scaler, encode_targets, fit_scaler, hidden_output,
-                      load_corpus, new_feature_map, split_target, ssa_select,
-                      train_daelm_s, train_daelm_t, train_elm)
+from driftelm import (Penalties, apply_scaler, encode_targets, fit_scaler,
+                      hidden_output, load_corpus, new_feature_map, split_target,
+                      ssa_select, train_daelm_s, train_daelm_t, train_elm)
 from driftelm.benchmark import DEFAULT_PENALTIES, ExperimentConfig
-from driftelm.cli import _CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
-from driftelm.dataset import (EXPECTED_CLASS_COUNTS, GAS_NAMES, N_FEATURES, SampleSet,
-                              save_batch)
+from driftelm.cli import (_CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE,
+                          _resolve_bench_config, build_parser, main)
+from driftelm.dataset import EXPECTED_CLASS_COUNTS, GAS_NAMES, N_FEATURES, SampleSet
 
-from conftest import MALFORMED_MODELS, make_drift_corpus
+from conftest import MALFORMED_MODELS, make_drift_corpus, save_batch
 
 FAST_TRAIN = ["--hidden", "30", "--guides", "4", "--seed", "5", "--features", "4"]
 FAST_BENCH = FAST_TRAIN + ["--runs", "2"]
@@ -183,6 +183,33 @@ def test_bench_zero_flag_is_rejected_by_the_config(drift_corpus_dir, capsys, fla
     assert message in capsys.readouterr().err
 
 
+def test_bench_negative_seed_is_rejected_before_the_load(tmp_path, capsys):
+    # the data directory does not exist, so a check after the load would exit 2
+    assert main(["bench", "--data-dir", str(tmp_path / "absent"),
+                 "--seed", "-1"]) == EXIT_USAGE
+    assert "base_seed must be at least 0" in capsys.readouterr().err
+
+
+def test_partial_penalty_override_keeps_the_other_defaults(tmp_path):
+    # a flag, a config file and the library all lay c_s over daelm-t's defaults
+    config = tmp_path / "cs.cfg"
+    config.write_text("c_s = 0.5\n")
+    parser = build_parser()
+    by_flag = _resolve_bench_config(parser.parse_args(
+        ["bench", "--method", "daelm-t", "--cs", "0.5"]))
+    by_file = _resolve_bench_config(parser.parse_args(
+        ["bench", "--method", "daelm-t", "--config", str(config)]))
+    by_library = ExperimentConfig(method="daelm-t", c_s=0.5)
+    assert by_library.resolved_penalties() == Penalties(0.5, 0.001, 100.0)
+    assert by_flag == by_file == by_library
+
+
+@pytest.mark.parametrize("flag", ["--cs", "--ct", "--ctu"])
+def test_bench_negative_penalty_is_usage_error(tmp_path, capsys, flag):
+    assert main(["bench", "--data-dir", str(tmp_path / "absent"), flag, "-1"]) == EXIT_USAGE
+    assert "must be finite and non-negative" in capsys.readouterr().err
+
+
 def test_bench_zero_runs_in_config_file_is_rejected(drift_corpus_dir, tmp_path, capsys):
     config = tmp_path / "zero.cfg"
     config.write_text("runs = 0\n")
@@ -193,7 +220,7 @@ def test_bench_zero_runs_in_config_file_is_rejected(drift_corpus_dir, tmp_path, 
 
 def test_config_keys_are_the_experiment_fields_and_the_bench_dests():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert set(_CONFIG_KEYS) == fields - {"penalties"} | {"c_s", "c_t", "c_tu"}
+    assert set(_CONFIG_KEYS) == fields
     # every key is a flag's dest whose unset value is None, so a flag that is
     # not given never overrides the config file or ExperimentConfig's default;
     # train repeats nothing, so it has no setting, runs or jobs
@@ -247,6 +274,15 @@ def test_train_then_predict_round_trip(drift_corpus_dir, tmp_path, capsys):
     assert lines[0] == "index,label"
     assert len(lines) == 1 + 36  # 3 classes x 12 per class
     assert "accuracy=" in err
+
+
+def test_train_refuses_a_task_whose_source_is_its_target(drift_corpus_dir, tmp_path,
+                                                          capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data-dir", str(drift_corpus_dir), "--source-batch", "3",
+                 "--target-batch", "3", "--out", str(model)] + FAST_TRAIN) == EXIT_DATA
+    assert "both the source and the target" in capsys.readouterr().err
+    assert not model.exists()
 
 
 def test_train_daelm_t_model_uses_second_map_seed(drift_corpus_dir, tmp_path):

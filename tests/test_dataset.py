@@ -4,12 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftelm import (DataError, SampleSet, apply_scaler, encode_targets,
-                      fit_scaler, load_batch, save_batch, validate_corpus)
+                      fit_scaler, load_batch, validate_corpus)
 from driftelm import dataset
 from driftelm.dataset import (EXPECTED_BATCH_TOTALS, EXPECTED_CLASS_COUNTS,
                               EXPECTED_GRAND_TOTAL, GAS_NAMES, _parse_lines)
 
-from conftest import make_drift_corpus
+from conftest import make_drift_corpus, save_batch
 
 
 def write_lines(path, lines):
@@ -23,7 +23,7 @@ class TestLoadBatch:
             "1;10.000000 1:0.5 3:-2.25",
             "6 2:1.0",
         ])
-        s = load_batch(path, expected_n=4)
+        s = load_batch(path, batch_id=3, expected_n=4)
         assert s.batch_id == 3
         assert s.n_samples == 2 and s.n_features == 4
         np.testing.assert_array_equal(s.labels, [1, 6])
@@ -32,12 +32,12 @@ class TestLoadBatch:
 
     def test_concentration_token_discarded(self, tmp_path):
         path = write_lines(tmp_path / "b.dat", ["2;123.45 1:1.0"])
-        s = load_batch(path, expected_n=1)
+        s = load_batch(path, batch_id=1, expected_n=1)
         assert s.labels[0] == 2
 
     def test_missing_indices_default_zero(self, tmp_path):
         path = write_lines(tmp_path / "b.dat", ["4 5:9.0"])
-        s = load_batch(path, expected_n=8)
+        s = load_batch(path, batch_id=1, expected_n=8)
         assert s.features[0, 4] == 9.0
         assert np.count_nonzero(s.features) == 1
 
@@ -45,27 +45,27 @@ class TestLoadBatch:
         path = (tmp_path / "b.dat")
         path.write_text("")
         with pytest.raises(DataError, match="no samples"):
-            load_batch(path)
+            load_batch(path, batch_id=1)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = write_lines(tmp_path / "b.dat", ["1 1:0.5", "oops 1:0.5"])
         with pytest.raises(DataError, match=r":2:"):
-            load_batch(path, expected_n=2)
+            load_batch(path, batch_id=1, expected_n=2)
 
     def test_malformed_feature_token(self, tmp_path):
         path = write_lines(tmp_path / "b.dat", ["1 nocolon"])
         with pytest.raises(DataError, match="malformed feature token"):
-            load_batch(path, expected_n=2)
+            load_batch(path, batch_id=1, expected_n=2)
 
     def test_feature_index_beyond_expected(self, tmp_path):
         path = write_lines(tmp_path / "b.dat", ["1 9:0.5"])
         with pytest.raises(DataError, match="feature index 9"):
-            load_batch(path, expected_n=8)
+            load_batch(path, batch_id=1, expected_n=8)
 
     def test_class_id_out_of_range(self, tmp_path):
         path = write_lines(tmp_path / "b.dat", ["7 1:0.5"])
         with pytest.raises(DataError, match="class id 7"):
-            load_batch(path, expected_n=2)
+            load_batch(path, batch_id=1, expected_n=2)
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -75,7 +75,7 @@ class TestLoadBatch:
         original = SampleSet(feats, rng.integers(1, 7, size=17), batch_id=4)
         path = tmp_path / "batch4.dat"
         save_batch(original, path)
-        parsed = load_batch(path, expected_n=9)
+        parsed = load_batch(path, batch_id=4, expected_n=9)
         assert parsed.features.tobytes() == original.features.tobytes()
         np.testing.assert_array_equal(parsed.labels, original.labels)
         assert parsed.batch_id == original.batch_id
@@ -87,13 +87,13 @@ class TestLoadBatch:
         path = write_lines(tmp_path / "b.dat", [line.format(value) for line in lines])
         with pytest.raises(DataError,
                            match=rf"b\.dat:2: non-finite feature value '1:{value}'"):
-            load_batch(path, expected_n=2)
+            load_batch(path, batch_id=1, expected_n=2)
 
     def test_undecodable_file_is_data_error(self, tmp_path):
         path = tmp_path / "b.dat"
         path.write_bytes(b"1 1:0.5\n2 1:\xff\n")
         with pytest.raises(DataError, match=r"b\.dat: not UTF-8 text"):
-            load_batch(path, expected_n=1)
+            load_batch(path, batch_id=1, expected_n=1)
 
 
 # Spellings that int() or float() read differently from np.loadtxt, or
@@ -213,11 +213,11 @@ class TestDensePath:
         path.write_bytes(data)
 
         def via_load_batch():
-            s = load_batch(path, expected_n=expected_n)
+            s = load_batch(path, batch_id=5, expected_n=expected_n)
             return s.features, s.labels
 
         assert parse_outcome(via_load_batch) == parse_outcome(
-            lambda: _parse_lines(data, path, expected_n, 6))
+            lambda: _parse_lines(data, path, expected_n))
 
     @pytest.mark.parametrize("form", sorted(DENSE_FORMS))
     def test_dense_files_skip_the_line_parser(self, tmp_path, monkeypatch, form):
@@ -227,9 +227,9 @@ class TestDensePath:
         feats[0, 0] = -0.0
         path = tmp_path / "batch2.dat"
         path.write_bytes(dense_text(form, labels, feats).encode())
-        want_features, want_labels = _parse_lines(path.read_bytes(), path, 5, 6)
+        want_features, want_labels = _parse_lines(path.read_bytes(), path, 5)
         monkeypatch.setattr(dataset, "_parse_lines", refuse_line_parser)
-        got = load_batch(path, expected_n=5)
+        got = load_batch(path, batch_id=2, expected_n=5)
         assert got.features.tobytes() == want_features.tobytes()
         np.testing.assert_array_equal(got.labels, want_labels)
 
@@ -237,7 +237,7 @@ class TestDensePath:
         path = write_lines(tmp_path / "b.dat", ["1 1:0.5 2:1.0", "2 1:0.5"])
         monkeypatch.setattr(dataset, "_parse_lines", refuse_line_parser)
         with pytest.raises(LineParserCalled):
-            load_batch(path, expected_n=2)
+            load_batch(path, batch_id=1, expected_n=2)
 
 
 class TestSampleSet:

@@ -15,7 +15,7 @@ from driftelm import (Classifier, DataError, Penalties, SampleSet, ScalerParams,
                       split_target, ssa_select, train_daelm_s, train_daelm_t,
                       train_elm)
 
-from conftest import MALFORMED_MODELS
+from conftest import MALFORMED_MODELS, both_forms
 
 
 def rel_diff(a, b):
@@ -140,12 +140,17 @@ class TestSolveRidge:
         h1, t1 = random_instance(rng, 6, 10, 2)
         h2, t2 = random_instance(rng, 3, 10, 2)
         p = Penalties(c_s=1.0, c_t=2.0, c_tu=3.0)
+        # the blocks of elm, daelm-s and daelm-t, forced into one form
+        for blocks in ([(h1, t1, 1.0)], [(h1, t1, p.c_s), (h2, t2, p.c_t)],
+                       [(h2, t2, p.c_t), (h1, t1, p.c_tu)]):
+            with pytest.raises(SolverError):
+                solve_ridge(blocks, branch)
         with pytest.raises(SolverError):
-            train_elm(h1, t1, 1.0, branch=branch)
+            train_elm(h1, t1, 1.0)
         with pytest.raises(SolverError):
-            train_daelm_s(h1, t1, h2, t2, p, branch=branch)
+            train_daelm_s(h1, t1, h2, t2, p)
         with pytest.raises(SolverError):
-            train_daelm_t(h2, t2, h1, t1, p, branch=branch)
+            train_daelm_t(h2, t2, h1, t1, p)
 
 
 class TestTrainElm:
@@ -157,8 +162,8 @@ class TestTrainElm:
     def test_branch_equivalence(self):
         rng = np.random.default_rng(1)
         h, t = random_instance(rng, 20, 50, 3)
-        assert rel_diff(train_elm(h, t, 1.0, branch="primal"),
-                        train_elm(h, t, 1.0, branch="dual")) < 1e-8
+        beta = train_elm(h, t, 1.0)
+        assert all(rel_diff(beta, ref) < 1e-8 for ref in both_forms([(h, t, 1.0)]))
 
     def test_auto_branch_selection(self):
         # auto must reproduce the dual path bit-for-bit when rows < hidden
@@ -166,13 +171,13 @@ class TestTrainElm:
         rng = np.random.default_rng(19)
         under_h, under_t = random_instance(rng, 10, 25, 2)
         assert train_elm(under_h, under_t, 1.0).tobytes() \
-            == train_elm(under_h, under_t, 1.0, branch="dual").tobytes()
+            == solve_ridge([(under_h, under_t, 1.0)], "dual").tobytes()
         over_h, over_t = random_instance(rng, 40, 25, 2)
         assert train_elm(over_h, over_t, 1.0).tobytes() \
-            == train_elm(over_h, over_t, 1.0, branch="primal").tobytes()
+            == solve_ridge([(over_h, over_t, 1.0)], "primal").tobytes()
         square_h, square_t = random_instance(rng, 25, 25, 2)
         assert train_elm(square_h, square_t, 1.0).tobytes() \
-            == train_elm(square_h, square_t, 1.0, branch="primal").tobytes()
+            == solve_ridge([(square_h, square_t, 1.0)], "primal").tobytes()
 
     def test_stationarity(self):
         rng = np.random.default_rng(2)
@@ -189,8 +194,6 @@ class TestTrainElm:
             train_elm(np.ones((2, 2)), np.ones((2, 1)), 0.0)
         with pytest.raises(ValueError):
             train_elm(np.ones((2, 2)), np.ones((3, 1)), 1.0)
-        with pytest.raises(ValueError):
-            train_elm(np.ones((2, 2)), np.ones((2, 1)), 1.0, branch="banana")
 
 
 class TestTrainDaelmS:
@@ -207,8 +210,9 @@ class TestTrainDaelmS:
         hs, ts = random_instance(rng, 30, 50, 6)
         ht, tt = random_instance(rng, 5, 50, 6)
         p = Penalties(c_s=0.3, c_t=7.0)
-        assert rel_diff(train_daelm_s(hs, ts, ht, tt, p, branch="primal"),
-                        train_daelm_s(hs, ts, ht, tt, p, branch="dual")) < 1e-6
+        beta = train_daelm_s(hs, ts, ht, tt, p)
+        assert all(rel_diff(beta, ref) < 1e-6
+                   for ref in both_forms([(hs, ts, p.c_s), (ht, tt, p.c_t)]))
 
     def test_stationarity(self):
         rng = np.random.default_rng(5)
@@ -227,7 +231,7 @@ class TestTrainDaelmS:
         hs, ts = random_instance(rng, 12, 40, 2)
         ht, tt = random_instance(rng, 4, 40, 2)
         p = Penalties(c_s=0.8, c_t=3.0)
-        beta = train_daelm_s(hs, ts, ht, tt, p, branch="dual")
+        beta = train_daelm_s(hs, ts, ht, tt, p)  # 16 rows under L = 40: dual
         alpha_s = p.c_s * (ts - hs @ beta)
         alpha_t = p.c_t * (tt - ht @ beta)
         assert rel_diff(beta, hs.T @ alpha_s + ht.T @ alpha_t) < 1e-6
@@ -238,7 +242,7 @@ class TestTrainDaelmS:
         rng = np.random.default_rng(7)
         hs, ts = random_instance(rng, 10, 30, 2)
         ht, tt = random_instance(rng, 5, 30, 2)
-        train_daelm_s(hs, ts, ht, tt, Penalties(c_s=1.0, c_t=1.0), branch="dual")
+        train_daelm_s(hs, ts, ht, tt, Penalties(c_s=1.0, c_t=1.0))
         assert factored_dims == [15]
 
     def test_monotone_source_fit(self):
@@ -256,8 +260,9 @@ class TestTrainDaelmS:
         hs, ts = random_instance(rng, 5, 10, 2)
         ht, tt = random_instance(rng, 3, 10, 2)
         p = Penalties(c_s=1.0, c_t=0.0)
-        assert rel_diff(train_daelm_s(hs, ts, ht, tt, p, branch="primal"),
-                        train_daelm_s(hs, ts, ht, tt, p, branch="dual")) < 1e-6
+        beta = train_daelm_s(hs, ts, ht, tt, p)
+        assert all(rel_diff(beta, ref) < 1e-6
+                   for ref in both_forms([(hs, ts, p.c_s), (ht, tt, p.c_t)]))
 
     def test_dimension_checks(self):
         rng = np.random.default_rng(10)
@@ -284,9 +289,9 @@ class TestTrainDaelmT:
         ht, tt = random_instance(rng, 10, 60, 6)
         hu, pseudo = random_instance(rng, 40, 60, 6)
         p = Penalties(c_t=0.4, c_tu=9.0)
-        assert rel_diff(
-            train_daelm_t(ht, tt, hu, pseudo, p, branch="primal"),
-            train_daelm_t(ht, tt, hu, pseudo, p, branch="dual")) < 1e-6
+        beta = train_daelm_t(ht, tt, hu, pseudo, p)
+        assert all(rel_diff(beta, ref) < 1e-6
+                   for ref in both_forms([(ht, tt, p.c_t), (hu, pseudo, p.c_tu)]))
 
     def test_pseudo_override_branch_equivalence(self):
         # pseudo-targets unrelated to any base model, fewer rows than hidden nodes
@@ -295,9 +300,9 @@ class TestTrainDaelmT:
         hu, _ = random_instance(rng, 20, 40, 2)
         pseudo = rng.normal(size=(20, 2))
         p = Penalties(c_t=0.5, c_tu=4.0)
-        assert rel_diff(
-            train_daelm_t(ht, tt, hu, pseudo, p, branch="primal"),
-            train_daelm_t(ht, tt, hu, pseudo, p, branch="dual")) < 1e-6
+        beta = train_daelm_t(ht, tt, hu, pseudo, p)
+        assert all(rel_diff(beta, ref) < 1e-6
+                   for ref in both_forms([(ht, tt, p.c_t), (hu, pseudo, p.c_tu)]))
 
     def test_stationarity(self):
         rng = np.random.default_rng(14)
@@ -315,7 +320,7 @@ class TestTrainDaelmT:
         ht, tt = random_instance(rng, 5, 30, 2)
         hu, pseudo = random_instance(rng, 12, 30, 2)
         p = Penalties(c_t=0.9, c_tu=2.0)
-        beta = train_daelm_t(ht, tt, hu, pseudo, p, branch="dual")
+        beta = train_daelm_t(ht, tt, hu, pseudo, p)  # 17 rows under L = 30: dual
         alpha_t = p.c_t * (tt - ht @ beta)
         alpha_tu = p.c_tu * (pseudo - hu @ beta)
         assert rel_diff(beta, ht.T @ alpha_t + hu.T @ alpha_tu) < 1e-6
