@@ -59,6 +59,16 @@ def _feature_count(text: str) -> int:
     return value
 
 
+def _guide_counts(text: str) -> list[int]:
+    try:
+        ks = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        ks = []
+    if not ks:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return ks
+
+
 def _add_data_flags(p) -> None:
     p.add_argument("--data-dir", help=f"corpus directory (default: ${ENV_DATA_DIR})")
     p.add_argument("--features", type=_feature_count, default=dataset.N_FEATURES,
@@ -71,7 +81,7 @@ def _load_corpus(args, allow_missing=False):
 
 
 def _read_config_file(path) -> dict:
-    """Flat key=value config; '#' starts a comment."""
+    """Flat key=value config as key -> (line number, value); '#' starts a comment."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,7 +90,7 @@ def _read_config_file(path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        values[key.strip()] = value.strip()
+        values[key.strip()] = lineno, value.strip()
     return values
 
 
@@ -102,7 +112,12 @@ def _resolve_bench_config(args) -> ExperimentConfig:
         unknown = set(file_values) - set(keys)
         if unknown:
             raise DataError(f"unknown config keys: {sorted(unknown)}")
-        fields = {key: keys[key](text) for key, text in file_values.items()}
+        for key, (lineno, text) in file_values.items():
+            try:
+                fields[key] = keys[key](text)
+            except ValueError:
+                raise ValueError(f"{args.config}:{lineno}: {key}: expected "
+                                 f"{keys[key].__name__}, got {text!r}") from None
     fields.update((key, getattr(args, key)) for key in keys
                   if getattr(args, key) is not None)
     if "setting" in fields:
@@ -213,9 +228,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_bench_config(args)
-    ks = [int(tok) for tok in args.ks.split(",") if tok.strip()]
     corpus = _load_corpus(args)
-    reports = benchmark.sweep_guides(cfg, corpus, ks)
+    reports = benchmark.sweep_guides(cfg, corpus, args.ks)
     _emit(benchmark.emit_sweep_csv(reports), args.out)
     return EXIT_OK
 
@@ -261,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="repeat a protocol across guide counts, emit CSV")
     _add_bench_flags(p)
-    p.add_argument("--ks", default="5,10,15,20,25,30,35,40,45,50",
+    p.add_argument("--ks", type=_guide_counts, default="5,10,15,20,25,30,35,40,45,50",
                    help="comma-separated guide counts (default: %(default)s)")
     p.set_defaults(func=_cmd_sweep)
     return parser

@@ -162,7 +162,8 @@ def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, 
     return np.vstack(rows), np.asarray(labels)
 
 
-_SPACE, _COLON, _SEMICOLON, _NEWLINE = b" :;\n"
+_PRINTABLE = bytes(range(32, 127)) + b"\n"
+_NON_SEPARATORS = bytes(set(range(256)) - set(b" :;\n"))
 
 
 def _parse_dense(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -180,23 +181,18 @@ def _parse_dense(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
         data += b"\n"
     if b"\r" in data or b" \n" in data:  # CRLF line ends and trailing blanks
         data = re.sub(rb" *\r?\n", b"\n", data)
-    buf = np.frombuffer(data, dtype=np.uint8)
     # Printable ASCII and newlines only: str.split() and str.splitlines()
     # also break on other control and non-ASCII bytes.
-    if not (((buf >= 32) & (buf < 127)) | (buf == _NEWLINE)).all():
+    if data.translate(None, _PRINTABLE):
         return None
-    kinds = buf[(buf == _SPACE) | (buf == _COLON) | (buf == _SEMICOLON) | (buf == _NEWLINE)]
-    semicolon = kinds == _SEMICOLON
     # A ';' may only follow a line's label; each line then holds exactly
     # " idx:value" n times. An empty token leaves its line a field short,
     # which np.loadtxt refuses.
-    if (np.concatenate(([_NEWLINE], kinds[:-1]))[semicolon] != _NEWLINE).any():
+    kinds = (b"\n" + data.translate(None, _NON_SEPARATORS)).replace(b"\n;", b"\n")
+    line = b" :" * n + b"\n"
+    if kinds != b"\n" + line * ((len(kinds) - 1) // len(line)):
         return None
-    line = np.array([_SPACE, _COLON] * n + [_NEWLINE], dtype=np.uint8)
-    kinds = kinds[~semicolon]
-    if kinds.size % line.size or (kinds.reshape(-1, line.size) != line).any():
-        return None
-    if semicolon.any():
+    if b";" in data:
         data = re.sub(rb";[^ \n]*", b"", data)
     lines = data.replace(b":", b" ").decode("ascii").splitlines()
     fields = [("label", "i8"), ("pairs", [("idx", "i8"), ("value", "f8")], (n,))]

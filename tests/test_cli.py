@@ -218,6 +218,27 @@ def test_bench_zero_runs_in_config_file_is_rejected(drift_corpus_dir, tmp_path, 
     assert "runs must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ks", ["4,x", ",", "3.5"])
+def test_sweep_bad_guide_counts_are_rejected_before_the_load(tmp_path, capsys, ks):
+    # the data directory does not exist, so a check after the load would exit 2
+    assert main(["sweep", "--data-dir", str(tmp_path / "absent"), "--ks", ks]) == EXIT_USAGE
+    assert f"argument --ks: expected comma-separated integers, got '{ks}'" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("runs = x", "runs: expected int, got 'x'"),
+    ("k_guides = 3.5", "k_guides: expected int, got '3.5'"),
+    ("c_t = high", "c_t: expected float, got 'high'"),
+])
+def test_bench_ill_typed_config_value_names_its_key(tmp_path, capsys, line, message):
+    config = tmp_path / "typed.cfg"
+    config.write_text(f"method = elm\n{line}\n")
+    assert main(["bench", "--data-dir", str(tmp_path / "absent"),
+                 "--config", str(config)]) == EXIT_USAGE
+    assert f"error: {config}:2: {message}\n" in capsys.readouterr().err
+
+
 def test_config_keys_are_the_experiment_fields_and_the_bench_dests():
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     assert set(_CONFIG_KEYS) == fields

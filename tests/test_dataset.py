@@ -206,6 +206,9 @@ class TestDensePath:
     @example((2, b"1 1:0.5 2:1.0 1:7.0\n"))
     @example((1, b"1 1:5;3\n"))
     @example((1, b"1 1:1e400\n"))
+    @example((1, b"1 1:0.\x7f5\n"))
+    @example((1, b"1 1:0.\x005\n"))
+    @example((1, b"1 1:0.~5\n"))
     @settings(max_examples=400, deadline=None)
     def test_matches_the_line_parser(self, tmp_path_factory, case):
         expected_n, data = case

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import driftelm
 import driftelm.benchmark
 import driftelm.solvers
@@ -14,3 +19,19 @@ def test_benchmark_binds_the_public_trainers():
     for name in ("train_elm", "train_daelm_s", "train_daelm_t"):
         assert getattr(driftelm.benchmark, name) is getattr(driftelm.solvers, name)
         assert getattr(driftelm, name) is getattr(driftelm.solvers, name)
+
+
+def test_import_loads_scipy_special_only_for_a_sigmoid_map():
+    # scipy.special is slow to import and only the sigmoid activation uses it
+    code = """if True:
+        import sys
+        import driftelm
+        assert "scipy.special" not in sys.modules
+        fmap = driftelm.new_feature_map(3, 2, activation="sigmoid")
+        driftelm.hidden_output(fmap, [[0.5, -0.5]])
+        assert "scipy.special" in sys.modules
+    """
+    src = str(Path(driftelm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
