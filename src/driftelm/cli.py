@@ -11,12 +11,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import benchmark, dataset, solvers
 from .benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from .dataset import DataError, write_atomic
-from .guide_selection import ssa_select
+from .guide_selection import check_guide_count, ssa_select
 from .solvers import SolverError
 
 EXIT_OK = 0
@@ -49,6 +50,13 @@ def _data_dir(args) -> Path:
     return Path(path)
 
 
+def _check_out_dir(args) -> None:
+    """An ``--out`` in a missing directory fails before any data is read."""
+    out = getattr(args, "out", None)
+    if out and not Path(out).parent.is_dir():
+        raise DataError(f"output directory not found: {Path(out).parent}")
+
+
 def _feature_count(text: str) -> int:
     try:
         value = int(text)
@@ -76,6 +84,7 @@ def _add_data_flags(p) -> None:
 
 
 def _load_corpus(args, allow_missing=False):
+    _check_out_dir(args)
     return dataset.load_corpus(_data_dir(args), expected_n=args.features,
                                allow_missing=allow_missing)
 
@@ -176,6 +185,7 @@ def _cmd_validate_data(args) -> int:
 
 
 def _cmd_select_guides(args) -> int:
+    check_guide_count(args.guides)
     corpus = _load_corpus(args)
     by_id = {b.batch_id: b for b in corpus}
     if args.batch not in by_id:
@@ -203,6 +213,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    _check_out_dir(args)
     with open(args.model) as fh:
         clf, scaler = solvers.classifier_from_dict(json.load(fh))
     path = _data_dir(args) / f"batch{args.batch}.dat"
@@ -228,6 +239,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _resolve_bench_config(args)
+    for k in args.ks:  # a guide count ExperimentConfig refuses fails before the load
+        replace(cfg, k_guides=k)
     corpus = _load_corpus(args)
     reports = benchmark.sweep_guides(cfg, corpus, args.ks)
     _emit(benchmark.emit_sweep_csv(reports), args.out)

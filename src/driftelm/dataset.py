@@ -8,9 +8,13 @@ and encodes class labels as +/-1 target rows.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import io
 import math
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,16 +113,101 @@ def load_batch(path, batch_id: int, expected_n: int = N_FEATURES) -> SampleSet:
     pass; any other file is parsed line by line, and both give the same
     arrays. Errors, including undecodable bytes and non-finite values, raise
     ``DataError`` naming the file and, where there is one, the line.
+
+    The parsed arrays are cached by content (``_cache_entry``): a later load
+    of the same bytes reads them back instead of parsing again.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    entry = _cache_entry(path, data, expected_n)
+    if entry is not None:
+        cached = _read_entry(*entry, expected_n, batch_id)
+        if cached is not None:
+            return cached
     parsed = _parse_dense(data, expected_n)
     if parsed is None:
         parsed = _parse_lines(data, path, expected_n)
-    return SampleSet(*parsed, batch_id)
+    samples = SampleSet(*parsed, batch_id)
+    if entry is not None:
+        _write_entry(*entry, samples)
+    return samples
+
+
+@functools.cache
+def _parser_digest() -> bytes:
+    """Names the parser: this module's source and the Python and numpy it runs on."""
+    versions = f"{sys.version}\0{np.__version__}".encode()
+    return hashlib.sha256(Path(__file__).read_bytes() + versions).digest()
+
+
+def _cache_entry(path: Path, data: bytes, expected_n: int) -> tuple[Path, bytes] | None:
+    """Where the parse of ``data`` is cached, and the key its entry must hold.
+
+    Entries live in ``$XDG_CACHE_HOME/driftelm`` (else ``~/.cache/driftelm``),
+    one slot per resolved path, so a changed file overwrites its stale entry.
+    The key covers the parser, ``expected_n`` and the bytes. None when there
+    is no home directory or the module's source cannot be read.
+    """
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    try:
+        base = Path(root) if os.path.isabs(root) else Path.home() / ".cache"
+        slot = hashlib.sha256(os.fsencode(path.resolve())).hexdigest()
+        key = hashlib.sha256(_parser_digest() + b"%d\0" % expected_n)
+    except (OSError, RuntimeError):  # RuntimeError: no home directory, or a symlink loop
+        return None
+    key.update(data)
+    return base / "driftelm" / f"{slot}.npy", key.digest()
+
+
+def _read_entry(slot: Path, key: bytes, expected_n: int, batch_id: int) -> SampleSet | None:
+    """The batch a cache entry holds; None for a missing, stale or damaged one.
+
+    An entry is three ``.npy`` records in a row: the key, the features and
+    the labels.
+    """
+    try:
+        with open(slot, "rb") as fh:
+            if np.load(fh, allow_pickle=False).tobytes() != key:
+                return None
+            features = np.load(fh, allow_pickle=False)
+            labels = np.load(fh, allow_pickle=False)
+        if (features.dtype == np.float64 and features.ndim == 2
+                and features.shape[1] == expected_n
+                and labels.dtype == np.int64 and labels.shape == features.shape[:1]):
+            return SampleSet(features, labels, batch_id)
+    except Exception:  # any failure to read an entry means: parse the file
+        pass
+    return None
+
+
+# Entries beyond this many bytes, oldest written first, are removed.
+_CACHE_MAX_BYTES = 128 * 2**20
+
+
+def _write_entry(slot: Path, key: bytes, samples: SampleSet) -> None:
+    """Store a parse in its slot and trim the cache, best effort: a failed write is ignored."""
+    try:
+        slot.parent.mkdir(parents=True, exist_ok=True)
+        buf = io.BytesIO()
+        for arr in (np.frombuffer(key, np.uint8), samples.features, samples.labels):
+            np.save(buf, arr, allow_pickle=False)
+        content = buf.getvalue()
+        write_atomic(slot, content)
+        entries = []
+        for e in os.scandir(slot.parent):
+            if e.name.endswith(".npy") and e.path != str(slot):
+                st = e.stat()
+                entries.append((st.st_mtime_ns, st.st_size, e.path))
+        total = len(content)
+        for _, size, name in sorted(entries, reverse=True):  # newest first
+            total += size
+            if total > _CACHE_MAX_BYTES:
+                os.unlink(name)
+    except OSError:
+        pass
 
 
 def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,18 +297,30 @@ def _parse_dense(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
     return pairs["value"], labels
 
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename."""
+def write_atomic(path, content: str | bytes) -> None:
+    """Write ``content`` to ``path`` through a temporary file and a rename.
+
+    Text is written as UTF-8. An ``OSError`` names ``path``, not the
+    temporary file; it has the original's type and errno, and the original
+    as its cause.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    if isinstance(content, str):
+        content = content.encode()
+    tmp = None
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(content)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        if exc.errno is None:  # not an OS error, so no file to name
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def load_corpus(data_dir, expected_n: int = N_FEATURES,

@@ -149,6 +149,12 @@ def _farthest_pair(feats: np.ndarray, block: int) -> tuple[int, int]:
     return int(rows[pair[0]]), int(rows[pair[1]])
 
 
+def check_guide_count(k: int) -> None:
+    """``ssa_select``'s bound on k, which callers can check before loading data."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+
+
 def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
     """Farthest-pair seeding plus greedy max-min extension to k samples.
 
@@ -161,8 +167,7 @@ def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
     n, dim = feats.shape
     if n < 2:
         raise ValueError("selection needs at least 2 samples")
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    check_guide_count(k)
     if not np.isfinite(feats).all():
         raise DataError("features contain NaN or Inf")
     k_eff = min(k, n)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
 
+import driftelm.dataset
 import driftelm.solvers
 from driftelm import (Penalties, apply_scaler, encode_targets, fit_scaler,
                       hidden_output, load_corpus, new_feature_map, split_target,
@@ -224,6 +225,29 @@ def test_sweep_bad_guide_counts_are_rejected_before_the_load(tmp_path, capsys, k
     assert main(["sweep", "--data-dir", str(tmp_path / "absent"), "--ks", ks]) == EXIT_USAGE
     assert f"argument --ks: expected comma-separated integers, got '{ks}'" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--ks", "5,-3"], "k_guides must be >= 2 (0 allowed for plain elm)"),
+    (["select-guides", "--batch", "2", "--guides", "1"], "k must be at least 2"),
+])
+def test_guide_count_is_checked_before_the_load(tmp_path, capsys, argv, message):
+    # the data directory does not exist, so a check after the load would exit 2
+    assert main(argv + ["--data-dir", str(tmp_path / "absent")]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_out_in_a_missing_directory_fails_before_training(drift_corpus_dir, tmp_path,
+                                                          monkeypatch, capsys):
+    def no_load(*args, **kwargs):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(driftelm.dataset, "load_corpus", no_load)
+    out = tmp_path / "missing_dir" / "m.json"
+    assert main(["train", "--data-dir", str(drift_corpus_dir), "--target-batch", "6",
+                 "--out", str(out)] + FAST_TRAIN) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        f"error: output directory not found: {tmp_path / 'missing_dir'}\n"
 
 
 @pytest.mark.parametrize("line, message", [

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -241,6 +243,171 @@ class TestDensePath:
         monkeypatch.setattr(dataset, "_parse_lines", refuse_line_parser)
         with pytest.raises(LineParserCalled):
             load_batch(path, batch_id=1, expected_n=2)
+
+
+class ParserCalled(Exception):
+    pass
+
+
+def refuse_parsers(monkeypatch):
+    def refuse(*args):
+        raise ParserCalled
+    monkeypatch.setattr(dataset, "_parse_dense", refuse)
+    monkeypatch.setattr(dataset, "_parse_lines", refuse)
+
+
+def cache_files(root):
+    return sorted(p for p in root.rglob("*") if p.is_file())
+
+
+@pytest.fixture
+def dense_batch(tmp_path):
+    rng = np.random.default_rng(11)
+    feats = rng.normal(scale=100.0, size=(7, 5))
+    feats[0, 0] = -0.0
+    path = tmp_path / "batch2.dat"
+    path.write_bytes(dense_text("perfbench", rng.integers(1, 7, size=7), feats).encode())
+    return path
+
+
+class TestParseCache:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_hit_equals_the_parse_without_parsing(self, tmp_path, dense_batch, monkeypatch,
+                                                  isolated_cache, sparse):
+        path = dense_batch
+        if sparse:
+            path = write_lines(tmp_path / "batch3.dat", ["1;5.0 2:0.5", "6 1:-0.0 5:1e-300"])
+        parsed = load_batch(path, batch_id=2, expected_n=5)
+        assert len(cache_files(isolated_cache)) == 1
+        refuse_parsers(monkeypatch)
+        cached = load_batch(path, batch_id=7, expected_n=5)
+        assert cached.features.tobytes() == parsed.features.tobytes()
+        assert cached.labels.tobytes() == parsed.labels.tobytes()
+        assert cached.features.dtype == np.float64 and cached.labels.dtype == np.int64
+        assert cached.batch_id == 7 and not cached.features.flags.writeable
+
+    def test_changed_bytes_or_width_parse_again(self, tmp_path, monkeypatch, isolated_cache):
+        path = write_lines(tmp_path / "b.dat", ["1 1:0.5 2:1.0"])
+        load_batch(path, batch_id=1, expected_n=2)
+        write_lines(path, ["1 1:0.5 2:2.0"])
+        assert load_batch(path, batch_id=1, expected_n=2).features.tolist() == [[0.5, 2.0]]
+        assert load_batch(path, batch_id=1, expected_n=3).features.tolist() == [[0.5, 2.0, 0.0]]
+        # one slot per file: the last parse replaced the stale entries
+        assert len(cache_files(isolated_cache)) == 1
+        refuse_parsers(monkeypatch)
+        with pytest.raises(ParserCalled):
+            load_batch(path, batch_id=1, expected_n=2)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "pickle", "key-only",
+                                        "other-key", "float32", "object", "nan"])
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, dense_batch, monkeypatch,
+                                                         isolated_cache, damage):
+        want = load_batch(dense_batch, batch_id=2, expected_n=5)
+        (entry,) = cache_files(isolated_cache)
+        good = entry.read_bytes()
+        key = np.frombuffer(dataset._cache_entry(dense_batch, dense_batch.read_bytes(), 5)[1],
+                            np.uint8)
+        features, labels = want.features, want.labels
+        if damage == "truncated":
+            entry.write_bytes(good[: len(good) // 2])
+        elif damage == "garbage":
+            entry.write_bytes(b"\x93NUMPY" + bytes(range(256)) * 4)
+        elif damage == "empty":
+            entry.write_bytes(b"")
+        elif damage == "pickle":
+            entry.write_bytes(b"\x80\x04N.")
+        elif damage == "key-only":
+            np.save(entry, key)
+        else:
+            if damage == "other-key":  # an entry for other bytes, with other values
+                key, features = key[::-1], features + 1.0
+            elif damage == "float32":
+                features = features.astype(np.float32)
+            elif damage == "object":
+                features = features.astype(object)
+            else:
+                features = np.full_like(features, np.nan)
+            with open(entry, "wb") as fh:
+                for arr in (key, features, labels):
+                    np.save(fh, arr)
+        got = load_batch(dense_batch, batch_id=2, expected_n=5)
+        assert got.features.tobytes() == want.features.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+        refuse_parsers(monkeypatch)
+        assert load_batch(dense_batch, batch_id=2, expected_n=5).features.tobytes() == \
+            want.features.tobytes()
+
+    def test_oldest_entries_beyond_the_size_bound_are_removed(self, tmp_path, monkeypatch,
+                                                              isolated_cache):
+        paths = [write_lines(tmp_path / f"b{i}.dat", [f"1 1:{i}.5"]) for i in range(4)]
+        for i, path in enumerate(paths):
+            load_batch(path, batch_id=1, expected_n=1)
+            slot = dataset._cache_entry(path, path.read_bytes(), 1)[0]
+            os.utime(slot, ns=(i, i))  # distinct write times, oldest first
+            if i == 0:  # room for two entries of this size
+                monkeypatch.setattr(dataset, "_CACHE_MAX_BYTES", 2 * slot.stat().st_size)
+        slots = {dataset._cache_entry(p, p.read_bytes(), 1)[0] for p in paths[2:]}
+        assert set(cache_files(isolated_cache)) == slots
+
+    @pytest.mark.parametrize("root", ["a-file", "no-home"])
+    def test_unusable_cache_root_still_loads(self, tmp_path, dense_batch, monkeypatch,
+                                             root):
+        if root == "a-file":
+            blocker = tmp_path / "blocker"
+            blocker.write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        else:
+            def no_home(cls):
+                raise RuntimeError("Could not determine home directory.")
+            monkeypatch.delenv("XDG_CACHE_HOME")
+            monkeypatch.setattr(dataset.Path, "home", classmethod(no_home))
+        first = load_batch(dense_batch, batch_id=2, expected_n=5)
+        second = load_batch(dense_batch, batch_id=2, expected_n=5)
+        assert first.features.tobytes() == second.features.tobytes()
+
+    def test_relative_xdg_cache_home_falls_back_to_home(self, tmp_path, dense_batch,
+                                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        load_batch(dense_batch, batch_id=2, expected_n=5)
+        assert not (tmp_path / "relative").exists()
+        assert len(cache_files(tmp_path / "home" / ".cache" / "driftelm")) == 1
+
+    @pytest.mark.parametrize("lines", [["1 1:0.5", "oops 1:0.5"], ["1 1:nan"], ["9 1:0.5"]])
+    def test_malformed_file_raises_as_before_and_leaves_no_entry(self, tmp_path,
+                                                                 isolated_cache, lines):
+        path = write_lines(tmp_path / "b.dat", lines)
+        with pytest.raises(DataError) as want:
+            _parse_lines(path.read_bytes(), path, 2)
+        with pytest.raises(DataError) as got:
+            load_batch(path, batch_id=1, expected_n=2)
+        assert str(got.value) == str(want.value)
+        assert cache_files(isolated_cache) == []
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("content", ["text é\n", b"\x00\xffbytes"])
+    def test_writes_text_and_bytes(self, tmp_path, content):
+        path = tmp_path / "out"
+        dataset.write_atomic(path, content)
+        want = content.encode() if isinstance(content, str) else content
+        assert path.read_bytes() == want
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("target, error", [("missing/m.json", FileNotFoundError),
+                                               ("a-directory", IsADirectoryError)])
+    def test_error_names_the_target_and_leaves_no_temporary_file(self, tmp_path, target,
+                                                                 error):
+        (tmp_path / "a-directory").mkdir()
+        path = tmp_path / target
+        with pytest.raises(error) as exc:
+            dataset.write_atomic(path, "x")
+        assert exc.value.filename == str(path)
+        assert type(exc.value.__cause__) is error and exc.value.__cause__.filename != str(path)
+        assert str(exc.value).endswith(f": '{path}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+        assert list((tmp_path / "a-directory").iterdir()) == []
 
 
 class TestSampleSet:
