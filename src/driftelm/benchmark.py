@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import (BATCH_IDS, DataError, SampleSet, ScalerParams,
-                      apply_scaler, encode_targets, fit_scaler)
+from .dataset import (BATCH_IDS, N_CLASSES, DataError, SampleSet,
+                      ScalerParams, apply_scaler, encode_targets, fit_scaler)
 from .feature_map import (ACTIVATIONS, RandomFeatureMap, hidden_output,
                           new_feature_map)
 from .guide_selection import split_target, ssa_select
@@ -174,10 +174,7 @@ def _scaled_pairs(cfg: ExperimentConfig, corpus: list[SampleSet],
         for bid in (src_id, tgt_id):
             if bid not in scaled:
                 scaled[bid] = apply_scaler(scaler, by_id[bid])
-        source, target = scaled[src_id], scaled[tgt_id]
-        if source.labels is None or target.labels is None:
-            raise DataError("benchmark batches must be labeled")
-        pairs.append((scaler, source, target))
+        pairs.append((scaler, scaled[src_id], scaled[tgt_id]))
     return pairs
 
 
@@ -232,7 +229,7 @@ class RunMap:
         trained once while ``source`` stays this map's source."""
         h = self.output(source, "source")
         if self._source_elm[:2] != (source, c):  # SampleSets compare by identity
-            beta = train_elm(h, encode_targets(source.labels, source.m), c)
+            beta = train_elm(h, encode_targets(source.labels, N_CLASSES), c)
             beta.flags.writeable = False
             self._source_elm = (source, c, beta)
         return self._source_elm[2]
@@ -247,7 +244,7 @@ def run_maps(cfg: ExperimentConfig, n_features: int, run_seed: int) -> list[RunM
 def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
     """Train ``cfg.method`` on one task with the maps of one run."""
     pens = cfg.resolved_penalties()
-    source, guides, m = task.source, task.guides, task.source.m
+    source, guides, m = task.source, task.guides, N_CLASSES
     base, layer = maps[0], maps[-1]  # the same map unless daelm-t
     if cfg.method == "daelm-t":
         beta_base = base.source_elm(source, pens.c_s)

@@ -89,10 +89,18 @@ def _load_corpus(args, allow_missing=False):
                                allow_missing=allow_missing)
 
 
+def _read_text(path) -> str:
+    """A file's text as UTF-8; undecodable bytes are a DataError naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_config_file(path) -> dict:
     """Flat key=value config as key -> (line number, value); '#' starts a comment."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -120,7 +128,7 @@ def _resolve_bench_config(args) -> ExperimentConfig:
         file_values = _read_config_file(args.config)
         unknown = set(file_values) - set(keys)
         if unknown:
-            raise DataError(f"unknown config keys: {sorted(unknown)}")
+            raise DataError(f"{args.config}: unknown config keys: {sorted(unknown)}")
         for key, (lineno, text) in file_values.items():
             try:
                 fields[key] = keys[key](text)
@@ -214,8 +222,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     _check_out_dir(args)
-    with open(args.model) as fh:
-        clf, scaler = solvers.classifier_from_dict(json.load(fh))
+    text = _read_text(args.model)
+    try:
+        clf, scaler = solvers.classifier_from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{args.model}: not JSON ({exc})") from None
+    except DataError as exc:
+        raise DataError(f"{args.model}: {exc}") from None
     path = _data_dir(args) / f"batch{args.batch}.dat"
     batch = dataset.load_batch(path, expected_n=clf.feature_map.n_features,
                                batch_id=args.batch)
@@ -223,9 +236,7 @@ def _cmd_predict(args) -> int:
     _, labels = solvers.predict(clf, scaled)
     lines = ["index,label"] + [f"{i},{lab}" for i, lab in enumerate(labels)]
     _emit("\n".join(lines) + "\n", args.out)
-    if batch.labels is not None:
-        acc = solvers.accuracy(labels, batch.labels)
-        print(f"accuracy={100.0 * acc:.2f}", file=sys.stderr)
+    print(f"accuracy={100.0 * solvers.accuracy(labels, batch.labels):.2f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -250,7 +261,7 @@ def _cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="driftelm",
                      description="Drift-compensation benchmark for domain-adaptive ELMs")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("validate-data", help="check a corpus against the reference counts")
     _add_data_flags(p)
@@ -304,13 +315,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits: 0 for --help, 1 via _Parser.error
         return int(exc.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_help(sys.stderr)
-        return EXIT_USAGE
     try:
         return int(args.func(args))
-    except (DataError, SolverError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (DataError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, KeyError) as exc:

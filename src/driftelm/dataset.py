@@ -1,9 +1,10 @@
 """Gas-sensor drift corpus handling.
 
-Loads the libsvm-style ``batch1.dat`` .. ``batch10.dat`` files, each as the
-batch id its caller names and with class ids in 1..N_CLASSES, checks them
-against the reference per-batch composition, scales features to [-1, 1],
-and encodes class labels as +/-1 target rows.
+Loads the libsvm-style ``batch1.dat`` .. ``batch10.dat`` files, each as a
+``SampleSet``: its features, one class id in 1..N_CLASSES per sample, and
+the batch id its caller names. Checks them against the reference per-batch
+composition, scales features to [-1, 1], and encodes class labels as +/-1
+target rows.
 """
 
 from __future__ import annotations
@@ -57,18 +58,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """An immutable batch of samples.
+    """An immutable batch of labeled samples: what one batch file holds.
 
     features : (N, n) float matrix, finite.
-    labels   : optional (N,) vector of 1-based class ids in 1..m.
+    labels   : (N,) vector of 1-based class ids in 1..N_CLASSES.
     batch_id : which corpus batch the samples came from (0 for synthetic).
-    m        : number of classes of the shared output layer.
     """
 
     features: np.ndarray
-    labels: np.ndarray | None = None
+    labels: np.ndarray
     batch_id: int = 0
-    m: int = N_CLASSES
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64, order="C")
@@ -76,16 +75,13 @@ class SampleSet:
             raise DataError("features must be a non-empty 2-D matrix")
         if not np.isfinite(feats).all():
             raise DataError("features contain NaN or Inf")
+        labels = np.array(self.labels, dtype=np.int64)
+        if labels.shape != (feats.shape[0],):
+            raise DataError("labels must be one class id per sample")
+        if labels.min() < 1 or labels.max() > N_CLASSES:
+            raise DataError(f"labels must lie in 1..{N_CLASSES}")
         object.__setattr__(self, "features", _readonly(feats))
-        if self.m < 1:
-            raise DataError("m must be at least 1")
-        if self.labels is not None:
-            labels = np.array(self.labels, dtype=np.int64)
-            if labels.shape != (feats.shape[0],):
-                raise DataError("labels must be one class id per sample")
-            if labels.size and (labels.min() < 1 or labels.max() > self.m):
-                raise DataError(f"labels must lie in 1..{self.m}")
-            object.__setattr__(self, "labels", _readonly(labels))
+        object.__setattr__(self, "labels", _readonly(labels))
 
     @property
     def n_samples(self) -> int:
@@ -96,10 +92,9 @@ class SampleSet:
         return self.features.shape[1]
 
     def take(self, indices) -> "SampleSet":
-        """Row subset (copy), keeping labels when present."""
+        """Row subset (copy)."""
         idx = np.asarray(indices, dtype=np.int64)
-        labels = self.labels[idx] if self.labels is not None else None
-        return SampleSet(self.features[idx], labels, self.batch_id, self.m)
+        return SampleSet(self.features[idx], self.labels[idx], self.batch_id)
 
 
 def load_batch(path, batch_id: int, expected_n: int = N_FEATURES) -> SampleSet:
@@ -389,9 +384,6 @@ def validate_corpus(batches: list[SampleSet]) -> ValidationReport:
         if not ok:
             report.mismatches.append(
                 f"batch {bid} total: {s.n_samples} expected {EXPECTED_BATCH_TOTALS[bid]}")
-        if s.labels is None:
-            report.mismatches.append(f"batch {bid} has no labels")
-            continue
         counts = np.bincount(s.labels, minlength=N_CLASSES + 1)
         for class_id, gas in enumerate(GAS_NAMES, start=1):
             got = int(counts[class_id])
@@ -448,7 +440,7 @@ def apply_scaler(scaler: ScalerParams, samples: SampleSet) -> SampleSet:
     safe = np.where(span > 0, span, 1.0)
     scaled = 2.0 * (samples.features - scaler.minimum) / safe - 1.0
     scaled[:, scaler.constant_mask] = 0.0
-    return SampleSet(scaled, samples.labels, samples.batch_id, samples.m)
+    return SampleSet(scaled, samples.labels, samples.batch_id)
 
 
 def encode_targets(labels, m: int) -> np.ndarray:

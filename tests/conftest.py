@@ -44,7 +44,7 @@ def make_drift_corpus(classes=6, per_class_source=200, per_class_target=30,
         labels = np.repeat(np.arange(1, classes + 1), per)
         feats = effective[labels - 1] + rng.normal(0.0, blob_std,
                                                    (labels.size, n_features))
-        batches.append(SampleSet(feats, labels, batch_id=batch_id, m=classes))
+        batches.append(SampleSet(feats, labels, batch_id=batch_id))
     return batches
 
 

@@ -224,7 +224,7 @@ class TestReuse:
         assert layer.output(a, "source") is h
         layer.output(c, "source")  # a is no longer kept
         assert layer.output(a, "source") is not h
-        twin = SampleSet(a.features, a.labels, a.batch_id, a.m)
+        twin = SampleSet(a.features, a.labels, a.batch_id)
         layer.output(twin, "source")  # the same values in another object
         assert [x for _, x in calls["hidden"]] == [a, b, c, a, twin]
 

@@ -14,7 +14,8 @@ from driftelm import (Penalties, apply_scaler, encode_targets, fit_scaler,
 from driftelm.benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from driftelm.cli import (_CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                           _resolve_bench_config, build_parser, main)
-from driftelm.dataset import EXPECTED_CLASS_COUNTS, GAS_NAMES, N_FEATURES, SampleSet
+from driftelm.dataset import (EXPECTED_CLASS_COUNTS, GAS_NAMES, N_CLASSES, N_FEATURES,
+                              SampleSet)
 
 from conftest import MALFORMED_MODELS, make_drift_corpus, save_batch
 
@@ -347,7 +348,7 @@ def _reference_model_json(corpus_dir, method, k, target_batch, hidden=30, seed=5
     scaler = fit_scaler(corpus)
     source, target = (apply_scaler(scaler, corpus[b - 1]) for b in (1, target_batch))
     guides, rest = split_target(target, ssa_select(target, k)) if k else (None, target)
-    pens, m = DEFAULT_PENALTIES[method], source.m
+    pens, m = DEFAULT_PENALTIES[method], N_CLASSES
     fmap = new_feature_map(hidden, 4, "radbas", seed)
     if method == "daelm-t":
         base, fmap = fmap, new_feature_map(hidden, 4, "radbas", seed + 1_000_003)

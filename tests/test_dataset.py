@@ -416,8 +416,11 @@ class TestSampleSet:
             SampleSet(np.array([[np.nan]]), [1])
 
     def test_rejects_bad_labels(self):
-        with pytest.raises(DataError, match="1..6"):
-            SampleSet(np.ones((2, 2)), [1, 7])
+        for labels in ([1, 7], [0, 1]):
+            with pytest.raises(DataError, match="1..6"):
+                SampleSet(np.ones((2, 2)), labels)
+        with pytest.raises(DataError, match="one class id per sample"):
+            SampleSet(np.ones((2, 2)), [1, 2, 3])
 
     def test_immutable(self):
         s = SampleSet(np.ones((2, 2)), [1, 2])
@@ -478,25 +481,25 @@ class TestValidateCorpus:
 
 class TestScaler:
     def test_singleton(self):
-        s = SampleSet(np.array([[1.5, -2.0]]), m=2)
+        s = SampleSet(np.array([[1.5, -2.0]]), [1])
         scaler = fit_scaler([s])
         np.testing.assert_array_equal(scaler.minimum, [1.5, -2.0])
         np.testing.assert_array_equal(scaler.maximum, [1.5, -2.0])
         assert scaler.constant_mask.sum() == 2
 
     def test_two_sample_extremes(self):
-        s = SampleSet(np.array([[0.0, 1.0], [2.0, 1.0]]), m=2)
+        s = SampleSet(np.array([[0.0, 1.0], [2.0, 1.0]]), [1, 2])
         scaler = fit_scaler([s])
         np.testing.assert_array_equal(scaler.minimum, [0.0, 1.0])
         np.testing.assert_array_equal(scaler.maximum, [2.0, 1.0])
 
     def test_endpoints_and_midpoint(self):
-        s = SampleSet(np.array([[0.0], [1.0], [2.0]]), m=2)
+        s = SampleSet(np.array([[0.0], [1.0], [2.0]]), [1, 2, 1])
         scaled = apply_scaler(fit_scaler([s]), s)
         np.testing.assert_allclose(scaled.features[:, 0], [-1.0, 0.0, 1.0])
 
     def test_constant_feature_maps_to_zero(self):
-        s = SampleSet(np.full((4, 2), 3.0), m=2)
+        s = SampleSet(np.full((4, 2), 3.0), [1, 2, 1, 2])
         scaled = apply_scaler(fit_scaler([s]), s)
         assert np.all(scaled.features == 0.0)
 
@@ -513,7 +516,7 @@ class TestScaler:
     def test_scaled_range_property(self, seed, n_samples, n_features):
         rng = np.random.default_rng(seed)
         feats = rng.normal(scale=10.0, size=(n_samples, n_features))
-        s = SampleSet(feats, m=1)
+        s = SampleSet(feats, np.ones(n_samples, dtype=int))
         scaled = apply_scaler(fit_scaler([s]), s)
         assert scaled.features.min() >= -1.0 and scaled.features.max() <= 1.0
 
@@ -563,8 +566,8 @@ def make_synthetic_drift(classes: int, per_class: int, shift: float, seed: int,
         noise = rng.normal(0.0, 0.5, size=(labels.size, n_features))
         return centers[labels - 1] + noise + offset
 
-    source = SampleSet(draw(0.0), labels, batch_id=1, m=classes)
-    target = SampleSet(draw(shift * direction), labels, batch_id=2, m=classes)
+    source = SampleSet(draw(0.0), labels, batch_id=1)
+    target = SampleSet(draw(shift * direction), labels, batch_id=2)
     return source, target
 
 

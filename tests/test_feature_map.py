@@ -73,7 +73,7 @@ def test_row_permutation_equivariance():
 
 
 def test_accepts_sample_set():
-    s = SampleSet(np.zeros((3, 4)), m=1)
+    s = SampleSet(np.zeros((3, 4)), [1, 2, 3])
     f = new_feature_map(5, 4, seed=0)
     np.testing.assert_array_equal(hidden_output(f, s), hidden_output(f, s.features))
 

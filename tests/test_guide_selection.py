@@ -197,7 +197,7 @@ def test_deterministic(seed):
 class TestSplitTarget:
     def test_partition(self):
         rng = np.random.default_rng(4)
-        batch = SampleSet(rng.normal(size=(20, 3)), rng.integers(1, 4, 20), m=3)
+        batch = SampleSet(rng.normal(size=(20, 3)), rng.integers(1, 4, 20))
         sel = ssa_select(batch, 5)
         labeled, unlabeled = split_target(batch, sel)
         assert labeled.n_samples == 5
@@ -207,11 +207,11 @@ class TestSplitTarget:
                 == sorted(map(tuple, batch.features)))
 
     def test_labels_retained_on_both_sides(self):
-        batch = SampleSet(np.arange(12.0).reshape(6, 2), [1, 2, 3, 1, 2, 3], m=3)
+        batch = SampleSet(np.arange(12.0).reshape(6, 2), [1, 2, 3, 1, 2, 3])
         sel = ssa_select(batch, 2)
         labeled, unlabeled = split_target(batch, sel)
         np.testing.assert_array_equal(labeled.labels, batch.labels[sel])
-        assert unlabeled.labels is not None
+        np.testing.assert_array_equal(unlabeled.labels, np.delete(batch.labels, sel))
         assert labeled.n_samples + unlabeled.n_samples == 6
 
     def test_batch5_arithmetic(self):
@@ -223,7 +223,7 @@ class TestSplitTarget:
         assert unlabeled.n_samples == 192
 
     def test_repeated_indices_rejected(self):
-        batch = SampleSet(np.arange(12.0).reshape(6, 2), [1, 2, 3, 1, 2, 3], m=3)
+        batch = SampleSet(np.arange(12.0).reshape(6, 2), [1, 2, 3, 1, 2, 3])
         with pytest.raises(DataError, match="distinct"):
             split_target(batch, np.array([1, 1]))
         with pytest.raises(DataError, match="out of range"):

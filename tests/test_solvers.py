@@ -365,8 +365,8 @@ class TestSingleClass:
         m, hidden = 6, 25
         rng = np.random.default_rng(seed)
         fmap = new_feature_map(hidden, 4, "sigmoid", seed=seed % 1000)
-        source = SampleSet(rng.uniform(-1, 1, (n, 4)), np.full(n, label), m=m)
-        target = SampleSet(rng.uniform(-1, 1, (n + k, 4)), np.full(n + k, label), m=m)
+        source = SampleSet(rng.uniform(-1, 1, (n, 4)), np.full(n, label))
+        target = SampleSet(rng.uniform(-1, 1, (n + k, 4)), np.full(n + k, label))
         guides, rest = split_target(target, ssa_select(target, k))
         assert guides.n_samples == k and rest.n_samples == n
         assert set(guides.labels) == set(rest.labels) == {label}
@@ -411,7 +411,7 @@ class TestPredictAndAccuracy:
                            rng.normal(size=(30, 4)) - 6.0])
         labels = np.array([1] * 30 + [2] * 30)
         scaled = SampleSet(2 * (feats - feats.min(0)) / np.ptp(feats, 0) - 1,
-                           labels, m=2)
+                           labels)
         fmap = new_feature_map(60, 4, "radbas", seed=5)
         h = hidden_output(fmap, scaled)
         targets = -np.ones((60, 2))
