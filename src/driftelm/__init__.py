@@ -14,16 +14,15 @@ from .dataset import (DataError, SampleSet, ScalerParams, ValidationReport,
                       load_corpus, validate_corpus)
 from .feature_map import RandomFeatureMap, hidden_output, new_feature_map
 from .guide_selection import split_target, ssa_select
-from .solvers import (Classifier, Penalties, SolverError, accuracy,
-                      classifier_from_dict, classifier_to_dict,
-                      labels_from_scores, predict, solve_ridge, train_daelm_s,
-                      train_daelm_t, train_elm)
+from .solvers import (Classifier, SolverError, accuracy, classifier_from_dict,
+                      classifier_to_dict, labels_from_scores, predict,
+                      solve_ridge, train_daelm_s, train_daelm_t, train_elm)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Classifier", "DataError", "ExperimentConfig",
-    "ExperimentReport", "Penalties", "RandomFeatureMap",
+    "ExperimentReport", "RandomFeatureMap",
     "SampleSet", "ScalerParams", "SolverError", "TaskResult",
     "ValidationReport", "accuracy", "apply_scaler", "classifier_from_dict",
     "classifier_to_dict", "emit_report", "emit_sweep_csv", "encode_targets",

@@ -33,19 +33,19 @@ from .feature_map import (ACTIVATIONS, RandomFeatureMap, hidden_output,
 from .guide_selection import split_target, ssa_select
 # predict is not called here; it stays bound because tracers of the
 # benchmark wrap this module's names (see perfbench/tracing.py)
-from .solvers import (Classifier, Penalties, accuracy, labels_from_scores,
-                      predict, train_daelm_s, train_daelm_t, train_elm)
+from .solvers import (Classifier, accuracy, labels_from_scores, predict,
+                      train_daelm_s, train_daelm_t, train_elm)
 
-METHODS = ("elm", "daelm-s", "daelm-t")
+# Benchmark defaults: each method's penalties, and only the ones it reads.
+# The baseline ELM penalty is a convention of this artifact (the protocol
+# fixes only the DAELM penalties); override via config when comparing
+# against other regularization choices.
+DEFAULT_PENALTIES = {"elm": {"c_s": 1.0},
+                     "daelm-s": {"c_s": 0.01, "c_t": 10.0},
+                     "daelm-t": {"c_s": 0.001, "c_t": 0.001, "c_tu": 100.0}}
+METHODS = tuple(DEFAULT_PENALTIES)
 SETTINGS = ("fixed-source", "rolling-source")
 SCALER_SCOPES = ("global", "pair")
-
-# Benchmark defaults. The baseline ELM penalty is a convention of this
-# artifact (the protocol fixes only the DAELM penalties); override via
-# config when comparing against other regularization choices.
-DEFAULT_PENALTIES = {"elm": Penalties(c_s=1.0, c_t=1.0),
-                     "daelm-s": Penalties(c_s=0.01, c_t=10.0),
-                     "daelm-t": Penalties(c_s=0.001, c_t=0.001, c_tu=100.0)}
 
 # Offset separating the target-side feature map seed from the base map seed
 # in daelm-t runs; prime, so it never collides with another run's base seed.
@@ -65,7 +65,8 @@ class ExperimentConfig:
     setting: str = "fixed-source"
     k_guides: int = 30
     hidden_size: int = 1000
-    # penalties; None keeps the method's default (see resolved_penalties)
+    # penalties; None keeps the method's default, and a method that does not
+    # read one refuses it (see DEFAULT_PENALTIES)
     c_s: float | None = None
     c_t: float | None = None
     c_tu: float | None = None
@@ -89,13 +90,24 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {low}")
         if self.k_guides < 2 and not (self.method == "elm" and self.k_guides == 0):
             raise ValueError("k_guides must be >= 2 (0 allowed for plain elm)")
-        self.resolved_penalties()  # a negative or non-finite penalty fails here
+        reads = DEFAULT_PENALTIES[self.method]
+        for name in ("c_s", "c_t", "c_tu"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not 0 <= float(value) < np.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be finite and non-negative")
+            if name not in reads:
+                raise ValueError(f"{name} is not a penalty of {self.method}, which reads "
+                                 f"only {', '.join(reads)}")
+        if self.method != "daelm-s" and self.c_s == 0:  # every default is positive
+            raise ValueError(f"c_s must be positive for {self.method}, "
+                             "which trains a plain ELM with it")
 
-    def resolved_penalties(self) -> Penalties:
-        """The method's default penalties, with every field that is set laid over them."""
-        overrides = {name: getattr(self, name) for name in ("c_s", "c_t", "c_tu")
-                     if getattr(self, name) is not None}
-        return replace(DEFAULT_PENALTIES[self.method], **overrides)
+    def resolved_penalties(self) -> dict[str, float]:
+        """The method's default penalties, with every one that is set laid over them."""
+        return {name: default if getattr(self, name) is None else float(getattr(self, name))
+                for name, default in DEFAULT_PENALTIES[self.method].items()}
 
 
 @dataclass(frozen=True)
@@ -247,24 +259,26 @@ def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
     source, guides, m = task.source, task.guides, N_CLASSES
     base, layer = maps[0], maps[-1]  # the same map unless daelm-t
     if cfg.method == "daelm-t":
-        beta_base = base.source_elm(source, pens.c_s)
+        beta_base = base.source_elm(source, pens["c_s"])
         # the base classifier scores the unlabeled samples with its own map;
         # those soft scores are what the coupled model is pulled toward
         pseudo = hidden_output(base.fmap, task.rest) @ beta_base
         beta = train_daelm_t(hidden_output(layer.fmap, guides),
                              encode_targets(guides.labels, m),
-                             layer.output(task.rest, "rest"), pseudo, pens)
+                             layer.output(task.rest, "rest"), pseudo,
+                             pens["c_t"], pens["c_tu"])
     elif cfg.method == "daelm-s":
         beta = train_daelm_s(
             base.output(source, "source"), encode_targets(source.labels, m),
-            hidden_output(layer.fmap, guides), encode_targets(guides.labels, m), pens)
+            hidden_output(layer.fmap, guides), encode_targets(guides.labels, m),
+            pens["c_s"], pens["c_t"])
     elif guides is not None:  # elm on source rows plus the labeled guides
         feats = np.vstack([source.features, guides.features])
         labels = np.concatenate([source.labels, guides.labels])
         beta = train_elm(hidden_output(layer.fmap, feats), encode_targets(labels, m),
-                         pens.c_s)
+                         pens["c_s"])
     else:
-        beta = base.source_elm(source, pens.c_s)
+        beta = base.source_elm(source, pens["c_s"])
     return Classifier(layer.fmap, beta)
 
 

@@ -112,7 +112,8 @@ def _read_config_file(path) -> dict:
 
 
 # config-file key -> parser: the fields of ExperimentConfig. Each is the dest
-# of a bench and sweep flag, and train has every one but setting, runs and jobs
+# of a bench flag; sweep has every one but k_guides (its guide counts are
+# --ks), and train every one but setting, runs and jobs
 _CONFIG_KEYS = {
     "method": str, "setting": str, "k_guides": int, "hidden_size": int,
     "c_s": float, "c_t": float, "c_tu": float, "runs": int, "base_seed": int,
@@ -142,19 +143,21 @@ def _resolve_bench_config(args) -> ExperimentConfig:
     return ExperimentConfig(**fields)
 
 
-def _add_experiment_flags(p) -> None:
+def _add_experiment_flags(p, guides: bool = True) -> None:
     _add_data_flags(p)
     default = ExperimentConfig()
 
     def penalty(key):
-        return ", ".join(f"{getattr(pens, key):g} {method}"
-                         for method, pens in DEFAULT_PENALTIES.items())
+        return ", ".join(f"{pens[key]:g} {method}"
+                         for method, pens in DEFAULT_PENALTIES.items() if key in pens)
 
     p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--method", choices=list(benchmark.METHODS),
                    help=f"classifier to train (default {default.method})")
-    p.add_argument("--guides", type=int, dest="k_guides",
-                   help=f"labeled guide samples per target batch (default {default.k_guides})")
+    if guides:
+        p.add_argument("--guides", type=int, dest="k_guides",
+                       help="labeled guide samples per target batch "
+                            f"(default {default.k_guides})")
     p.add_argument("--seed", type=int, dest="base_seed",
                    help=f"base seed; run r uses seed+r (default {default.base_seed})")
     p.add_argument("--hidden", type=int, dest="hidden_size",
@@ -166,14 +169,14 @@ def _add_experiment_flags(p) -> None:
     p.add_argument("--ct", type=float, dest="c_t",
                    help=f"guide penalty (default: {penalty('c_t')})")
     p.add_argument("--ctu", type=float, dest="c_tu",
-                   help=f"unlabeled penalty, daelm-t only (default: {penalty('c_tu')})")
+                   help=f"unlabeled penalty (default: {penalty('c_tu')})")
     p.add_argument("--scaler-scope", choices=list(benchmark.SCALER_SCOPES),
                    help="min-max fit: whole corpus or per task pair "
                         f"(default {default.scaler_scope})")
 
 
-def _add_bench_flags(p) -> None:
-    _add_experiment_flags(p)
+def _add_bench_flags(p, guides: bool = True) -> None:
+    _add_experiment_flags(p, guides)
     default = ExperimentConfig()
     p.add_argument("--out", help="output file (written atomically; default stdout)")
     p.add_argument("--setting", choices=list(SETTING_NAMES),
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("sweep", help="repeat a protocol across guide counts, emit CSV")
-    _add_bench_flags(p)
+    _add_bench_flags(p, guides=False)
     p.add_argument("--ks", type=_guide_counts, default="5,10,15,20,25,30,35,40,45,50",
                    help="comma-separated guide counts (default: %(default)s)")
     p.set_defaults(func=_cmd_sweep)

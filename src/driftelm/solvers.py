@@ -41,22 +41,6 @@ class SolverError(RuntimeError):
     """A linear system that should be SPD failed to factor."""
 
 
-@dataclass(frozen=True)
-class Penalties:
-    """Error penalties: c_s (source), c_t (labeled target), c_tu (unlabeled)."""
-
-    c_s: float = 1.0
-    c_t: float = 1.0
-    c_tu: float = 0.0
-
-    def __post_init__(self):
-        for name in ("c_s", "c_t", "c_tu"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and non-negative")
-            object.__setattr__(self, name, v)
-
-
 def _check_matrix(name: str, a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
@@ -137,19 +121,18 @@ def train_elm(h: np.ndarray, targets: np.ndarray, c: float) -> np.ndarray:
 
 def train_daelm_s(h_source: np.ndarray, t_source: np.ndarray,
                   h_target: np.ndarray, t_target: np.ndarray,
-                  penalties: Penalties) -> np.ndarray:
+                  c_s: float, c_t: float) -> np.ndarray:
     """Source-domain training with a guide-sample agreement penalty.
 
     Blocks: the labeled source rows weighted by c_s and the labeled target
     guides weighted by c_t.
     """
-    return solve_ridge([(h_source, t_source, penalties.c_s),
-                        (h_target, t_target, penalties.c_t)])
+    return solve_ridge([(h_source, t_source, c_s), (h_target, t_target, c_t)])
 
 
 def train_daelm_t(h_target: np.ndarray, t_target: np.ndarray,
                   h_unlabeled: np.ndarray, pseudo_targets: np.ndarray,
-                  penalties: Penalties) -> np.ndarray:
+                  c_t: float, c_tu: float) -> np.ndarray:
     """Target-domain training pulled toward a base classifier's soft outputs.
 
     Blocks: the labeled target guides weighted by c_t and the unlabeled
@@ -157,8 +140,7 @@ def train_daelm_t(h_target: np.ndarray, t_target: np.ndarray,
     base classifier's raw continuous scores on those rows, computed through
     its own feature map and never argmax-hardened.
     """
-    return solve_ridge([(h_target, t_target, penalties.c_t),
-                        (h_unlabeled, pseudo_targets, penalties.c_tu)])
+    return solve_ridge([(h_target, t_target, c_t), (h_unlabeled, pseudo_targets, c_tu)])
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 import pytest
 
-from driftelm import (ExperimentConfig, Penalties, load_corpus, run_experiment,
+from driftelm import (ExperimentConfig, load_corpus, run_experiment,
                       ssa_select, sweep_guides, train_daelm_s, train_daelm_t,
                       train_elm, validate_corpus)
 from driftelm.cli import EXIT_OK, main
@@ -69,10 +69,10 @@ def test_solver_branch_equivalence():
         n_t = int(rng.integers(2, 10))
         ht = rng.normal(size=(n_t, hidden))
         tt = rng.normal(size=(n_t, m))
-        p = Penalties(c_s=10.0 ** rng.uniform(-2, 2), c_t=10.0 ** rng.uniform(-2, 2))
-        beta = train_daelm_s(hs, ts, ht, tt, p)
+        c_s, c_t = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2)
+        beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)
         assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(hs, ts, p.c_s), (ht, tt, p.c_t)]))
+                   for ref in both_forms([(hs, ts, c_s), (ht, tt, c_t)]))
 
     for rng, hidden, m, n_t in solver_instances(103):
         ht = rng.normal(size=(n_t, hidden))
@@ -80,10 +80,10 @@ def test_solver_branch_equivalence():
         n_u = int(rng.integers(2, 40))
         hu = rng.normal(size=(n_u, hidden))
         pseudo = hu @ rng.normal(size=(hidden, m))
-        p = Penalties(c_t=10.0 ** rng.uniform(-2, 2), c_tu=10.0 ** rng.uniform(-2, 2))
-        beta = train_daelm_t(ht, tt, hu, pseudo, p)
+        c_t, c_tu = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2)
+        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
         assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(ht, tt, p.c_t), (hu, pseudo, p.c_tu)]))
+                   for ref in both_forms([(ht, tt, c_t), (hu, pseudo, c_tu)]))
 
 
 @criterion("stationarity of every trained beta (residual <= 1e-8*(1+|beta|))")
@@ -103,18 +103,18 @@ def test_stationarity():
         ts = rng.normal(size=(n_source, m))
         ht = rng.normal(size=(int(rng.integers(2, 10)), hidden))
         tt = rng.normal(size=(ht.shape[0], m))
-        p = Penalties(c_s=10.0 ** rng.uniform(-2, 2), c_t=10.0 ** rng.uniform(-2, 2))
-        beta = train_daelm_s(hs, ts, ht, tt, p)
-        assert ok(daelm_s_grad(beta, hs, ts, ht, tt, p), beta)
+        c_s, c_t = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2)
+        beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)
+        assert ok(daelm_s_grad(beta, hs, ts, ht, tt, c_s, c_t), beta)
 
     for rng, hidden, m, n_t in solver_instances(203):
         ht = rng.normal(size=(n_t, hidden))
         tt = rng.normal(size=(n_t, m))
         hu = rng.normal(size=(int(rng.integers(2, 40)), hidden))
         pseudo = hu @ rng.normal(size=(hidden, m))
-        p = Penalties(c_t=10.0 ** rng.uniform(-2, 2), c_tu=10.0 ** rng.uniform(-2, 2))
-        beta = train_daelm_t(ht, tt, hu, pseudo, p)
-        assert ok(daelm_t_grad(beta, ht, tt, hu, pseudo, p), beta)
+        c_t, c_tu = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2)
+        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
+        assert ok(daelm_t_grad(beta, ht, tt, hu, pseudo, c_t, c_tu), beta)
 
 
 @criterion("reduction: zero coupling penalties collapse to plain elm (1e-8)")
@@ -129,12 +129,12 @@ def test_reductions():
         ht = rng.normal(size=(4, hidden))
         tt = rng.normal(size=(4, m))
         c = 10.0 ** rng.uniform(-2, 2)
-        assert rel_diff(train_daelm_s(hs, ts, ht, tt, Penalties(c_s=c, c_t=0.0)),
+        assert rel_diff(train_daelm_s(hs, ts, ht, tt, c, 0.0),
                         train_elm(hs, ts, c)) < 1e-8
         hu = rng.normal(size=(10, hidden))
         pseudo = hu @ rng.normal(size=(hidden, m))
         assert rel_diff(
-            train_daelm_t(ht, tt, hu, pseudo, Penalties(c_t=c, c_tu=0.0)),
+            train_daelm_t(ht, tt, hu, pseudo, c, 0.0),
             train_elm(ht, tt, c)) < 1e-8
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftelm.benchmark
-from driftelm import (DataError, ExperimentConfig, Penalties, SampleSet,
+from driftelm import (DataError, ExperimentConfig, SampleSet,
                       accuracy, emit_report, emit_sweep_csv, hidden_output,
                       new_feature_map, predict, run_experiment, split_target,
                       ssa_select, sweep_guides, train_elm)
@@ -23,9 +23,28 @@ class TestConfig:
         assert cfg.hidden_size == 1000
         assert cfg.runs == 10
         assert cfg.activation == "radbas"
-        assert DEFAULT_PENALTIES["daelm-s"] == Penalties(c_s=0.01, c_t=10.0)
-        assert DEFAULT_PENALTIES["daelm-t"] == Penalties(c_s=0.001, c_t=0.001, c_tu=100.0)
+        assert DEFAULT_PENALTIES == {"elm": {"c_s": 1.0},
+                                     "daelm-s": {"c_s": 0.01, "c_t": 10.0},
+                                     "daelm-t": {"c_s": 0.001, "c_t": 0.001, "c_tu": 100.0}}
         assert cfg.resolved_penalties() == DEFAULT_PENALTIES["daelm-s"]
+
+    @pytest.mark.parametrize("method, name", [("elm", "c_t"), ("elm", "c_tu"),
+                                              ("daelm-s", "c_tu")])
+    def test_a_penalty_the_method_does_not_read_is_refused(self, method, name):
+        with pytest.raises(ValueError, match=f"^{name} is not a penalty of {method},"):
+            ExperimentConfig(method=method, **{name: 5.0})
+        with pytest.raises(ValueError, match=f"^{name} is not a penalty of {method},"):
+            ExperimentConfig(method=method, **{name: 0.0})
+
+    def test_c_s_must_be_positive_where_a_plain_elm_trains_with_it(self):
+        for method in ("elm", "daelm-t"):
+            with pytest.raises(ValueError, match=f"^c_s must be positive for {method},"):
+                ExperimentConfig(method=method, c_s=0.0)
+        # a zero weight drops its block from a coupled objective
+        for method, name in (("daelm-s", "c_s"), ("daelm-s", "c_t"),
+                             ("daelm-t", "c_t"), ("daelm-t", "c_tu")):
+            cfg = ExperimentConfig(method=method, **{name: 0})
+            assert cfg.resolved_penalties()[name] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

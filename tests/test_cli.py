@@ -8,9 +8,9 @@ from scipy.linalg import LinAlgError
 
 import driftelm.dataset
 import driftelm.solvers
-from driftelm import (Penalties, apply_scaler, encode_targets, fit_scaler,
-                      hidden_output, load_corpus, new_feature_map, split_target,
-                      ssa_select, train_daelm_s, train_daelm_t, train_elm)
+from driftelm import (apply_scaler, encode_targets, fit_scaler, hidden_output,
+                      load_corpus, new_feature_map, split_target, ssa_select,
+                      train_daelm_s, train_daelm_t, train_elm)
 from driftelm.benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from driftelm.cli import (_CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE,
                           _resolve_bench_config, build_parser, main)
@@ -21,6 +21,7 @@ from conftest import MALFORMED_MODELS, make_drift_corpus, save_batch
 
 FAST_TRAIN = ["--hidden", "30", "--guides", "4", "--seed", "5", "--features", "4"]
 FAST_BENCH = FAST_TRAIN + ["--runs", "2"]
+FAST_SWEEP = ["--hidden", "30", "--seed", "5", "--features", "4", "--runs", "2"]
 
 
 @pytest.fixture(scope="module")
@@ -202,8 +203,35 @@ def test_partial_penalty_override_keeps_the_other_defaults(tmp_path):
     by_file = _resolve_bench_config(parser.parse_args(
         ["bench", "--method", "daelm-t", "--config", str(config)]))
     by_library = ExperimentConfig(method="daelm-t", c_s=0.5)
-    assert by_library.resolved_penalties() == Penalties(0.5, 0.001, 100.0)
+    assert by_library.resolved_penalties() == {"c_s": 0.5, "c_t": 0.001, "c_tu": 100.0}
     assert by_flag == by_file == by_library
+
+
+@pytest.mark.parametrize("method, key, value, message", [
+    ("elm", "c_t", "5", "c_t is not a penalty of elm, which reads only c_s"),
+    ("elm", "c_tu", "5", "c_tu is not a penalty of elm, which reads only c_s"),
+    ("daelm-s", "c_tu", "5", "c_tu is not a penalty of daelm-s, which reads only c_s, c_t"),
+    ("elm", "c_s", "0", "c_s must be positive for elm, which trains a plain ELM with it"),
+    ("daelm-t", "c_s", "0", "c_s must be positive for daelm-t, which trains a plain ELM with it"),
+])
+def test_a_penalty_the_method_cannot_use_is_refused_before_the_load(tmp_path, capsys, method,
+                                                                    key, value, message):
+    # the data directory does not exist, so a check after the load would exit 2
+    bench = ["bench", "--data-dir", str(tmp_path / "absent"), "--method", method]
+    assert main(bench + ["--" + key.replace("_", ""), value]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    config = tmp_path / "penalty.cfg"
+    config.write_text(f"{key} = {value}\n")
+    assert main(bench + ["--config", str(config)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_penalty_help_lists_the_methods_that_read_it(capsys):
+    assert main(["bench", "--help"]) == EXIT_OK
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--cs C_S source penalty (default: 1 elm, 0.01 daelm-s, 0.001 daelm-t)" in help_text
+    assert "--ct C_T guide penalty (default: 10 daelm-s, 0.001 daelm-t)" in help_text
+    assert "--ctu C_TU unlabeled penalty (default: 100 daelm-t)" in help_text
 
 
 @pytest.mark.parametrize("flag", ["--cs", "--ct", "--ctu"])
@@ -269,10 +297,12 @@ def test_config_keys_are_the_experiment_fields_and_the_bench_dests():
     assert set(_CONFIG_KEYS) == fields
     # every key is a flag's dest whose unset value is None, so a flag that is
     # not given never overrides the config file or ExperimentConfig's default;
-    # train repeats nothing, so it has no setting, runs or jobs
+    # sweep's guide counts are --ks, so it has no k_guides, and train repeats
+    # nothing, so it has no setting, runs or jobs
     parser = build_parser()
+    sweep_keys = set(_CONFIG_KEYS) - {"k_guides"}
     train_keys = set(_CONFIG_KEYS) - {"setting", "runs", "jobs"}
-    for command, keys in ((["bench"], _CONFIG_KEYS), (["sweep"], _CONFIG_KEYS),
+    for command, keys in ((["bench"], _CONFIG_KEYS), (["sweep"], sweep_keys),
                           (["train", "--target-batch", "2", "--out", "m.json"],
                            train_keys)):
         args = vars(parser.parse_args(command))
@@ -293,6 +323,17 @@ def test_train_rejects_the_protocol_flags_and_keys(drift_corpus_dir, tmp_path, c
     assert main(train + ["--config", str(config)]) == EXIT_DATA
     assert f"unknown config keys: ['{flag[2:]}']" in capsys.readouterr().err
     assert not model.exists()
+
+
+def test_sweep_takes_its_guide_counts_from_ks_only(drift_corpus_dir, tmp_path, capsys):
+    sweep = ["sweep", "--data-dir", str(drift_corpus_dir), "--method", "daelm-s",
+             "--ks", "5"] + FAST_SWEEP
+    assert main(sweep + ["--guides", "7"]) == EXIT_USAGE
+    assert "unrecognized arguments: --guides 7" in capsys.readouterr().err
+    config = tmp_path / "sweep.cfg"
+    config.write_text("k_guides = 7\n")
+    assert main(sweep + ["--config", str(config)]) == EXIT_DATA
+    assert f"{config}: unknown config keys: ['k_guides']" in capsys.readouterr().err
 
 
 def test_bench_bad_config_key(drift_corpus_dir, tmp_path):
@@ -339,34 +380,36 @@ def test_train_daelm_t_model_uses_second_map_seed(drift_corpus_dir, tmp_path):
     assert doc["feature_map"]["seed"] == 5 + 1_000_003
 
 
-def _reference_model_json(corpus_dir, method, k, target_batch, hidden=30, seed=5):
+def _reference_model_json(corpus_dir, method, k, target_batch, penalties, hidden=30,
+                          seed=5):
     """The model `train` writes, built step by step from the public pieces.
 
-    The document is written out here key by key, not by the package's writer.
+    ``penalties`` are laid over the method's defaults. The document is written
+    out here key by key, not by the package's writer.
     """
     corpus = load_corpus(corpus_dir, expected_n=4)
     scaler = fit_scaler(corpus)
     source, target = (apply_scaler(scaler, corpus[b - 1]) for b in (1, target_batch))
     guides, rest = split_target(target, ssa_select(target, k)) if k else (None, target)
-    pens, m = DEFAULT_PENALTIES[method], N_CLASSES
+    pens, m = {**DEFAULT_PENALTIES[method], **penalties}, N_CLASSES
     fmap = new_feature_map(hidden, 4, "radbas", seed)
     if method == "daelm-t":
         base, fmap = fmap, new_feature_map(hidden, 4, "radbas", seed + 1_000_003)
         beta_base = train_elm(hidden_output(base, source),
-                              encode_targets(source.labels, m), pens.c_s)
+                              encode_targets(source.labels, m), pens["c_s"])
         beta = train_daelm_t(hidden_output(fmap, guides), encode_targets(guides.labels, m),
                              hidden_output(fmap, rest), hidden_output(base, rest) @ beta_base,
-                             pens)
+                             pens["c_t"], pens["c_tu"])
     elif method == "daelm-s":
         beta = train_daelm_s(hidden_output(fmap, source), encode_targets(source.labels, m),
                              hidden_output(fmap, guides), encode_targets(guides.labels, m),
-                             pens)
+                             pens["c_s"], pens["c_t"])
     else:
         feats, labels = source.features, source.labels
         if guides is not None:
             feats = np.vstack([feats, guides.features])
             labels = np.concatenate([labels, guides.labels])
-        beta = train_elm(hidden_output(fmap, feats), encode_targets(labels, m), pens.c_s)
+        beta = train_elm(hidden_output(fmap, feats), encode_targets(labels, m), pens["c_s"])
     digest = hashlib.sha256(fmap.weights.astype("<f8").tobytes()
                             + fmap.biases.astype("<f8").tobytes()).hexdigest()
     doc = {"format": "driftelm-classifier-v1",
@@ -379,14 +422,22 @@ def _reference_model_json(corpus_dir, method, k, target_batch, hidden=30, seed=5
     return json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
-                                       ("daelm-t", 4)])
-def test_train_model_json_is_pinned(drift_corpus_dir, tmp_path, method, k):
+@pytest.mark.parametrize("method, k, penalties", [
+    *(pytest.param(method, k, {}, id=f"{method}-{k}")
+      for method, k in (("elm", 0), ("elm", 4), ("daelm-s", 4), ("daelm-t", 4))),
+    pytest.param("elm", 4, {"c_s": 2.0}, id="elm-4-cs2"),
+    pytest.param("daelm-s", 4, {"c_s": 0.5, "c_t": 3.0}, id="daelm-s-4-cs0.5-ct3"),
+    pytest.param("daelm-t", 4, {"c_tu": 7.0}, id="daelm-t-4-ctu7"),
+])
+def test_train_model_json_is_pinned(drift_corpus_dir, tmp_path, method, k, penalties):
     model = tmp_path / "model.json"
+    flags = [arg for key, value in penalties.items()
+             for arg in ("--" + key.replace("_", ""), repr(value))]
     assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", method,
                  "--target-batch", "6", "--out", str(model)]
-                + FAST_TRAIN + ["--guides", str(k)]) == EXIT_OK
-    assert model.read_text() == _reference_model_json(drift_corpus_dir, method, k, 6)
+                + FAST_TRAIN + ["--guides", str(k)] + flags) == EXIT_OK
+    assert model.read_text() == _reference_model_json(drift_corpus_dir, method, k, 6,
+                                                      penalties)
 
 
 def test_train_rejects_guides_at_the_target_size(drift_corpus_dir, tmp_path, capsys):
@@ -407,7 +458,7 @@ def test_train_requires_out(drift_corpus_dir, capsys):
 def test_sweep_csv(drift_corpus_dir, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--data-dir", str(drift_corpus_dir), "--method", "daelm-s",
-                 "--ks", "3,5", "--out", str(out)] + FAST_BENCH)
+                 "--ks", "3,5", "--out", str(out)] + FAST_SWEEP)
     assert code == EXIT_OK
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,source,target,run,accuracy"

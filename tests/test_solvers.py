@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
 import driftelm.solvers
-from driftelm import (Classifier, DataError, Penalties, SampleSet, ScalerParams,
+from driftelm import (Classifier, DataError, SampleSet, ScalerParams,
                       SolverError, accuracy, classifier_from_dict,
                       classifier_to_dict, encode_targets, hidden_output,
                       labels_from_scores, new_feature_map, predict, solve_ridge,
@@ -31,14 +31,14 @@ def elm_grad(beta, h, t, c):
     return beta - c * h.T @ (t - h @ beta)
 
 
-def daelm_s_grad(beta, hs, ts, ht, tt, p):
-    return (beta - p.c_s * hs.T @ (ts - hs @ beta)
-            - p.c_t * ht.T @ (tt - ht @ beta))
+def daelm_s_grad(beta, hs, ts, ht, tt, c_s, c_t):
+    return (beta - c_s * hs.T @ (ts - hs @ beta)
+            - c_t * ht.T @ (tt - ht @ beta))
 
 
-def daelm_t_grad(beta, ht, tt, hu, pseudo, p):
-    return (beta - p.c_t * ht.T @ (tt - ht @ beta)
-            - p.c_tu * hu.T @ (pseudo - hu @ beta))
+def daelm_t_grad(beta, ht, tt, hu, pseudo, c_t, c_tu):
+    return (beta - c_t * ht.T @ (tt - ht @ beta)
+            - c_tu * hu.T @ (pseudo - hu @ beta))
 
 
 def stationary(grad, beta):
@@ -110,7 +110,7 @@ class TestSolveRidge:
         rng = np.random.default_rng(23)
         ht, tt = random_instance(rng, 5, 30, 3)
         hu, pseudo = random_instance(rng, 40, 30, 3)
-        train_daelm_t(ht, tt, hu, pseudo, Penalties(c_t=0.001, c_tu=100.0))
+        train_daelm_t(ht, tt, hu, pseudo, 0.001, 100.0)
         assert factored_dims == [30]
 
     def test_rejects_bad_blocks(self):
@@ -139,18 +139,18 @@ class TestSolveRidge:
         rng = np.random.default_rng(24)
         h1, t1 = random_instance(rng, 6, 10, 2)
         h2, t2 = random_instance(rng, 3, 10, 2)
-        p = Penalties(c_s=1.0, c_t=2.0, c_tu=3.0)
+        c_s, c_t, c_tu = 1.0, 2.0, 3.0
         # the blocks of elm, daelm-s and daelm-t, forced into one form
-        for blocks in ([(h1, t1, 1.0)], [(h1, t1, p.c_s), (h2, t2, p.c_t)],
-                       [(h2, t2, p.c_t), (h1, t1, p.c_tu)]):
+        for blocks in ([(h1, t1, 1.0)], [(h1, t1, c_s), (h2, t2, c_t)],
+                       [(h2, t2, c_t), (h1, t1, c_tu)]):
             with pytest.raises(SolverError):
                 solve_ridge(blocks, branch)
         with pytest.raises(SolverError):
             train_elm(h1, t1, 1.0)
         with pytest.raises(SolverError):
-            train_daelm_s(h1, t1, h2, t2, p)
+            train_daelm_s(h1, t1, h2, t2, c_s, c_t)
         with pytest.raises(SolverError):
-            train_daelm_t(h2, t2, h1, t1, p)
+            train_daelm_t(h2, t2, h1, t1, c_t, c_tu)
 
 
 class TestTrainElm:
@@ -202,26 +202,26 @@ class TestTrainDaelmS:
         for n_s in (12, 40):  # both solver branches of train_elm
             hs, ts = random_instance(rng, n_s, 25, 6)
             ht, tt = random_instance(rng, 5, 25, 6)
-            collapsed = train_daelm_s(hs, ts, ht, tt, Penalties(c_s=2.0, c_t=0.0))
+            collapsed = train_daelm_s(hs, ts, ht, tt, 2.0, 0.0)
             assert rel_diff(collapsed, train_elm(hs, ts, 2.0)) < 1e-8
 
     def test_branch_equivalence(self):
         rng = np.random.default_rng(4)
         hs, ts = random_instance(rng, 30, 50, 6)
         ht, tt = random_instance(rng, 5, 50, 6)
-        p = Penalties(c_s=0.3, c_t=7.0)
-        beta = train_daelm_s(hs, ts, ht, tt, p)
+        c_s, c_t = 0.3, 7.0
+        beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)
         assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(hs, ts, p.c_s), (ht, tt, p.c_t)]))
+                   for ref in both_forms([(hs, ts, c_s), (ht, tt, c_t)]))
 
     def test_stationarity(self):
         rng = np.random.default_rng(5)
         for n_s in (10, 45):
             hs, ts = random_instance(rng, n_s, 30, 3)
             ht, tt = random_instance(rng, 6, 30, 3)
-            p = Penalties(c_s=1.5, c_t=4.0)
-            beta = train_daelm_s(hs, ts, ht, tt, p)
-            g = daelm_s_grad(beta, hs, ts, ht, tt, p)
+            c_s, c_t = 1.5, 4.0
+            beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)
+            g = daelm_s_grad(beta, hs, ts, ht, tt, c_s, c_t)
             assert np.linalg.norm(g) <= 1e-8 * (1 + np.linalg.norm(beta))
 
     def test_dual_multipliers_match_residuals(self):
@@ -230,10 +230,10 @@ class TestTrainDaelmS:
         rng = np.random.default_rng(6)
         hs, ts = random_instance(rng, 12, 40, 2)
         ht, tt = random_instance(rng, 4, 40, 2)
-        p = Penalties(c_s=0.8, c_t=3.0)
-        beta = train_daelm_s(hs, ts, ht, tt, p)  # 16 rows under L = 40: dual
-        alpha_s = p.c_s * (ts - hs @ beta)
-        alpha_t = p.c_t * (tt - ht @ beta)
+        c_s, c_t = 0.8, 3.0
+        beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)  # 16 rows under L = 40: dual
+        alpha_s = c_s * (ts - hs @ beta)
+        alpha_t = c_t * (tt - ht @ beta)
         assert rel_diff(beta, hs.T @ alpha_s + ht.T @ alpha_t) < 1e-6
 
     def test_dual_blocks_are_spd(self, factored_dims):
@@ -242,7 +242,7 @@ class TestTrainDaelmS:
         rng = np.random.default_rng(7)
         hs, ts = random_instance(rng, 10, 30, 2)
         ht, tt = random_instance(rng, 5, 30, 2)
-        train_daelm_s(hs, ts, ht, tt, Penalties(c_s=1.0, c_t=1.0))
+        train_daelm_s(hs, ts, ht, tt, 1.0, 1.0)
         assert factored_dims == [15]
 
     def test_monotone_source_fit(self):
@@ -251,7 +251,7 @@ class TestTrainDaelmS:
         ht, tt = random_instance(rng, 5, 20, 3)
         residuals = []
         for c_s in (0.01, 0.1, 1.0, 10.0, 100.0):
-            beta = train_daelm_s(hs, ts, ht, tt, Penalties(c_s=c_s, c_t=2.0))
+            beta = train_daelm_s(hs, ts, ht, tt, c_s, 2.0)
             residuals.append(np.linalg.norm(ts - hs @ beta))
         assert all(b <= a + 1e-10 for a, b in zip(residuals, residuals[1:]))
 
@@ -259,17 +259,17 @@ class TestTrainDaelmS:
         rng = np.random.default_rng(9)
         hs, ts = random_instance(rng, 5, 10, 2)
         ht, tt = random_instance(rng, 3, 10, 2)
-        p = Penalties(c_s=1.0, c_t=0.0)
-        beta = train_daelm_s(hs, ts, ht, tt, p)
+        c_s, c_t = 1.0, 0.0
+        beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)
         assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(hs, ts, p.c_s), (ht, tt, p.c_t)]))
+                   for ref in both_forms([(hs, ts, c_s), (ht, tt, c_t)]))
 
     def test_dimension_checks(self):
         rng = np.random.default_rng(10)
         hs, ts = random_instance(rng, 5, 10, 2)
         ht, tt = random_instance(rng, 3, 11, 2)
         with pytest.raises(ValueError, match="hidden sizes"):
-            train_daelm_s(hs, ts, ht, tt, Penalties())
+            train_daelm_s(hs, ts, ht, tt, 1.0, 1.0)
 
 
 class TestTrainDaelmT:
@@ -278,8 +278,7 @@ class TestTrainDaelmT:
         for n_t in (8, 30):
             ht, tt = random_instance(rng, n_t, 20, 4)
             hu, pseudo = random_instance(rng, 25, 20, 4)
-            collapsed = train_daelm_t(ht, tt, hu, pseudo,
-                                      Penalties(c_t=0.7, c_tu=0.0))
+            collapsed = train_daelm_t(ht, tt, hu, pseudo, 0.7, 0.0)
             assert rel_diff(collapsed, train_elm(ht, tt, 0.7)) < 1e-8
             # the zero-weight block is dropped, so the solve is elm's own
             assert collapsed.tobytes() == train_elm(ht, tt, 0.7).tobytes()
@@ -288,10 +287,10 @@ class TestTrainDaelmT:
         rng = np.random.default_rng(13)
         ht, tt = random_instance(rng, 10, 60, 6)
         hu, pseudo = random_instance(rng, 40, 60, 6)
-        p = Penalties(c_t=0.4, c_tu=9.0)
-        beta = train_daelm_t(ht, tt, hu, pseudo, p)
+        c_t, c_tu = 0.4, 9.0
+        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
         assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(ht, tt, p.c_t), (hu, pseudo, p.c_tu)]))
+                   for ref in both_forms([(ht, tt, c_t), (hu, pseudo, c_tu)]))
 
     def test_pseudo_override_branch_equivalence(self):
         # pseudo-targets unrelated to any base model, fewer rows than hidden nodes
@@ -299,19 +298,19 @@ class TestTrainDaelmT:
         ht, tt = random_instance(rng, 6, 40, 2)
         hu, _ = random_instance(rng, 20, 40, 2)
         pseudo = rng.normal(size=(20, 2))
-        p = Penalties(c_t=0.5, c_tu=4.0)
-        beta = train_daelm_t(ht, tt, hu, pseudo, p)
+        c_t, c_tu = 0.5, 4.0
+        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
         assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(ht, tt, p.c_t), (hu, pseudo, p.c_tu)]))
+                   for ref in both_forms([(ht, tt, c_t), (hu, pseudo, c_tu)]))
 
     def test_stationarity(self):
         rng = np.random.default_rng(14)
         for n_t in (6, 35):
             ht, tt = random_instance(rng, n_t, 25, 3)
             hu, pseudo = random_instance(rng, 15, 25, 3)
-            p = Penalties(c_t=1.2, c_tu=3.3)
-            beta = train_daelm_t(ht, tt, hu, pseudo, p)
-            g = daelm_t_grad(beta, ht, tt, hu, pseudo, p)
+            c_t, c_tu = 1.2, 3.3
+            beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
+            g = daelm_t_grad(beta, ht, tt, hu, pseudo, c_t, c_tu)
             assert np.linalg.norm(g) <= 1e-8 * (1 + np.linalg.norm(beta))
 
     def test_dual_multipliers_match_residuals(self):
@@ -319,22 +318,22 @@ class TestTrainDaelmT:
         rng = np.random.default_rng(15)
         ht, tt = random_instance(rng, 5, 30, 2)
         hu, pseudo = random_instance(rng, 12, 30, 2)
-        p = Penalties(c_t=0.9, c_tu=2.0)
-        beta = train_daelm_t(ht, tt, hu, pseudo, p)  # 17 rows under L = 30: dual
-        alpha_t = p.c_t * (tt - ht @ beta)
-        alpha_tu = p.c_tu * (pseudo - hu @ beta)
+        c_t, c_tu = 0.9, 2.0
+        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)  # 17 rows under L = 30: dual
+        alpha_t = c_t * (tt - ht @ beta)
+        alpha_tu = c_tu * (pseudo - hu @ beta)
         assert rel_diff(beta, ht.T @ alpha_t + hu.T @ alpha_tu) < 1e-6
 
     def test_pseudo_targets_steer_the_solution(self):
         rng = np.random.default_rng(20)
         ht, tt = random_instance(rng, 5, 20, 3)
         hu, pseudo = random_instance(rng, 15, 20, 3)
-        p = Penalties(c_t=1.0, c_tu=5.0)
-        beta = train_daelm_t(ht, tt, hu, pseudo, p)
-        other = train_daelm_t(ht, tt, hu, rng.normal(size=(15, 3)), p)
+        c_t, c_tu = 1.0, 5.0
+        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
+        other = train_daelm_t(ht, tt, hu, rng.normal(size=(15, 3)), c_t, c_tu)
         assert rel_diff(beta, other) > 1e-3
         with pytest.raises(ValueError, match="row counts"):
-            train_daelm_t(ht, tt, hu, pseudo[:3], p)
+            train_daelm_t(ht, tt, hu, pseudo[:3], c_t, c_tu)
 
     def test_pseudo_targets_are_soft(self):
         # hardening the base outputs to +/-1 must change the result
@@ -342,15 +341,15 @@ class TestTrainDaelmT:
         ht, tt = random_instance(rng, 5, 20, 3)
         hu, _ = random_instance(rng, 15, 20, 3)
         beta_base = rng.normal(size=(20, 3))
-        p = Penalties(c_t=1.0, c_tu=5.0)
+        c_t, c_tu = 1.0, 5.0
         pseudo = hu @ beta_base
-        soft = train_daelm_t(ht, tt, hu, pseudo, p)
+        soft = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
         hard = -np.ones_like(pseudo)
         hard[np.arange(len(pseudo)), np.argmax(pseudo, axis=1)] = 1.0
         # reproduce the solve with hardened targets through the public form:
         # beta solves (I + c_t Ht'Ht + c_tu Hu'Hu) beta = c_t Ht'Tt + c_tu Hu'hard
-        gram = (np.eye(20) + p.c_t * ht.T @ ht + p.c_tu * hu.T @ hu)
-        rhs = p.c_t * ht.T @ tt + p.c_tu * hu.T @ hard
+        gram = (np.eye(20) + c_t * ht.T @ ht + c_tu * hu.T @ hu)
+        rhs = c_t * ht.T @ tt + c_tu * hu.T @ hard
         hardened = np.linalg.solve(gram, rhs)
         assert rel_diff(soft, hardened) > 1e-3
 
@@ -378,12 +377,12 @@ class TestSingleClass:
             assert (np.delete(t, label - 1, axis=1) == -1.0).all()
         hs, ht, hu = (hidden_output(fmap, x) for x in (source, guides, rest))
         pseudo = hu @ rng.normal(size=(hidden, m))
-        p = Penalties(c_s=0.5, c_t=10.0, c_tu=3.0)
+        c_s, c_t, c_tu = 0.5, 10.0, 3.0
         betas = {
-            "elm": (train_elm(hs, ts, p.c_s), [(hs, ts, p.c_s)]),
-            "daelm-s": (train_daelm_s(hs, ts, ht, tt, p), [(hs, ts, p.c_s), (ht, tt, p.c_t)]),
-            "daelm-t": (train_daelm_t(ht, tt, hu, pseudo, p),
-                        [(ht, tt, p.c_t), (hu, pseudo, p.c_tu)]),
+            "elm": (train_elm(hs, ts, c_s), [(hs, ts, c_s)]),
+            "daelm-s": (train_daelm_s(hs, ts, ht, tt, c_s, c_t), [(hs, ts, c_s), (ht, tt, c_t)]),
+            "daelm-t": (train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu),
+                        [(ht, tt, c_t), (hu, pseudo, c_tu)]),
         }
         for beta, blocks in betas.values():
             assert np.isfinite(beta).all()
