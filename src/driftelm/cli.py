@@ -17,7 +17,7 @@ from pathlib import Path
 from . import benchmark, dataset, solvers
 from .benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from .dataset import DataError, write_atomic
-from .guide_selection import check_guide_count, ssa_select
+from .guide_selection import check_guide_count
 from .solvers import SolverError
 
 EXIT_OK = 0
@@ -202,10 +202,7 @@ def _cmd_select_guides(args) -> int:
     if args.batch not in by_id:
         raise DataError(f"batch {args.batch} is not in the corpus")
     target = dataset.apply_scaler(dataset.fit_scaler(corpus), by_id[args.batch])
-    indices = ssa_select(target, args.guides)
-    if args.guides > target.n_samples:
-        print(f"warning: requested {args.guides} of {target.n_samples} samples; "
-              "selected all", file=sys.stderr)
+    [indices] = benchmark._select([target], args.guides)
     _emit("\n".join(str(i) for i in indices) + "\n", args.out)
     return EXIT_OK
 

@@ -2,9 +2,10 @@
 
 Loads the libsvm-style ``batch1.dat`` .. ``batch10.dat`` files, each as a
 ``SampleSet``: its features, one class id in 1..N_CLASSES per sample, and
-the batch id its caller names. Checks them against the reference per-batch
-composition, scales features to [-1, 1], and encodes class labels as +/-1
-target rows.
+the batch id its caller names; each file is parsed line by line, and its
+arrays are cached by content. Checks batches against the reference
+per-batch composition, scales features to [-1, 1], and encodes class labels
+as +/-1 target rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import hashlib
 import io
 import math
 import os
-import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -103,10 +103,8 @@ def load_batch(path, batch_id: int, expected_n: int = N_FEATURES) -> SampleSet:
     Lines are ``<class>[;<concentration>] <idx>:<value> ...`` with class ids
     in 1..N_CLASSES and 1-based feature indices; the concentration token is
     discarded, absent indices default to 0 and a repeated index keeps its
-    last value. The file is read once, as UTF-8. When every line is dense and
-    in order (``<class>[;<conc>] 1:v ... n:v``) it is parsed in one vectorised
-    pass; any other file is parsed line by line, and both give the same
-    arrays. Errors, including undecodable bytes and non-finite values, raise
+    last value. The file is read once, as UTF-8, and parsed line by line.
+    Errors, including undecodable bytes and non-finite values, raise
     ``DataError`` naming the file and, where there is one, the line.
 
     The parsed arrays are cached by content (``_cache_entry``): a later load
@@ -122,10 +120,7 @@ def load_batch(path, batch_id: int, expected_n: int = N_FEATURES) -> SampleSet:
         cached = _read_entry(*entry, expected_n, batch_id)
         if cached is not None:
             return cached
-    parsed = _parse_dense(data, expected_n)
-    if parsed is None:
-        parsed = _parse_lines(data, path, expected_n)
-    samples = SampleSet(*parsed, batch_id)
+    samples = SampleSet(*_parse_lines(data, path, expected_n), batch_id)
     if entry is not None:
         _write_entry(*entry, samples)
     return samples
@@ -244,52 +239,6 @@ def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, 
     if not rows:
         raise DataError(f"{path}: no samples")
     return np.vstack(rows), np.asarray(labels)
-
-
-_PRINTABLE = bytes(range(32, 127)) + b"\n"
-_NON_SEPARATORS = bytes(set(range(256)) - set(b" :;\n"))
-
-
-def _parse_dense(data: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Features and labels of a file whose every line is ``<class>[;<conc>] 1:v ... n:v``.
-
-    Returns None for any other file, and for one with a token, label or value
-    that ``_parse_lines`` would refuse, so that it runs and reports the error.
-    ``np.loadtxt`` reads integers and floats as ``int()`` and ``float()`` do,
-    except that it refuses underscores, so an accepted file gives exactly the
-    arrays ``_parse_lines`` would.
-    """
-    if n < 1:
-        return None
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    if b"\r" in data or b" \n" in data:  # CRLF line ends and trailing blanks
-        data = re.sub(rb" *\r?\n", b"\n", data)
-    # Printable ASCII and newlines only: str.split() and str.splitlines()
-    # also break on other control and non-ASCII bytes.
-    if data.translate(None, _PRINTABLE):
-        return None
-    # A ';' may only follow a line's label; each line then holds exactly
-    # " idx:value" n times. An empty token leaves its line a field short,
-    # which np.loadtxt refuses.
-    kinds = (b"\n" + data.translate(None, _NON_SEPARATORS)).replace(b"\n;", b"\n")
-    line = b" :" * n + b"\n"
-    if kinds != b"\n" + line * ((len(kinds) - 1) // len(line)):
-        return None
-    if b";" in data:
-        data = re.sub(rb";[^ \n]*", b"", data)
-    lines = data.replace(b":", b" ").decode("ascii").splitlines()
-    fields = [("label", "i8"), ("pairs", [("idx", "i8"), ("value", "f8")], (n,))]
-    try:
-        rec = np.loadtxt(lines, dtype=fields, comments=None, ndmin=1)
-    except ValueError:  # a field short, or a spelling such as "1_0" or an index "1.0"
-        return None
-    labels, pairs = rec["label"], rec["pairs"]
-    if (labels.min() < 1 or labels.max() > N_CLASSES
-            or (pairs["idx"] != np.arange(1, n + 1)).any()
-            or not np.isfinite(pairs["value"]).all()):
-        return None
-    return pairs["value"], labels
 
 
 def write_atomic(path, content: str | bytes) -> None:

@@ -159,8 +159,8 @@ def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
     """Farthest-pair seeding plus greedy max-min extension to k samples.
 
     Returns the chosen row indices in selection order, as a read-only int64
-    vector. If k exceeds the batch size, every index is returned. Raises
-    ``DataError`` if the samples hold NaN or Inf.
+    vector. Raises ``ValueError`` if k is below 2 or above the batch size,
+    and ``DataError`` if the samples hold NaN or Inf.
     """
     # C order, so a gathered row sums exactly as it does in a full scan.
     feats = np.ascontiguousarray(_as_features(x))
@@ -168,9 +168,10 @@ def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
     if n < 2:
         raise ValueError("selection needs at least 2 samples")
     check_guide_count(k)
+    if k > n:
+        raise ValueError(f"k={k} exceeds the batch size ({n})")
     if not np.isfinite(feats).all():
         raise DataError("features contain NaN or Inf")
-    k_eff = min(k, n)
 
     pair = _farthest_pair(feats, max(1, _SCRATCH_VALUES // n))
     selected = [pair[0], pair[1]]
@@ -188,7 +189,7 @@ def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
     # skipped. A non-finite b (overflow) keeps every row; selected rows
     # (-inf) are always skipped.
     rel, tiny = _rounding(dim)
-    while len(selected) < k_eff:
+    while len(selected) < k:
         nxt = int(np.argmax(min_dist))
         to_picks = _distances_from(feats, nxt, selected)
         rows = np.flatnonzero(to_picks[owner] < 2 * (1 + 4 * rel) * min_dist + 4 * tiny)

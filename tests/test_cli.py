@@ -108,13 +108,14 @@ def test_select_guides(drift_corpus_dir, capsys):
     assert len(set(indices)) == 6
 
 
-def test_select_guides_beyond_batch_size_warns(drift_corpus_dir, capsys):
+@pytest.mark.parametrize("guides", ["36", "40"])
+def test_select_guides_at_or_beyond_batch_size_is_refused(drift_corpus_dir, capsys, guides):
     code = main(["select-guides", "--data-dir", str(drift_corpus_dir),
-                 "--features", "4", "--batch", "5", "--guides", "40"])
+                 "--features", "4", "--batch", "5", "--guides", guides])
     captured = capsys.readouterr()
-    assert code == EXIT_OK
-    assert sorted(int(line) for line in captured.out.split()) == list(range(36))
-    assert "requested 40 of 36 samples" in captured.err
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert f"k_guides={guides} must be below the target batch size (36)" in captured.err
 
 
 def test_unknown_batch_is_data_error(drift_corpus_dir, tmp_path, capsys):

@@ -53,6 +53,9 @@ CASES = [
                                            "--features", "4", "--batch", "0",
                                            "--guides", "6"],
      2, "batch 0 is not in the corpus"),
+    ("select-guides-at-target-size", ["select-guides", "--data-dir", "{D}", "--features", "4",
+                                      "--batch", "5", "--guides", "36"],
+     2, "k_guides=36 must be below the target batch size (36)"),
     ("select-guides-partial", ["select-guides", "--data-dir", "{P}", "--features", "4",
                                "--batch", "5", "--guides", "6"], 2, "{P}/batch7.dat"),
     ("train", ["train", "--data-dir", "{D}", "--target-batch", "6",
@@ -212,12 +215,15 @@ def test_cli_contract(paths, argv, code, names):
 
 
 # Values a draw gives each flag, from the table above: first those of the
-# flag's type and sign, then the boundary, negative, non-numeric and empty
-# ones that can fail a check. Each is bounded, so that a draw that runs stays
-# small: at most 30 hidden units, 2 runs and 2 jobs.
+# flag's type and sign, then the boundary, negative, non-numeric, empty and
+# unreadable ones that can fail a check. Each is bounded, so that a draw that
+# runs stays small: at most 30 hidden units, 2 runs and 2 jobs.
 PENALTY_VALUES = (["0.5", "7", "0"], ["-1", "nan", "inf", "x", ""])
 VALUES = {
     "--features": (["4"], ["3", "0", "x", ""]),
+    "--batch": (["5", "1"], ["0", "11", "x", ""]),
+    "--model": (["{M}"], ["{F}/empty.json", "{F}/not-json.json", "{F}/not-utf8.json",
+                          "{F}/list.json", "{F}/absent.json"]),
     "--hidden": (["30", "1"], ["0", "-1", "x", ""]),
     "--runs": (["1", "2"], ["0", "-1", "x", ""]),
     "--ks": (["3,5", "2", "35"], ["0", "5,-3", "4,x", "36", ""]),
@@ -231,8 +237,12 @@ VALUES = {
     "--cs": PENALTY_VALUES, "--ct": PENALTY_VALUES, "--ctu": PENALTY_VALUES,
 }
 # per command: the flags every draw gives (so that nothing runs at the
-# 1000-unit, 10-run defaults), then the flags a draw may add
+# 1000-unit, 10-run defaults, and the data commands read the 4-feature
+# corpus), then the flags a draw may add
 DRAWN_FLAGS = {
+    "validate-data": (["--features"], []),
+    "select-guides": (["--features", "--batch", "--guides"], []),
+    "predict": (["--model", "--batch"], []),
     "bench": (["--features", "--hidden", "--runs"],
               ["--guides", "--seed", "--jobs", "--setting", "--activation",
                "--cs", "--ct", "--ctu"]),
@@ -244,29 +254,45 @@ DRAWN_FLAGS = {
 }
 
 
+# The commands that take a method and penalties; the data commands take
+# neither, so their draws ignore both parameters. The experiment commands have
+# many more flags to draw, so each is drawn twice as often as a data command.
+EXPERIMENT_COMMANDS = ("bench", "sweep", "train")
+COMMAND_DRAWS = (*EXPERIMENT_COMMANDS, *EXPERIMENT_COMMANDS,
+                 *sorted(set(DRAWN_FLAGS) - set(EXPERIMENT_COMMANDS)))
+
+
 @pytest.mark.parametrize("penalty", ["--cs", "--ct", "--ctu"])
 @pytest.mark.parametrize("method", METHODS)
 @given(data=st.data())
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=18, deadline=None)
 def test_drawn_argv_keeps_the_contract(paths, method, penalty, data):
-    command = data.draw(st.sampled_from(sorted(DRAWN_FLAGS)), label="command")
+    command = data.draw(st.sampled_from(COMMAND_DRAWS), label="command")
     always, optional = DRAWN_FLAGS[command]
-    flags = list(dict.fromkeys([penalty, *always, *data.draw(
-        st.lists(st.sampled_from(optional), unique=True, max_size=3), label="flags")]))
+    argv = [command, "--data-dir", "{D}"]
+    if command in EXPERIMENT_COMMANDS:
+        argv += ["--method", method]
+        always = [penalty, *always]
+    if optional:
+        always = [*always, *data.draw(
+            st.lists(st.sampled_from(optional), unique=True, max_size=3), label="flags")]
+    flags = list(dict.fromkeys(always))
     # at most two flags may take a value from their second list, so that most
     # draws get as far as the load, and many run
     failing = data.draw(st.lists(st.sampled_from(flags), unique=True, max_size=2),
                         label="failing")
-    argv = [command, "--data-dir", "{D}", "--method", method]
     if command == "train":
         argv += ["--out", "{F}/drawn.json"]
     for flag in flags:
         passing, other = VALUES[flag]
         argv += [flag, data.draw(st.sampled_from(passing + other if flag in failing
                                                  else passing), label=flag)]
-    # an exit 2 names a file of the corpus directory, or a batch id or guide
-    # count that argv gives
+    # an exit 2 names a file of the corpus directory or one that argv gives,
+    # or a batch id or guide count that argv gives; validate-data's report
+    # names the first batch of {D} that mismatches
     tokens = {tok for arg in argv for tok in arg.split(",")}
-    names = ["{D}/", *(f"batch {tok} " for tok in tokens),
+    names = ["{D}/", "batch=1 total=60 expected=445 status=mismatch",
+             *(tok for tok in tokens if tok.startswith("{F}/")),
+             *(f"batch {tok} " for tok in tokens),
              *(f"k_guides={tok} must be below the target batch size" for tok in tokens)]
     check_contract(paths, argv, None, names)

@@ -51,10 +51,11 @@ def test_k_equals_n_selects_everything():
     assert sorted(sel) == list(range(6))
 
 
-def test_k_beyond_n_selects_every_index():
+@pytest.mark.parametrize("k", [5, 9])
+def test_k_beyond_n_is_refused(k):
     points = np.random.default_rng(1).normal(size=(4, 2))
-    sel = ssa_select(points, 9)
-    assert sorted(sel) == list(range(4))
+    with pytest.raises(ValueError, match=rf"k={k} exceeds the batch size \(4\)"):
+        ssa_select(points, k)
 
 
 def test_all_duplicates_pick_lowest_indices():
