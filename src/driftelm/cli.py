@@ -17,7 +17,6 @@ from pathlib import Path
 from . import benchmark, dataset, solvers
 from .benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from .dataset import DataError, write_atomic
-from .guide_selection import check_guide_count
 from .solvers import SolverError
 
 EXIT_OK = 0
@@ -196,13 +195,10 @@ def _cmd_validate_data(args) -> int:
 
 
 def _cmd_select_guides(args) -> int:
-    check_guide_count(args.guides)
+    cfg = ExperimentConfig(k_guides=args.guides)  # refuses k < 2 before the load
     corpus = _load_corpus(args)
-    by_id = {b.batch_id: b for b in corpus}
-    if args.batch not in by_id:
-        raise DataError(f"batch {args.batch} is not in the corpus")
-    target = dataset.apply_scaler(dataset.fit_scaler(corpus), by_id[args.batch])
-    [indices] = benchmark._select([target], args.guides)
+    [(_, _, target)] = benchmark._scaled_pairs(cfg, corpus, [(args.batch, args.batch)])
+    [indices] = benchmark._select([target], cfg.k_guides)
     _emit("\n".join(str(i) for i in indices) + "\n", args.out)
     return EXIT_OK
 

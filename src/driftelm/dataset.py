@@ -107,22 +107,22 @@ def load_batch(path, batch_id: int, expected_n: int = N_FEATURES) -> SampleSet:
     Errors, including undecodable bytes and non-finite values, raise
     ``DataError`` naming the file and, where there is one, the line.
 
-    The parsed arrays are cached by content (``_cache_entry``): a later load
-    of the same bytes reads them back instead of parsing again.
+    The parsed arrays are cached by content (``_entry_path``): a later load
+    of the same bytes, from any path, reads them back instead of parsing.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    entry = _cache_entry(path, data, expected_n)
+    entry = _entry_path(data, expected_n)
     if entry is not None:
-        cached = _read_entry(*entry, expected_n, batch_id)
+        cached = _read_entry(entry, expected_n, batch_id)
         if cached is not None:
             return cached
     samples = SampleSet(*_parse_lines(data, path, expected_n), batch_id)
     if entry is not None:
-        _write_entry(*entry, samples)
+        _write_entry(entry, samples)
     return samples
 
 
@@ -133,35 +133,31 @@ def _parser_digest() -> bytes:
     return hashlib.sha256(Path(__file__).read_bytes() + versions).digest()
 
 
-def _cache_entry(path: Path, data: bytes, expected_n: int) -> tuple[Path, bytes] | None:
-    """Where the parse of ``data`` is cached, and the key its entry must hold.
+def _entry_path(data: bytes, expected_n: int) -> Path | None:
+    """Where the parse of ``data`` is cached: a file named by its key.
 
-    Entries live in ``$XDG_CACHE_HOME/driftelm`` (else ``~/.cache/driftelm``),
-    one slot per resolved path, so a changed file overwrites its stale entry.
-    The key covers the parser, ``expected_n`` and the bytes. None when there
-    is no home directory or the module's source cannot be read.
+    Entries live in ``$XDG_CACHE_HOME/driftelm`` (else ``~/.cache/driftelm``).
+    The key is a sha256 over the parser, ``expected_n`` and the bytes; an
+    entry no load names any more ages out through the size bound. None when
+    there is no home directory or the module's source cannot be read.
     """
     root = os.environ.get("XDG_CACHE_HOME", "")
     try:
         base = Path(root) if os.path.isabs(root) else Path.home() / ".cache"
-        slot = hashlib.sha256(os.fsencode(path.resolve())).hexdigest()
         key = hashlib.sha256(_parser_digest() + b"%d\0" % expected_n)
-    except (OSError, RuntimeError):  # RuntimeError: no home directory, or a symlink loop
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
         return None
     key.update(data)
-    return base / "driftelm" / f"{slot}.npy", key.digest()
+    return base / "driftelm" / f"{key.hexdigest()}.npy"
 
 
-def _read_entry(slot: Path, key: bytes, expected_n: int, batch_id: int) -> SampleSet | None:
-    """The batch a cache entry holds; None for a missing, stale or damaged one.
+def _read_entry(entry: Path, expected_n: int, batch_id: int) -> SampleSet | None:
+    """The batch a cache entry holds; None for a missing or damaged one.
 
-    An entry is three ``.npy`` records in a row: the key, the features and
-    the labels.
+    An entry is two ``.npy`` records in a row: the features and the labels.
     """
     try:
-        with open(slot, "rb") as fh:
-            if np.load(fh, allow_pickle=False).tobytes() != key:
-                return None
+        with open(entry, "rb") as fh:
             features = np.load(fh, allow_pickle=False)
             labels = np.load(fh, allow_pickle=False)
         if (features.dtype == np.float64 and features.ndim == 2
@@ -177,18 +173,18 @@ def _read_entry(slot: Path, key: bytes, expected_n: int, batch_id: int) -> Sampl
 _CACHE_MAX_BYTES = 128 * 2**20
 
 
-def _write_entry(slot: Path, key: bytes, samples: SampleSet) -> None:
-    """Store a parse in its slot and trim the cache, best effort: a failed write is ignored."""
+def _write_entry(entry: Path, samples: SampleSet) -> None:
+    """Store a parse as its entry and trim the cache, best effort: a failed write is ignored."""
     try:
-        slot.parent.mkdir(parents=True, exist_ok=True)
+        entry.parent.mkdir(parents=True, exist_ok=True)
         buf = io.BytesIO()
-        for arr in (np.frombuffer(key, np.uint8), samples.features, samples.labels):
+        for arr in (samples.features, samples.labels):
             np.save(buf, arr, allow_pickle=False)
         content = buf.getvalue()
-        write_atomic(slot, content)
+        write_atomic(entry, content)
         entries = []
-        for e in os.scandir(slot.parent):
-            if e.name.endswith(".npy") and e.path != str(slot):
+        for e in os.scandir(entry.parent):
+            if e.name.endswith(".npy") and e.path != str(entry):
                 st = e.stat()
                 entries.append((st.st_mtime_ns, st.st_size, e.path))
         total = len(content)

@@ -149,12 +149,6 @@ def _farthest_pair(feats: np.ndarray, block: int) -> tuple[int, int]:
     return int(rows[pair[0]]), int(rows[pair[1]])
 
 
-def check_guide_count(k: int) -> None:
-    """``ssa_select``'s bound on k, which callers can check before loading data."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-
-
 def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
     """Farthest-pair seeding plus greedy max-min extension to k samples.
 
@@ -165,9 +159,8 @@ def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
     # C order, so a gathered row sums exactly as it does in a full scan.
     feats = np.ascontiguousarray(_as_features(x))
     n, dim = feats.shape
-    if n < 2:
-        raise ValueError("selection needs at least 2 samples")
-    check_guide_count(k)
+    if k < 2:
+        raise ValueError("k must be at least 2")
     if k > n:
         raise ValueError(f"k={k} exceeds the batch size ({n})")
     if not np.isfinite(feats).all():

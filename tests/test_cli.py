@@ -106,6 +106,10 @@ def test_select_guides(drift_corpus_dir, capsys):
     indices = [int(line) for line in out.strip().splitlines()]
     assert len(indices) == 6
     assert len(set(indices)) == 6
+    # the protocol's picks, in selection order: batch 5 under the corpus-wide scaler
+    corpus = load_corpus(drift_corpus_dir, expected_n=4)
+    target = apply_scaler(fit_scaler(corpus), corpus[4])
+    assert indices == ssa_select(target, 6).tolist()
 
 
 @pytest.mark.parametrize("guides", ["36", "40"])
@@ -259,7 +263,8 @@ def test_sweep_bad_guide_counts_are_rejected_before_the_load(tmp_path, capsys, k
 
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--ks", "5,-3"], "k_guides must be >= 2 (0 allowed for plain elm)"),
-    (["select-guides", "--batch", "2", "--guides", "1"], "k must be at least 2"),
+    (["select-guides", "--batch", "2", "--guides", "1"],
+     "k_guides must be >= 2 (0 allowed for plain elm)"),
 ])
 def test_guide_count_is_checked_before_the_load(tmp_path, capsys, argv, message):
     # the data directory does not exist, so a check after the load would exit 2

@@ -155,20 +155,25 @@ def dense_batch(tmp_path):
 
 
 class TestParseCache:
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("form", ["dense", "sparse", "copied"])
     def test_hit_equals_the_parse_without_parsing(self, tmp_path, dense_batch, monkeypatch,
-                                                  isolated_cache, sparse):
+                                                  isolated_cache, form):
         path = dense_batch
-        if sparse:
+        if form == "sparse":
             path = write_lines(tmp_path / "batch3.dat", ["1;5.0 2:0.5", "6 1:-0.0 5:1e-300"])
         parsed = load_batch(path, batch_id=2, expected_n=5)
         assert len(cache_files(isolated_cache)) == 1
+        if form == "copied":  # the same bytes in another directory hit the same entry
+            path = tmp_path / "copy" / dense_batch.name
+            path.parent.mkdir()
+            path.write_bytes(dense_batch.read_bytes())
         refuse_parsers(monkeypatch)
         cached = load_batch(path, batch_id=7, expected_n=5)
         assert cached.features.tobytes() == parsed.features.tobytes()
         assert cached.labels.tobytes() == parsed.labels.tobytes()
         assert cached.features.dtype == np.float64 and cached.labels.dtype == np.int64
         assert cached.batch_id == 7 and not cached.features.flags.writeable
+        assert len(cache_files(isolated_cache)) == 1
 
     def test_changed_bytes_or_width_parse_again(self, tmp_path, monkeypatch, isolated_cache):
         path = write_lines(tmp_path / "b.dat", ["1 1:0.5 2:1.0"])
@@ -176,21 +181,22 @@ class TestParseCache:
         write_lines(path, ["1 1:0.5 2:2.0"])
         assert load_batch(path, batch_id=1, expected_n=2).features.tolist() == [[0.5, 2.0]]
         assert load_batch(path, batch_id=1, expected_n=3).features.tolist() == [[0.5, 2.0, 0.0]]
-        # one slot per file: the last parse replaced the stale entries
-        assert len(cache_files(isolated_cache)) == 1
+        # one entry per (bytes, width): the stale entry stays until the size bound trims it
+        assert len(cache_files(isolated_cache)) == 3
         refuse_parsers(monkeypatch)
-        with pytest.raises(ParserCalled):
-            load_batch(path, batch_id=1, expected_n=2)
+        assert load_batch(path, batch_id=1, expected_n=2).features.tolist() == [[0.5, 2.0]]
+        assert load_batch(path, batch_id=1, expected_n=3).features.tolist() == [[0.5, 2.0, 0.0]]
+        write_lines(path, ["1 1:0.5 2:1.0"])
+        assert load_batch(path, batch_id=1, expected_n=2).features.tolist() == [[0.5, 1.0]]
+        assert len(cache_files(isolated_cache)) == 3
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "pickle", "key-only",
-                                        "other-key", "float32", "object", "nan"])
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "pickle", "float32",
+                                        "object", "nan"])
     def test_damaged_entry_is_parsed_again_and_rewritten(self, dense_batch, monkeypatch,
                                                          isolated_cache, damage):
         want = load_batch(dense_batch, batch_id=2, expected_n=5)
         (entry,) = cache_files(isolated_cache)
         good = entry.read_bytes()
-        key = np.frombuffer(dataset._cache_entry(dense_batch, dense_batch.read_bytes(), 5)[1],
-                            np.uint8)
         features, labels = want.features, want.labels
         if damage == "truncated":
             entry.write_bytes(good[: len(good) // 2])
@@ -200,19 +206,15 @@ class TestParseCache:
             entry.write_bytes(b"")
         elif damage == "pickle":
             entry.write_bytes(b"\x80\x04N.")
-        elif damage == "key-only":
-            np.save(entry, key)
         else:
-            if damage == "other-key":  # an entry for other bytes, with other values
-                key, features = key[::-1], features + 1.0
-            elif damage == "float32":
+            if damage == "float32":
                 features = features.astype(np.float32)
             elif damage == "object":
                 features = features.astype(object)
             else:
                 features = np.full_like(features, np.nan)
             with open(entry, "wb") as fh:
-                for arr in (key, features, labels):
+                for arr in (features, labels):
                     np.save(fh, arr)
         got = load_batch(dense_batch, batch_id=2, expected_n=5)
         assert got.features.tobytes() == want.features.tobytes()
@@ -226,12 +228,12 @@ class TestParseCache:
         paths = [write_lines(tmp_path / f"b{i}.dat", [f"1 1:{i}.5"]) for i in range(4)]
         for i, path in enumerate(paths):
             load_batch(path, batch_id=1, expected_n=1)
-            slot = dataset._cache_entry(path, path.read_bytes(), 1)[0]
-            os.utime(slot, ns=(i, i))  # distinct write times, oldest first
+            entry = dataset._entry_path(path.read_bytes(), 1)
+            os.utime(entry, ns=(i, i))  # distinct write times, oldest first
             if i == 0:  # room for two entries of this size
-                monkeypatch.setattr(dataset, "_CACHE_MAX_BYTES", 2 * slot.stat().st_size)
-        slots = {dataset._cache_entry(p, p.read_bytes(), 1)[0] for p in paths[2:]}
-        assert set(cache_files(isolated_cache)) == slots
+                monkeypatch.setattr(dataset, "_CACHE_MAX_BYTES", 2 * entry.stat().st_size)
+        entries = {dataset._entry_path(p.read_bytes(), 1) for p in paths[2:]}
+        assert set(cache_files(isolated_cache)) == entries
 
     @pytest.mark.parametrize("root", ["a-file", "no-home"])
     def test_unusable_cache_root_still_loads(self, tmp_path, dense_batch, monkeypatch,
