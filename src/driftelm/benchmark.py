@@ -11,8 +11,11 @@ and goes through the nine tasks in order, so every task of a run shares
 the maps. A hidden output is computed once and read again when a later
 task of the run reads the very same scaled batch: a fixed source, or a
 rolling target without guides, which is the next task's source under the
-global scaler. Each map keeps only the H of its last source and last rest,
-and the ELM trained on that source alone (see `RunMap`). `sweep_guides` is
+global scaler. A map keeps an H only until the last step of the run that
+reads it: the run drops each H that the next step does not read, so a
+source H outlives its task only when the next task reads the same source,
+and a rest H only when it is the next task's source. The ELM trained on
+the source alone is kept with the map (see `RunMap`). `sweep_guides` is
 the one protocol and `fit` the one training path; `fit_pair` builds the one
 task of the `train` command as the protocols build theirs. With
 ``jobs > 1`` whole runs go to a thread pool; results do not depend on it.
@@ -209,37 +212,41 @@ def _task(source: SampleSet, target: SampleSet, indices: np.ndarray | None,
 
 
 class RunMap:
-    """One run's feature map and the hidden outputs a later task may read.
+    """One run's feature map and the hidden outputs a later step may read.
 
     A later task of the same run reads the very same SampleSet again in two
     cases: a fixed source, which every task reads, and a rolling target
     without guides, which is the next task's source under one scaler. So a
-    map keeps the H of the last source and of the last rest it computed,
-    read-only, and never more. The ELM weights trained on the source alone
-    (the daelm-t base classifier, or elm without guides) are kept with it.
+    map keeps each H it computes, read-only, until the run lets it go with
+    `keep_only`, which the run calls to keep only what its next step reads.
+    The ELM weights trained on the source alone (the daelm-t base
+    classifier, or elm without guides) are kept with it.
     """
 
     def __init__(self, fmap: RandomFeatureMap):
         self.fmap = fmap
-        self._kept: dict[str, tuple[SampleSet, np.ndarray]] = {}
+        self._kept: list[tuple[SampleSet, np.ndarray]] = []
         self._source_elm: tuple = (None, None, None)  # source, penalty, weights
 
-    def output(self, samples: SampleSet, slot: str) -> np.ndarray:
-        """H of ``samples``, kept in ``slot`` ("source" or "rest")."""
-        hits = [h for kept, h in self._kept.values() if kept is samples]
-        self._kept.pop(slot, None)  # drop the old H before computing a new one
-        if hits:
-            h = hits[0]
-        else:
-            h = hidden_output(self.fmap, samples)
-            h.flags.writeable = False
-        self._kept[slot] = (samples, h)
+    def output(self, samples: SampleSet) -> np.ndarray:
+        """H of ``samples``, kept until `keep_only` lets it go."""
+        for kept, h in self._kept:
+            if kept is samples:  # the same SampleSet, not equal values
+                return h
+        h = hidden_output(self.fmap, samples)
+        h.flags.writeable = False
+        self._kept.append((samples, h))
         return h
+
+    def keep_only(self, *samples: SampleSet) -> None:
+        """Drop every kept H but those of ``samples``."""
+        self._kept = [(kept, h) for kept, h in self._kept
+                      if any(kept is s for s in samples)]
 
     def source_elm(self, source: SampleSet, c: float) -> np.ndarray:
         """ELM weights on ``source`` alone with penalty ``c``, read-only and
         trained once while ``source`` stays this map's source."""
-        h = self.output(source, "source")
+        h = self.output(source)
         if self._source_elm[:2] != (source, c):  # SampleSets compare by identity
             beta = train_elm(h, encode_targets(source.labels, N_CLASSES), c)
             beta.flags.writeable = False
@@ -265,11 +272,11 @@ def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
         pseudo = hidden_output(base.fmap, task.rest) @ beta_base
         beta = train_daelm_t(hidden_output(layer.fmap, guides),
                              encode_targets(guides.labels, m),
-                             layer.output(task.rest, "rest"), pseudo,
+                             layer.output(task.rest), pseudo,
                              pens["c_t"], pens["c_tu"])
     elif cfg.method == "daelm-s":
         beta = train_daelm_s(
-            base.output(source, "source"), encode_targets(source.labels, m),
+            base.output(source), encode_targets(source.labels, m),
             hidden_output(layer.fmap, guides), encode_targets(guides.labels, m),
             pens["c_s"], pens["c_t"])
     elif guides is not None:  # elm on source rows plus the labeled guides
@@ -289,8 +296,13 @@ def _score(cfg: ExperimentConfig, tasks: list[Task]) -> ExperimentReport:
     def run(r):
         maps = run_maps(cfg, tasks[0].source.n_features, cfg.base_seed + r)
         for t, task in enumerate(tasks):
+            after = [later.source for later in tasks[t + 1:t + 2]]  # the next read
             clf = fit(cfg, task, maps)
-            scores = maps[-1].output(task.rest, "rest") @ clf.beta
+            for m in maps:  # the rest H daelm-t computed is scored next
+                m.keep_only(*after, task.rest)
+            scores = maps[-1].output(task.rest) @ clf.beta
+            for m in maps:
+                m.keep_only(*after)
             acc[t, r] = 100.0 * accuracy(labels_from_scores(scores), task.rest.labels)
 
     if cfg.jobs > 1:

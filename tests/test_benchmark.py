@@ -232,20 +232,68 @@ class TestReuse:
         assert len(trained) == per_run * cfg.runs
 
     def test_kept_outputs_are_read_only_and_bounded(self, small_drift_corpus, calls):
-        a, b, c = small_drift_corpus[:3]
+        a, b = small_drift_corpus[:2]
         layer = RunMap(new_feature_map(8, 4, seed=1))
-        h = layer.output(a, "source")
+        h = layer.output(a)
         assert not h.flags.writeable
         with pytest.raises(ValueError):
             h[0, 0] = 1.0
-        assert layer.output(a, "rest") is h  # a hit from the other slot
-        layer.output(b, "rest")
-        assert layer.output(a, "source") is h
-        layer.output(c, "source")  # a is no longer kept
-        assert layer.output(a, "source") is not h
-        twin = SampleSet(a.features, a.labels, a.batch_id)
-        layer.output(twin, "source")  # the same values in another object
-        assert [x for _, x in calls["hidden"]] == [a, b, c, a, twin]
+        assert layer.output(a) is h  # kept until let go
+        hb = layer.output(b)
+        twin = SampleSet(b.features, b.labels, b.batch_id)
+        layer.output(twin)  # the same values in another object
+        layer.keep_only(b)  # a and twin are no longer kept
+        assert layer.output(b) is hb
+        assert layer.output(a) is not h
+        layer.keep_only()
+        assert layer.output(b) is not hb
+        assert [x for _, x in calls["hidden"]] == [a, b, twin, a, b]
+
+    @pytest.fixture
+    def held(self, monkeypatch):
+        """Per hidden_output call: the task being run and what each map holds."""
+        held, state = [], {}
+
+        def recorded_maps(*args):
+            state["maps"] = run_maps(*args)
+            return state["maps"]
+
+        def recorded_fit(cfg, task, maps):
+            state["task"] = task
+            return fit(cfg, task, maps)
+
+        def recorded_hidden(fmap, x):
+            held.append((state["task"],
+                         [kept for m in state["maps"] for kept, _ in m._kept]))
+            return hidden_output(fmap, x)
+
+        monkeypatch.setattr(driftelm.benchmark, "run_maps", recorded_maps)
+        monkeypatch.setattr(driftelm.benchmark, "fit", recorded_fit)
+        monkeypatch.setattr(driftelm.benchmark, "hidden_output", recorded_hidden)
+        return held
+
+    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
+    @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
+                                           ("daelm-t", 4)])
+    def test_a_map_holds_only_what_the_current_task_reads(
+            self, small_drift_corpus, held, setting, method, k):
+        # no H of an earlier task's rest, or of a source no longer read, is held
+        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
+                               hidden_size=30, runs=2, base_seed=5)
+        run_experiment(cfg, small_drift_corpus)
+        assert len(held) >= 9 * cfg.runs
+        for task, kept in held:
+            assert all(x is task.source or x is task.rest for x in kept)
+
+    def test_rolling_elm_projects_each_batch_holding_nothing_else(
+            self, small_drift_corpus, held):
+        # the source H is let go once trained on, before the next batch is
+        # projected; the scored batch is kept as the next task's source
+        cfg = ExperimentConfig(method="elm", setting="rolling-source", k_guides=0,
+                               hidden_size=30, runs=2, base_seed=5)
+        run_experiment(cfg, small_drift_corpus)
+        assert len(held) == 10 * cfg.runs
+        assert all(kept == [] for _, kept in held)
 
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
     @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
