@@ -6,19 +6,20 @@ Each task selects k guide samples from the target batch, trains the chosen
 method, and scores the unlabeled remainder; runs repeat with consecutive
 seeds and are averaged.
 
-The work is run-major. One run builds its feature maps once from its seed
-and goes through the nine tasks in order, so every task of a run shares
-the maps. A hidden output is computed once and read again when a later
-task of the run reads the very same scaled batch: a fixed source, or a
-rolling target without guides, which is the next task's source under the
-global scaler. A map keeps an H only until the last step of the run that
-reads it: the run drops each H that the next step does not read, so a
-source H outlives its task only when the next task reads the same source,
-and a rest H only when it is the next task's source. The ELM trained on
-the source alone is kept with the map (see `RunMap`). `sweep_guides` is
-the one protocol and `fit` the one training path; `fit_pair` builds the one
-task of the `train` command as the protocols build theirs. With
-``jobs > 1`` whole runs go to a thread pool; results do not depend on it.
+Across runs only the caller's unscaled batches, each task's scaler and the
+guide indices are kept: a target is scaled only for its selection, a run
+splits each task's target when it reaches the task, and every hidden layer
+scales the rows it projects. The work is run-major: a run builds its
+feature maps once from its seed and goes through the nine tasks in order.
+A hidden output is computed once and read again when a later task of the
+run reads the very same batch under the very same scaler: a fixed source,
+or a rolling target without guides, which is the next task's source under
+the global scaler. A map keeps an H only until the last step of the run
+that reads it, and the ELM trained on the source alone while that source
+is read (see `RunMap`). `sweep_guides` is the one protocol and `fit` the
+one training path; `fit_pair` builds the one task of the `train` command
+as the protocols build theirs. With ``jobs > 1`` whole runs go to a thread
+pool; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -144,21 +145,14 @@ class ExperimentReport:
         return f"{self.method}({self.k_guides})" if self.k_guides else self.method
 
 
-def _corpus_by_id(corpus: list[SampleSet]) -> dict[int, SampleSet]:
-    by_id = {b.batch_id: b for b in corpus}
-    missing = [i for i in BATCH_IDS if i not in by_id]
-    if missing:
-        raise DataError(f"missing batches: {missing}")
-    return by_id
-
-
 @dataclass(frozen=True)
 class Task:
-    """One (source, target) task: the source, the guides and the rest."""
+    """One (source, target) task, unscaled, and the scaler it is projected through."""
 
-    source: SampleSet         # scaled, labeled
+    scaler: ScalerParams
+    source: SampleSet         # labeled
     guides: SampleSet | None  # labeled target rows the trainer sees
-    rest: SampleSet           # scaled target remainder; labels score only
+    rest: SampleSet           # target remainder; labels score only
 
 
 def _task_pairs(setting: str) -> list[tuple[int, int]]:
@@ -168,90 +162,91 @@ def _task_pairs(setting: str) -> list[tuple[int, int]]:
     return list(zip(BATCH_IDS, BATCH_IDS[1:]))
 
 
-def _scaled_pairs(cfg: ExperimentConfig, corpus: list[SampleSet],
-                  ids: list[tuple[int, int]]
-                  ) -> list[tuple[ScalerParams, SampleSet, SampleSet]]:
+def _batch_pairs(cfg: ExperimentConfig, corpus: list[SampleSet],
+                 ids: list[tuple[int, int]]
+                 ) -> list[tuple[ScalerParams, SampleSet, SampleSet]]:
     """(scaler, source, target) per (source, target) batch-id pair, checked.
 
-    Under the global scaler each batch is scaled once, so a batch that two
-    tasks read is the same SampleSet in both (see `RunMap`).
+    The batches are the corpus's own, unscaled. Under the global scaler all
+    pairs share one scaler, so a batch that two tasks read is the same batch
+    under the same scaler in both (see `RunMap`).
     """
-    by_id = _corpus_by_id(corpus)
+    by_id = {b.batch_id: b for b in corpus}
+    missing = [i for i in BATCH_IDS if i not in by_id]
+    if missing:
+        raise DataError(f"missing batches: {missing}")
     unknown = sorted({bid for pair in ids for bid in pair} - by_id.keys())
     if unknown:
         raise DataError(f"batch {unknown[0]} is not in the corpus")
-    if cfg.scaler_scope == "global":
-        scaler, scaled = fit_scaler(corpus), {}
-    pairs = []
-    for src_id, tgt_id in ids:
-        if cfg.scaler_scope == "pair":
-            scaler, scaled = fit_scaler([by_id[src_id], by_id[tgt_id]]), {}
-        for bid in (src_id, tgt_id):
-            if bid not in scaled:
-                scaled[bid] = apply_scaler(scaler, by_id[bid])
-        pairs.append((scaler, scaled[src_id], scaled[tgt_id]))
-    return pairs
+    shared = fit_scaler(corpus) if cfg.scaler_scope == "global" else None
+    return [(shared or fit_scaler([by_id[s], by_id[t]]), by_id[s], by_id[t]) for s, t in ids]
 
 
-def _select(targets: list[SampleSet], k: int) -> list[np.ndarray | None]:
-    """k guide indices per target (None when k is 0), every target checked first."""
-    for target in targets:
+def _select(pairs: list[tuple[ScalerParams, SampleSet, SampleSet]],
+            k: int) -> list[np.ndarray | None]:
+    """k guide indices per pair's target (None when k is 0), every target
+    checked first; each target is scaled only for its own selection."""
+    for _, _, target in pairs:
         if k >= target.n_samples:
-            raise DataError(
-                f"k_guides={k} must be below the target batch size "
-                f"({target.n_samples})")
-    return [ssa_select(target, k) if k else None for target in targets]
+            raise DataError(f"k_guides={k} must be below the target batch size "
+                            f"({target.n_samples})")
+    return [ssa_select(apply_scaler(scaler, target), k) if k else None
+            for scaler, _, target in pairs]
 
 
-def _task(source: SampleSet, target: SampleSet, indices: np.ndarray | None,
-          k: int) -> Task:
+def _task(scaler: ScalerParams, source: SampleSet, target: SampleSet,
+          indices: np.ndarray | None, k: int) -> Task:
     """The task whose guides are the first k selected rows of ``target``."""
     if not k:
-        return Task(source, None, target)
-    return Task(source, *split_target(target, indices[:k]))
+        return Task(scaler, source, None, target)
+    return Task(scaler, source, *split_target(target, indices[:k]))
 
 
 class RunMap:
     """One run's feature map and the hidden outputs a later step may read.
 
-    A later task of the same run reads the very same SampleSet again in two
+    An H is kept by the identity of its unscaled batch and of the scaler
+    that scales it; the scaled copy it is projected from is not kept. A later
+    task of the same run reads the same batch under the same scaler in two
     cases: a fixed source, which every task reads, and a rolling target
-    without guides, which is the next task's source under one scaler. So a
-    map keeps each H it computes, read-only, until the run lets it go with
-    `keep_only`, which the run calls to keep only what its next step reads.
-    The ELM weights trained on the source alone (the daelm-t base
+    without guides, which is the next task's source under the global scaler.
+    So a map keeps each H it computes, read-only, until the run lets it go
+    with `keep_only`, which the run calls to keep only what its next step
+    reads. The ELM weights trained on the source alone (the daelm-t base
     classifier, or elm without guides) are kept with it.
     """
 
     def __init__(self, fmap: RandomFeatureMap):
         self.fmap = fmap
-        self._kept: list[tuple[SampleSet, np.ndarray]] = []
-        self._source_elm: tuple = (None, None, None)  # source, penalty, weights
+        # (batch, scaler) -> H; both compare and hash by identity, not values
+        self._kept: dict[tuple[SampleSet, ScalerParams], np.ndarray] = {}
+        self._source_elm: tuple = (None, None, None, None)  # source, scaler, c, weights
 
-    def output(self, samples: SampleSet) -> np.ndarray:
-        """H of ``samples``, kept until `keep_only` lets it go."""
-        for kept, h in self._kept:
-            if kept is samples:  # the same SampleSet, not equal values
-                return h
-        h = hidden_output(self.fmap, samples)
-        h.flags.writeable = False
-        self._kept.append((samples, h))
-        return h
+    def output(self, samples: SampleSet, scaler: ScalerParams,
+               scaled: SampleSet | None = None) -> np.ndarray:
+        """H of ``samples`` scaled by ``scaler``, kept until `keep_only` lets it
+        go; ``scaled``, when given, is that scaled copy, already made."""
+        key = (samples, scaler)
+        if key not in self._kept:
+            h = hidden_output(self.fmap, apply_scaler(scaler, samples) if scaled is None
+                              else scaled)
+            h.flags.writeable = False
+            self._kept[key] = h
+        return self._kept[key]
 
-    def keep_only(self, *samples: SampleSet) -> None:
-        """Drop every kept H but those of ``samples``."""
-        self._kept = [(kept, h) for kept, h in self._kept
-                      if any(kept is s for s in samples)]
+    def keep_only(self, *keys: tuple[SampleSet, ScalerParams]) -> None:
+        """Drop every kept H but those of the (batch, scaler) pairs ``keys``."""
+        self._kept = {key: h for key, h in self._kept.items() if key in keys}
 
-    def source_elm(self, source: SampleSet, c: float) -> np.ndarray:
-        """ELM weights on ``source`` alone with penalty ``c``, read-only and
-        trained once while ``source`` stays this map's source."""
-        h = self.output(source)
-        if self._source_elm[:2] != (source, c):  # SampleSets compare by identity
+    def source_elm(self, source: SampleSet, scaler: ScalerParams, c: float) -> np.ndarray:
+        """ELM weights on ``source`` scaled by ``scaler``, with penalty ``c``,
+        read-only and trained once while both stay this map's source."""
+        h = self.output(source, scaler)
+        if self._source_elm[:3] != (source, scaler, c):  # compared by identity
             beta = train_elm(h, encode_targets(source.labels, N_CLASSES), c)
             beta.flags.writeable = False
-            self._source_elm = (source, c, beta)
-        return self._source_elm[2]
+            self._source_elm = (source, scaler, c, beta)
+        return self._source_elm[3]
 
 
 def run_maps(cfg: ExperimentConfig, n_features: int, run_seed: int) -> list[RunMap]:
@@ -263,44 +258,48 @@ def run_maps(cfg: ExperimentConfig, n_features: int, run_seed: int) -> list[RunM
 def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
     """Train ``cfg.method`` on one task with the maps of one run."""
     pens = cfg.resolved_penalties()
-    source, guides, m = task.source, task.guides, N_CLASSES
+    scaler, source, guides, m = task.scaler, task.source, task.guides, N_CLASSES
     base, layer = maps[0], maps[-1]  # the same map unless daelm-t
     if cfg.method == "daelm-t":
-        beta_base = base.source_elm(source, pens["c_s"])
-        # the base classifier scores the unlabeled samples with its own map;
-        # those soft scores are what the coupled model is pulled toward
-        pseudo = hidden_output(base.fmap, task.rest) @ beta_base
-        beta = train_daelm_t(hidden_output(layer.fmap, guides),
-                             encode_targets(guides.labels, m),
-                             layer.output(task.rest), pseudo,
+        beta_base = base.source_elm(source, scaler, pens["c_s"])
+        # the coupled model is pulled toward the soft scores the base classifier
+        # gives the rest through its own map; the rest is scaled once for both
+        rest = apply_scaler(scaler, task.rest)
+        pseudo = hidden_output(base.fmap, rest) @ beta_base
+        h_rest = layer.output(task.rest, scaler, rest)
+        del rest
+        beta = train_daelm_t(hidden_output(layer.fmap, apply_scaler(scaler, guides)),
+                             encode_targets(guides.labels, m), h_rest, pseudo,
                              pens["c_t"], pens["c_tu"])
     elif cfg.method == "daelm-s":
         beta = train_daelm_s(
-            base.output(source), encode_targets(source.labels, m),
-            hidden_output(layer.fmap, guides), encode_targets(guides.labels, m),
-            pens["c_s"], pens["c_t"])
+            base.output(source, scaler), encode_targets(source.labels, m),
+            hidden_output(layer.fmap, apply_scaler(scaler, guides)),
+            encode_targets(guides.labels, m), pens["c_s"], pens["c_t"])
     elif guides is not None:  # elm on source rows plus the labeled guides
-        feats = np.vstack([source.features, guides.features])
+        feats = np.vstack([apply_scaler(scaler, s).features for s in (source, guides)])
         labels = np.concatenate([source.labels, guides.labels])
         beta = train_elm(hidden_output(layer.fmap, feats), encode_targets(labels, m),
                          pens["c_s"])
     else:
-        beta = base.source_elm(source, pens["c_s"])
+        beta = base.source_elm(source, scaler, pens["c_s"])
     return Classifier(layer.fmap, beta)
 
 
-def _score(cfg: ExperimentConfig, tasks: list[Task]) -> ExperimentReport:
-    """Run every run of one guide count, each over the tasks in order."""
-    acc = np.empty((len(tasks), cfg.runs))
+def _score(cfg: ExperimentConfig, pairs: list[tuple[ScalerParams, SampleSet, SampleSet]],
+           selections: list[np.ndarray | None]) -> ExperimentReport:
+    """Run every run of one guide count; a run builds each task when it reaches it."""
+    acc = np.empty((len(pairs), cfg.runs))
 
     def run(r):
-        maps = run_maps(cfg, tasks[0].source.n_features, cfg.base_seed + r)
-        for t, task in enumerate(tasks):
-            after = [later.source for later in tasks[t + 1:t + 2]]  # the next read
+        maps = run_maps(cfg, pairs[0][1].n_features, cfg.base_seed + r)
+        for t, (pair, indices) in enumerate(zip(pairs, selections)):
+            task = _task(*pair, indices, cfg.k_guides)
+            after = [(source, scaler) for scaler, source, _ in pairs[t + 1:t + 2]]
             clf = fit(cfg, task, maps)
             for m in maps:  # the rest H daelm-t computed is scored next
-                m.keep_only(*after, task.rest)
-            scores = maps[-1].output(task.rest) @ clf.beta
+                m.keep_only(*after, (task.rest, task.scaler))
+            scores = maps[-1].output(task.rest, task.scaler) @ clf.beta
             for m in maps:
                 m.keep_only(*after)
             acc[t, r] = 100.0 * accuracy(labels_from_scores(scores), task.rest.labels)
@@ -312,9 +311,8 @@ def _score(cfg: ExperimentConfig, tasks: list[Task]) -> ExperimentReport:
         for r in range(cfg.runs):
             run(r)
 
-    results = tuple(
-        TaskResult(task.source.batch_id, task.rest.batch_id, tuple(acc[t]))
-        for t, task in enumerate(tasks))
+    results = tuple(TaskResult(source.batch_id, target.batch_id, tuple(acc[t]))
+                    for t, (_, source, target) in enumerate(pairs))
     return ExperimentReport(cfg.method, cfg.setting, cfg.k_guides, results)
 
 
@@ -329,11 +327,9 @@ def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
     if not ks:
         raise ValueError("ks must be non-empty")
     cfgs = [replace(cfg, k_guides=k) for k in ks]
-    pairs = _scaled_pairs(cfg, corpus, _task_pairs(cfg.setting))
-    selections = _select([target for _, _, target in pairs], max(ks))
-    return [_score(k_cfg, [_task(source, target, indices, k_cfg.k_guides)
-                           for (_, source, target), indices in zip(pairs, selections)])
-            for k_cfg in cfgs]
+    pairs = _batch_pairs(cfg, corpus, _task_pairs(cfg.setting))
+    selections = _select(pairs, max(ks))
+    return [_score(k_cfg, pairs, selections) for k_cfg in cfgs]
 
 
 def run_experiment(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
@@ -351,10 +347,10 @@ def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
     """
     if source_id == target_id:
         raise DataError(f"batch {source_id} cannot be both the source and the target")
-    [(scaler, source, target)] = _scaled_pairs(cfg, corpus, [(source_id, target_id)])
-    [indices] = _select([target], cfg.k_guides)
-    maps = run_maps(cfg, source.n_features, cfg.base_seed)
-    return fit(cfg, _task(source, target, indices, cfg.k_guides), maps), scaler
+    [pair] = pairs = _batch_pairs(cfg, corpus, [(source_id, target_id)])
+    [indices] = _select(pairs, cfg.k_guides)
+    task = _task(*pair, indices, cfg.k_guides)
+    return fit(cfg, task, run_maps(cfg, task.source.n_features, cfg.base_seed)), task.scaler
 
 
 REPORT_FORMATS = ("table", "csv", "jsonl")

@@ -50,8 +50,10 @@ def _data_dir(args) -> Path:
 
 
 def _check_out_dir(args) -> None:
-    """An ``--out`` in a missing directory fails before any data is read."""
+    """An ``--out`` naming a directory, or in a missing one, fails before any data is read."""
     out = getattr(args, "out", None)
+    if out and Path(out).is_dir():
+        raise DataError(f"output path is a directory: {out}")
     if out and not Path(out).parent.is_dir():
         raise DataError(f"output directory not found: {Path(out).parent}")
 
@@ -196,9 +198,8 @@ def _cmd_validate_data(args) -> int:
 
 def _cmd_select_guides(args) -> int:
     cfg = ExperimentConfig(k_guides=args.guides)  # refuses k < 2 before the load
-    corpus = _load_corpus(args)
-    [(_, _, target)] = benchmark._scaled_pairs(cfg, corpus, [(args.batch, args.batch)])
-    [indices] = benchmark._select([target], cfg.k_guides)
+    pairs = benchmark._batch_pairs(cfg, _load_corpus(args), [(args.batch, args.batch)])
+    [indices] = benchmark._select(pairs, cfg.k_guides)
     _emit("\n".join(str(i) for i in indices) + "\n", args.out)
     return EXIT_OK
 
@@ -228,8 +229,7 @@ def _cmd_predict(args) -> int:
     path = _data_dir(args) / f"batch{args.batch}.dat"
     batch = dataset.load_batch(path, expected_n=clf.feature_map.n_features,
                                batch_id=args.batch)
-    scaled = dataset.apply_scaler(scaler, batch)
-    _, labels = solvers.predict(clf, scaled)
+    _, labels = solvers.predict(clf, dataset.apply_scaler(scaler, batch))
     lines = ["index,label"] + [f"{i},{lab}" for i, lab in enumerate(labels)]
     _emit("\n".join(lines) + "\n", args.out)
     print(f"accuracy={100.0 * solvers.accuracy(labels, batch.labels):.2f}", file=sys.stderr)

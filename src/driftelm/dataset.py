@@ -240,9 +240,10 @@ def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, 
 def write_atomic(path, content: str | bytes) -> None:
     """Write ``content`` to ``path`` through a temporary file and a rename.
 
-    Text is written as UTF-8. An ``OSError`` names ``path``, not the
-    temporary file; it has the original's type and errno, and the original
-    as its cause.
+    Text is written as UTF-8, with the mode ``open(path, "w")`` gives: an
+    existing file's own, or 0o666 less the umask. An ``OSError`` names
+    ``path``, not the temporary file; it has the original's type and errno,
+    and the original as its cause.
     """
     path = Path(path)
     if isinstance(content, str):
@@ -252,6 +253,9 @@ def write_atomic(path, content: str | bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(content)
+        umask = os.umask(0o077)  # read by setting it, and put back at once
+        os.umask(umask)
+        os.chmod(tmp, path.stat().st_mode & 0o777 if path.is_file() else 0o666 & ~umask)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:

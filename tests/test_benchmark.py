@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftelm.benchmark
-from driftelm import (DataError, ExperimentConfig, SampleSet,
-                      accuracy, emit_report, emit_sweep_csv, hidden_output,
+from driftelm import (DataError, ExperimentConfig, SampleSet, accuracy,
+                      apply_scaler, emit_report, emit_sweep_csv, fit_scaler, hidden_output,
                       new_feature_map, predict, run_experiment, split_target,
                       ssa_select, sweep_guides, train_elm)
 from driftelm.benchmark import (DEFAULT_PENALTIES, RunMap, Task, TaskResult,
@@ -233,21 +234,28 @@ class TestReuse:
 
     def test_kept_outputs_are_read_only_and_bounded(self, small_drift_corpus, calls):
         a, b = small_drift_corpus[:2]
+        scaler, other = fit_scaler(small_drift_corpus), fit_scaler(small_drift_corpus)
         layer = RunMap(new_feature_map(8, 4, seed=1))
-        h = layer.output(a)
+        h = layer.output(a, scaler)
         assert not h.flags.writeable
         with pytest.raises(ValueError):
             h[0, 0] = 1.0
-        assert layer.output(a) is h  # kept until let go
-        hb = layer.output(b)
+        assert layer.output(a, scaler) is h  # kept until let go
+        hb = layer.output(b, scaler)
         twin = SampleSet(b.features, b.labels, b.batch_id)
-        layer.output(twin)  # the same values in another object
-        layer.keep_only(b)  # a and twin are no longer kept
-        assert layer.output(b) is hb
-        assert layer.output(a) is not h
+        layer.output(twin, scaler)  # the same values in another object
+        layer.output(b, other)  # the same batch under an equal scaler, another object
+        layer.keep_only((b, scaler))  # a, twin and b under other are no longer kept
+        assert layer.output(b, scaler) is hb
+        assert layer.output(a, scaler) is not h
         layer.keep_only()
-        assert layer.output(b) is not hb
-        assert [x for _, x in calls["hidden"]] == [a, b, twin, a, b]
+        assert layer.output(b, scaler) is not hb
+        # each call projected its batch scaled, not as the caller holds it
+        projected = [x.features for _, x in calls["hidden"]]
+        expected = [apply_scaler(scaler, x).features for x in (a, b, twin, b, a, b)]
+        assert len(projected) == len(expected)
+        for got, want in zip(projected, expected):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.fixture
     def held(self, monkeypatch):
@@ -263,8 +271,7 @@ class TestReuse:
             return fit(cfg, task, maps)
 
         def recorded_hidden(fmap, x):
-            held.append((state["task"],
-                         [kept for m in state["maps"] for kept, _ in m._kept]))
+            held.append((state["task"], [key for m in state["maps"] for key in m._kept]))
             return hidden_output(fmap, x)
 
         monkeypatch.setattr(driftelm.benchmark, "run_maps", recorded_maps)
@@ -283,7 +290,8 @@ class TestReuse:
         run_experiment(cfg, small_drift_corpus)
         assert len(held) >= 9 * cfg.runs
         for task, kept in held:
-            assert all(x is task.source or x is task.rest for x in kept)
+            assert all((x is task.source or x is task.rest) and by is task.scaler
+                       for x, by in kept)
 
     def test_rolling_elm_projects_each_batch_holding_nothing_else(
             self, small_drift_corpus, held):
@@ -296,25 +304,63 @@ class TestReuse:
         assert all(kept == [] for _, kept in held)
 
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
-    @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
-                                           ("daelm-t", 4)])
+    @pytest.mark.parametrize("method, k, scope", [
+        pytest.param(method, k, scope, id=f"{method}-{k}" + ("-pair" if scope == "pair" else ""))
+        for scope in ("global", "pair")
+        for method, k in [("elm", 0), ("elm", 4), ("daelm-s", 4), ("daelm-t", 4)]])
     def test_reuse_matches_fresh_maps_per_task(self, small_drift_corpus, setting,
-                                               method, k):
-        """Reference: every (task, run) cell on fresh maps, scored by predict."""
+                                               method, k, scope):
+        """Reference: every (task, run) cell on fresh maps, scored by predict.
+
+        Under the pair scope a rolling batch is scaled one way as a target and
+        another as the next source, so an H kept by batch alone fails here.
+        """
         cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
-                               hidden_size=30, runs=2, base_seed=5)
+                               hidden_size=30, runs=2, base_seed=5, scaler_scope=scope)
         report = run_experiment(cfg, small_drift_corpus)
-        scaled = driftelm.benchmark._scaled_pairs(
-            cfg, small_drift_corpus, driftelm.benchmark._task_pairs(setting))
-        for task_result, (_, source, target) in zip(report.tasks, scaled):
-            guides, rest = (split_target(target, ssa_select(target, k)) if k
-                            else (None, target))
+        assert len(report.tasks) == 9
+        for task_result in report.tasks:
+            source, target = (small_drift_corpus[task_result.source_batch - 1],
+                              small_drift_corpus[task_result.target_batch - 1])
+            scaler = fit_scaler(small_drift_corpus if scope == "global" else [source, target])
+            guides, rest = (split_target(target, ssa_select(apply_scaler(scaler, target), k))
+                            if k else (None, target))
             expected = []
             for r in range(cfg.runs):
-                clf = fit(cfg, Task(source, guides, rest),
+                clf = fit(cfg, Task(scaler, source, guides, rest),
                           run_maps(cfg, source.n_features, cfg.base_seed + r))
-                expected.append(100.0 * accuracy(predict(clf, rest)[1], rest.labels))
+                scores = predict(clf, apply_scaler(scaler, rest))[1]
+                expected.append(100.0 * accuracy(scores, rest.labels))
             assert task_result.accuracies == tuple(expected)
+
+    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
+    @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
+                                           ("daelm-t", 4)])
+    def test_no_scaled_batch_outlives_its_projection(self, small_drift_corpus,
+                                                     monkeypatch, setting, method, k):
+        # the protocol holds its batches unscaled: a scaled copy is made for
+        # one selection or one projection and dropped once it is done
+        scaled, alive = [], []
+
+        def tracked_scaler(scaler, samples):
+            out = apply_scaler(scaler, samples)
+            scaled.append(weakref.ref(out))
+            return out
+
+        def counted(fn):
+            def wrapper(*args):
+                alive.append(sum(ref() is not None for ref in scaled))
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(driftelm.benchmark, "apply_scaler", tracked_scaler)
+        monkeypatch.setattr(driftelm.benchmark, "hidden_output", counted(hidden_output))
+        monkeypatch.setattr(driftelm.benchmark, "ssa_select", counted(ssa_select))
+        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
+                               hidden_size=30, runs=2, base_seed=5)
+        run_experiment(cfg, small_drift_corpus)
+        assert len(alive) >= 9 * cfg.runs
+        assert max(alive) <= 1
 
 
 class TestSweep:

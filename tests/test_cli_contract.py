@@ -3,8 +3,8 @@ and over argument lists drawn from the table's flag values.
 
 Whatever its arguments, ``main`` returns 0, 1 or 2 and lets no traceback out.
 A failure ends in one ``error:`` line or in argparse's usage. A usage error
-(exit 1) is found before any batch file is read, and a data error (exit 2)
-names the file or the batch it is about. An error about a batch names its id
+(exit 1), and an error about the output path, is found before any batch file
+is read, and a data error (exit 2) names the file or the batch it is about. An error about a batch names its id
 or its size and not the corpus directory: the library that raises it is given
 batches, not paths.
 """
@@ -62,6 +62,9 @@ CASES = [
                "--out", "{F}/trained.json", *FAST], 0, None),
     ("train-out-in-missing-dir", ["train", "--data-dir", "{D}", "--target-batch", "6",
                                   "--out", "{F}/missing/m.json", *FAST], 2, "{F}/missing"),
+    ("train-out-is-a-directory", ["train", "--data-dir", "{D}", "--target-batch", "6",
+                                  "--out", "{F}", *FAST],
+     2, "output path is a directory: {F}"),
     ("train-no-out", ["train", "--data-dir", "{D}", "--target-batch", "6", *FAST], 1, None),
     ("train-runs", ["train", "--data-dir", "{D}", "--target-batch", "6",
                     "--out", "{F}/trained.json", "--runs", "2", *FAST], 1, None),
@@ -90,6 +93,8 @@ CASES = [
                                      "--batch", "11"], 2, "{D}/batch11.dat"),
     ("bench", ["bench", "--data-dir", "{D}", "--method", "daelm-t", *FAST, *RUNS],
      0, None),
+    ("bench-out-is-a-directory", ["bench", "--data-dir", "{D}", *FAST, *RUNS, "--out", "{F}"],
+     2, "output path is a directory: {F}"),
     ("bench-config-comments-and-blanks", ["bench", "--data-dir", "{D}", "--features", "4",
                                           "--config", "{F}/comments.cfg"], 0, None),
     ("bench-config-line-without-equals", ["bench", "--data-dir", "{D}",
@@ -202,7 +207,7 @@ def check_contract(paths, argv, code, names):
             assert re.fullmatch(r"driftelm( [\w-]+)?: error: .+", lines[-1])
         else:
             assert len(lines) == 1 and lines[0].startswith("error: ")
-    if got == 1:
+    if got == 1 or err.startswith("error: output "):
         assert reads == []
     if got == 2:
         assert any(name.format(**paths) in out + err for name in names), err

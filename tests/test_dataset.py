@@ -1,4 +1,5 @@
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -280,6 +281,20 @@ class TestWriteAtomic:
         want = content.encode() if isinstance(content, str) else content
         assert path.read_bytes() == want
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_mode_is_that_of_a_plain_write(self, tmp_path):
+        plain, atomic = tmp_path / "plain", tmp_path / "atomic"
+        umask = os.umask(0o027)
+        try:
+            plain.write_text("x")
+            dataset.write_atomic(atomic, "x")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(atomic.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert stat.S_IMODE(atomic.stat().st_mode) == 0o640
+        atomic.chmod(0o604)  # an existing file keeps its mode
+        dataset.write_atomic(atomic, "y")
+        assert stat.S_IMODE(atomic.stat().st_mode) == 0o604
 
     @pytest.mark.parametrize("target, error", [("missing/m.json", FileNotFoundError),
                                                ("a-directory", IsADirectoryError)])
