@@ -21,6 +21,10 @@ rows N of all remaining blocks (the total, not one block's) and picks primal
 when N >= L, dual otherwise: the two costs, N*L^2 + L^3/3 and
 N^2*L + N^3/3, cross at N = L. The trainers always take `auto`; only
 `solve_ridge` can force a form, the reference each form is checked against.
+
+Either form builds its system in one buffer, and `_solve_spd` factors it in
+that buffer, overwriting its argument, so a solve holds one L-by-L (or
+N-by-N) system and no copy of it.
 """
 
 from __future__ import annotations
@@ -51,20 +55,36 @@ def _check_matrix(name: str, a) -> np.ndarray:
 
 
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD system by Cholesky, with a single jitter retry."""
+    """Solve an SPD system by Cholesky, with a single jitter retry.
+
+    ``matrix`` must be exactly symmetric, because LAPACK reads its upper
+    triangle: a C-ordered matrix is overwritten, its transpose being the
+    F-ordered view factored in place. That lower factor writes only the C
+    array's upper triangle and diagonal, so after a failure the strict lower
+    triangle and the saved diagonal still hold the system, and the retry
+    rebuilds it with jitter.
+    """
+    diagonal = matrix.diagonal().copy()
     try:
-        return cho_solve(cho_factor(matrix, lower=True, check_finite=False), rhs,
-                         check_finite=False)
+        factor = cho_factor(matrix.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         n = matrix.shape[0]
-        jitter = 1e-10 * np.trace(matrix) / n
+        jitter = 1e-10 * diagonal.sum() / n
+        matrix = np.tril(matrix, -1)
+        matrix += matrix.T
+        matrix[np.diag_indices(n)] = diagonal + jitter
         try:
-            return cho_solve(
-                cho_factor(matrix + jitter * np.eye(n), lower=True, check_finite=False),
-                rhs, check_finite=False)
+            factor = cho_factor(matrix.T, lower=True, overwrite_a=True,
+                                check_finite=False)
         except LinAlgError as exc:
             raise SolverError(
                 "system is not positive definite beyond jitter tolerance") from exc
+    return cho_solve(factor, rhs, check_finite=False)
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The rows of every array, stacked; a lone array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.vstack(arrays)
 
 
 def solve_ridge(blocks, branch: str = "auto") -> np.ndarray:
@@ -100,15 +120,23 @@ def solve_ridge(blocks, branch: str = "auto") -> np.ndarray:
         branch = "primal" if rows >= hidden else "dual"
 
     if branch == "primal":
-        gram = np.eye(hidden)
+        # (I + c_1 H_1'H_1) + c_2 H_2'H_2 + ..., each Gram scaled in place and
+        # the first one holding the system
+        system = None
         for h, _, c in live:
-            gram += c * (h.T @ h)
-        return _solve_spd(gram, sum(c * (h.T @ t) for h, t, c in live))
-    h = np.vstack([h for h, _, _ in live])
+            gram = h.T @ h
+            gram *= c
+            if system is None:
+                gram[np.diag_indices(hidden)] += 1.0
+                system = gram
+            else:
+                system += gram
+        return _solve_spd(system, sum(c * (h.T @ t) for h, t, c in live))
+    h = _stacked([h for h, _, _ in live])
     kernel = h @ h.T
     kernel[np.diag_indices(rows)] += np.concatenate(
         [np.full(b.shape[0], 1.0 / c) for b, _, c in live])
-    return h.T @ _solve_spd(kernel, np.vstack([t for _, t, _ in live]))
+    return h.T @ _solve_spd(kernel, _stacked([t for _, t, _ in live]))
 
 
 def train_elm(h: np.ndarray, targets: np.ndarray, c: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 import driftelm.solvers
 from driftelm import (Classifier, DataError, SampleSet, ScalerParams,
@@ -61,6 +62,41 @@ def factored_dims(monkeypatch):
 
     monkeypatch.setattr(driftelm.solvers, "cho_factor", recording)
     return dims
+
+
+def copying_reference(blocks, branch):
+    """Both closed forms built with fresh temporaries and factored on a copy."""
+    live = [(h, t, c) for h, t, c in blocks if c > 0 and h.shape[0] > 0]
+    if branch == "primal":
+        system = np.eye(live[0][0].shape[1])
+        for h, _, c in live:
+            system += c * (h.T @ h)
+        return cho_solve(cho_factor(system.copy(), lower=True),
+                         sum(c * (h.T @ t) for h, t, c in live))
+    h = np.vstack([h for h, _, _ in live])
+    kernel = h @ h.T
+    kernel[np.diag_indices(h.shape[0])] += np.concatenate(
+        [np.full(b.shape[0], 1.0 / c) for b, _, c in live])
+    return h.T @ cho_solve(cho_factor(kernel.copy(), lower=True),
+                           np.vstack([t for _, t, _ in live]))
+
+
+def jittered_reference(matrix, rhs):
+    """The retry's answer: the untouched system plus jitter, factored on a copy."""
+    n = matrix.shape[0]
+    jitter = 1e-10 * np.trace(matrix) / n
+    return cho_solve(cho_factor(matrix + jitter * np.eye(n), lower=True), rhs)
+
+
+def traced_peak(fn):
+    """Peak bytes allocated while ``fn`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def random_blocks(seed, hidden, m, weights, rows):
@@ -151,6 +187,63 @@ class TestSolveRidge:
             train_daelm_s(h1, t1, h2, t2, c_s, c_t)
         with pytest.raises(SolverError):
             train_daelm_t(h2, t2, h1, t1, c_t, c_tu)
+
+    @pytest.mark.parametrize("branch", ["primal", "dual"])
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    @pytest.mark.parametrize("hidden", [40, 300])
+    def test_in_place_forms_match_the_copying_reference(self, hidden, n_blocks, branch):
+        blocks = random_blocks(hidden + n_blocks, hidden, 3, [0.7, 30.0][:n_blocks],
+                               [hidden // 3, hidden // 2][:n_blocks])
+        assert np.array_equal(solve_ridge(blocks, branch),
+                              copying_reference(blocks, branch))
+
+    def test_extra_allocation_is_one_system(self):
+        # one L x L primal system, or one N x N dual kernel, and no copy of H
+        rng = np.random.default_rng(25)
+        hidden = 300
+        h, t = random_instance(rng, 2 * hidden, hidden, 3)
+        primal = traced_peak(lambda: solve_ridge([(h, t, 1.0)], "primal"))
+        assert primal < 1.5 * hidden ** 2 * 8
+        rows = hidden // 3
+        h, t = random_instance(rng, rows, hidden, 3)
+        dual = traced_peak(lambda: solve_ridge([(h, t, 1.0)], "dual"))
+        assert dual < 2 * rows ** 2 * 8
+
+    @pytest.mark.parametrize("rows, hidden, n_features, c",
+                             [(30, 200, 2, 1e13), (100, 600, 4, 1e12)])
+    def test_jitter_retry_rebuilds_the_overwritten_system(
+            self, factored_dims, rows, hidden, n_features, c):
+        # a forced primal with N < L at a huge weight fails its first Cholesky
+        rng = np.random.default_rng(26)
+        h = hidden_output(new_feature_map(hidden, n_features, seed=26),
+                          rng.uniform(-1.0, 1.0, size=(rows, n_features)))
+        t = rng.normal(size=(rows, 2))
+        beta = solve_ridge([(h, t, c)], "primal")
+        assert factored_dims == [hidden, hidden]
+        expected = jittered_reference(np.eye(hidden) + c * (h.T @ h), c * (h.T @ t))
+        assert np.array_equal(beta, expected)
+
+    def test_jitter_retry_on_a_singular_system(self, factored_dims):
+        singular, rhs = np.ones((2, 2)), np.array([1.0, 2.0])
+        expected = jittered_reference(singular, rhs)
+        assert np.array_equal(driftelm.solvers._solve_spd(singular.copy(), rhs), expected)
+        assert factored_dims == [2, 2]
+        with pytest.raises(SolverError):
+            driftelm.solvers._solve_spd(-np.eye(3), np.ones(3))
+        assert factored_dims == [2, 2, 3, 3]
+
+    @pytest.mark.parametrize("branch", ["primal", "dual"])
+    def test_inputs_are_left_unchanged_and_may_be_read_only(self, branch):
+        blocks = random_blocks(27, 20, 2, [1.0, 2.0], [12, 15])
+        for block in blocks:
+            for a in block[:2]:
+                a.flags.writeable = False
+        copies = [(h.copy(), t.copy()) for h, t, _ in blocks]
+        for live in (blocks[:1], blocks):
+            assert np.array_equal(solve_ridge(live, branch),
+                                  copying_reference(live, branch))
+        for (h, t, _), (h0, t0) in zip(blocks, copies):
+            assert np.array_equal(h, h0) and np.array_equal(t, t0)
 
 
 class TestTrainElm:
