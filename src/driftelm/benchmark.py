@@ -190,7 +190,7 @@ def _select(pairs: list[tuple[ScalerParams, SampleSet, SampleSet]],
         if k >= target.n_samples:
             raise DataError(f"k_guides={k} must be below the target batch size "
                             f"({target.n_samples})")
-    return [ssa_select(apply_scaler(scaler, target), k) if k else None
+    return [ssa_select(apply_scaler(scaler, target.features), k) if k else None
             for scaler, _, target in pairs]
 
 
@@ -223,12 +223,12 @@ class RunMap:
         self._source_elm: tuple = (None, None, None, None)  # source, scaler, c, weights
 
     def output(self, samples: SampleSet, scaler: ScalerParams,
-               scaled: SampleSet | None = None) -> np.ndarray:
+               scaled: np.ndarray | None = None) -> np.ndarray:
         """H of ``samples`` scaled by ``scaler``, kept until `keep_only` lets it
         go; ``scaled``, when given, is that scaled copy, already made."""
         key = (samples, scaler)
         if key not in self._kept:
-            h = hidden_output(self.fmap, apply_scaler(scaler, samples) if scaled is None
+            h = hidden_output(self.fmap, apply_scaler(scaler, samples.features) if scaled is None
                               else scaled)
             h.flags.writeable = False
             self._kept[key] = h
@@ -264,20 +264,20 @@ def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
         beta_base = base.source_elm(source, scaler, pens["c_s"])
         # the coupled model is pulled toward the soft scores the base classifier
         # gives the rest through its own map; the rest is scaled once for both
-        rest = apply_scaler(scaler, task.rest)
+        rest = apply_scaler(scaler, task.rest.features)
         pseudo = hidden_output(base.fmap, rest) @ beta_base
         h_rest = layer.output(task.rest, scaler, rest)
         del rest
-        beta = train_daelm_t(hidden_output(layer.fmap, apply_scaler(scaler, guides)),
+        beta = train_daelm_t(hidden_output(layer.fmap, apply_scaler(scaler, guides.features)),
                              encode_targets(guides.labels, m), h_rest, pseudo,
                              pens["c_t"], pens["c_tu"])
     elif cfg.method == "daelm-s":
         beta = train_daelm_s(
             base.output(source, scaler), encode_targets(source.labels, m),
-            hidden_output(layer.fmap, apply_scaler(scaler, guides)),
+            hidden_output(layer.fmap, apply_scaler(scaler, guides.features)),
             encode_targets(guides.labels, m), pens["c_s"], pens["c_t"])
     elif guides is not None:  # elm on source rows plus the labeled guides
-        feats = np.vstack([apply_scaler(scaler, s).features for s in (source, guides)])
+        feats = np.vstack([apply_scaler(scaler, s.features) for s in (source, guides)])
         labels = np.concatenate([source.labels, guides.labels])
         beta = train_elm(hidden_output(layer.fmap, feats), encode_targets(labels, m),
                          pens["c_s"])

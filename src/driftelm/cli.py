@@ -229,7 +229,7 @@ def _cmd_predict(args) -> int:
     path = _data_dir(args) / f"batch{args.batch}.dat"
     batch = dataset.load_batch(path, expected_n=clf.feature_map.n_features,
                                batch_id=args.batch)
-    _, labels = solvers.predict(clf, dataset.apply_scaler(scaler, batch))
+    _, labels = solvers.predict(clf, dataset.apply_scaler(scaler, batch.features))
     lines = ["index,label"] + [f"{i},{lab}" for i, lab in enumerate(labels)]
     _emit("\n".join(lines) + "\n", args.out)
     print(f"accuracy={100.0 * solvers.accuracy(labels, batch.labels):.2f}", file=sys.stderr)

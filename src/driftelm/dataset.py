@@ -58,7 +58,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """An immutable batch of labeled samples: what one batch file holds.
+    """An immutable, unscaled batch of labeled samples, as loaded or split.
 
     features : (N, n) float matrix, finite.
     labels   : (N,) vector of 1-based class ids in 1..N_CLASSES.
@@ -381,15 +381,21 @@ def fit_scaler(batches: list[SampleSet]) -> ScalerParams:
     return ScalerParams(lo, hi)
 
 
-def apply_scaler(scaler: ScalerParams, samples: SampleSet) -> SampleSet:
-    """Map each value by 2*(v - min)/(max - min) - 1; constant features to 0."""
-    if samples.n_features != scaler.minimum.shape[0]:
+def apply_scaler(scaler: ScalerParams, features) -> np.ndarray:
+    """Each value mapped by 2*(v - min)/(max - min) - 1, constant features to 0,
+    as a read-only C-ordered matrix; DataError on NaN, Inf or an overflow."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != scaler.minimum.shape[0]:
         raise DataError("scaler dimension does not match samples")
-    span = scaler.maximum - scaler.minimum
-    safe = np.where(span > 0, span, 1.0)
-    scaled = 2.0 * (samples.features - scaler.minimum) / safe - 1.0
+    safe = np.where(scaler.maximum > scaler.minimum, scaler.maximum - scaler.minimum, 1.0)
+    scaled = np.subtract(features, scaler.minimum, order="C")
+    scaled *= 2.0
+    scaled /= safe
+    scaled -= 1.0
+    if not np.isfinite(scaled).all():
+        raise DataError("features contain NaN or Inf")
     scaled[:, scaler.constant_mask] = 0.0
-    return SampleSet(scaled, samples.labels, samples.batch_id)
+    return _readonly(scaled)
 
 
 def encode_targets(labels, m: int) -> np.ndarray:

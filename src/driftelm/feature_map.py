@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .dataset import DataError, SampleSet
+from .dataset import DataError
 
 
 # Each activation overwrites its argument, a fresh N-by-L product, with
@@ -104,19 +103,12 @@ def map_from_descriptor(desc) -> RandomFeatureMap:
     return fmap
 
 
-def _as_features(x: Union[SampleSet, np.ndarray]) -> np.ndarray:
-    feats = x.features if isinstance(x, SampleSet) else np.asarray(x, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError("expected an (N, n) sample matrix")
-    return feats
-
-
-def hidden_output(fmap: RandomFeatureMap, x: Union[SampleSet, np.ndarray]) -> np.ndarray:
-    """Hidden layer output H with H[i, j] = act(w_j . x_i + b_j)."""
-    feats = _as_features(x)
-    if feats.shape[1] != fmap.n_features:
-        raise ValueError(
-            f"sample dimension {feats.shape[1]} does not match map ({fmap.n_features})")
+def hidden_output(fmap: RandomFeatureMap, x) -> np.ndarray:
+    """Hidden layer output H with H[i, j] = act(w_j . x_i + b_j) for an (N, n) matrix x."""
+    feats = np.asarray(x, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[1] != fmap.n_features:
+        raise ValueError(f"samples of shape {feats.shape} do not match the map's "
+                         f"dimension ({fmap.n_features})")
     z = feats @ fmap.weights.T
     z += fmap.biases
     return ACTIVATIONS[fmap.activation](z)

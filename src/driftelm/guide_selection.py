@@ -35,12 +35,9 @@ so a sweep over several k selects once at the largest and slices.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from .dataset import DataError, SampleSet
-from .feature_map import _as_features
 
 
 def _distances_from(feats: np.ndarray, i: int, rows=slice(None)) -> np.ndarray:
@@ -149,15 +146,17 @@ def _farthest_pair(feats: np.ndarray, block: int) -> tuple[int, int]:
     return int(rows[pair[0]]), int(rows[pair[1]])
 
 
-def ssa_select(x: Union[SampleSet, np.ndarray], k: int) -> np.ndarray:
-    """Farthest-pair seeding plus greedy max-min extension to k samples.
+def ssa_select(x, k: int) -> np.ndarray:
+    """Farthest-pair seeding plus greedy max-min extension to k rows of x.
 
     Returns the chosen row indices in selection order, as a read-only int64
     vector. Raises ``ValueError`` if k is below 2 or above the batch size,
     and ``DataError`` if the samples hold NaN or Inf.
     """
     # C order, so a gathered row sums exactly as it does in a full scan.
-    feats = np.ascontiguousarray(_as_features(x))
+    feats = np.ascontiguousarray(x, dtype=np.float64)
+    if feats.ndim != 2:
+        raise ValueError("expected an (N, n) sample matrix")
     n, dim = feats.shape
     if k < 2:
         raise ValueError("k must be at least 2")

@@ -30,12 +30,11 @@ N-by-N) system and no copy of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .dataset import DataError, SampleSet, ScalerParams
+from .dataset import DataError, ScalerParams
 from .feature_map import RandomFeatureMap, hidden_output, map_from_descriptor
 
 BRANCHES = ("auto", "primal", "dual")
@@ -193,8 +192,10 @@ def labels_from_scores(scores: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1).astype(np.int64) + 1
 
 
-def predict(classifier: Classifier, x: Union[SampleSet, np.ndarray]):
-    """Class scores and argmax labels for a sample matrix."""
+def predict(classifier: Classifier, x):
+    """Class scores and argmax labels for an (N, n) matrix; DataError on NaN or Inf."""
+    if not np.isfinite(x).all():
+        raise DataError("features contain NaN or Inf")
     scores = hidden_output(classifier.feature_map, x) @ classifier.beta
     return scores, labels_from_scores(scores)
 

@@ -177,16 +177,25 @@ class TestReuse:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"hidden": [], "maps": []}
+        """Per hidden_output call: the map's seed, the projected matrix and the
+        unscaled features it was scaled from (None for any other matrix)."""
+        calls, scaled = {"hidden": [], "maps": []}, []
+
+        def tracked_scaler(scaler, features):
+            out = apply_scaler(scaler, features)
+            scaled.append((out, features))  # kept alive, so identities stay unique
+            return out
 
         def counted_hidden(fmap, x):
-            calls["hidden"].append((fmap.seed, x))
+            unscaled = next((features for out, features in scaled if out is x), None)
+            calls["hidden"].append((fmap.seed, x, unscaled))
             return hidden_output(fmap, x)
 
         def counted_map(*args):
             calls["maps"].append(args)
             return new_feature_map(*args)
 
+        monkeypatch.setattr(driftelm.benchmark, "apply_scaler", tracked_scaler)
         monkeypatch.setattr(driftelm.benchmark, "hidden_output", counted_hidden)
         monkeypatch.setattr(driftelm.benchmark, "new_feature_map", counted_map)
         return calls
@@ -199,7 +208,9 @@ class TestReuse:
         run_experiment(cfg, small_drift_corpus)
         assert len(calls["maps"]) == runs
         assert len(calls["hidden"]) == 10 * runs
-        assert Counter((seed, x.batch_id) for seed, x in calls["hidden"]) == {
+        batch_of = {id(b.features): b.batch_id for b in small_drift_corpus}
+        assert Counter((seed, batch_of.get(id(unscaled)))
+                       for seed, _, unscaled in calls["hidden"]) == {
             (5 + r, b): 1 for r in range(runs) for b in range(1, 11)}
 
     @pytest.mark.parametrize("method, k", [("elm", 0), ("daelm-s", 4), ("daelm-t", 4)])
@@ -209,8 +220,8 @@ class TestReuse:
                                base_seed=5)
         run_experiment(cfg, small_drift_corpus)
         assert len(calls["maps"]) == 3 * len(feature_map_seeds(method, 0))
-        source_calls = [seed for seed, x in calls["hidden"]
-                        if isinstance(x, SampleSet) and x.batch_id == 1]
+        source_calls = [seed for seed, _, unscaled in calls["hidden"]
+                        if unscaled is small_drift_corpus[0].features]
         assert source_calls == [5, 6, 7]
 
     @pytest.mark.parametrize("setting, per_run", [("fixed-source", 1),
@@ -251,11 +262,11 @@ class TestReuse:
         layer.keep_only()
         assert layer.output(b, scaler) is not hb
         # each call projected its batch scaled, not as the caller holds it
-        projected = [x.features for _, x in calls["hidden"]]
-        expected = [apply_scaler(scaler, x).features for x in (a, b, twin, b, a, b)]
-        assert len(projected) == len(expected)
-        for got, want in zip(projected, expected):
-            np.testing.assert_array_equal(got, want)
+        batches = (a, b, twin, b, a, b)
+        assert len(calls["hidden"]) == len(batches)
+        for (_, got, unscaled), x in zip(calls["hidden"], batches):
+            assert unscaled is x.features
+            np.testing.assert_array_equal(got, apply_scaler(scaler, x.features))
 
     @pytest.fixture
     def held(self, monkeypatch):
@@ -323,13 +334,13 @@ class TestReuse:
             source, target = (small_drift_corpus[task_result.source_batch - 1],
                               small_drift_corpus[task_result.target_batch - 1])
             scaler = fit_scaler(small_drift_corpus if scope == "global" else [source, target])
-            guides, rest = (split_target(target, ssa_select(apply_scaler(scaler, target), k))
-                            if k else (None, target))
+            xt = apply_scaler(scaler, target.features)
+            guides, rest = split_target(target, ssa_select(xt, k)) if k else (None, target)
             expected = []
             for r in range(cfg.runs):
                 clf = fit(cfg, Task(scaler, source, guides, rest),
                           run_maps(cfg, source.n_features, cfg.base_seed + r))
-                scores = predict(clf, apply_scaler(scaler, rest))[1]
+                scores = predict(clf, apply_scaler(scaler, rest.features))[1]
                 expected.append(100.0 * accuracy(scores, rest.labels))
             assert task_result.accuracies == tuple(expected)
 
@@ -342,8 +353,8 @@ class TestReuse:
         # one selection or one projection and dropped once it is done
         scaled, alive = [], []
 
-        def tracked_scaler(scaler, samples):
-            out = apply_scaler(scaler, samples)
+        def tracked_scaler(scaler, features):
+            out = apply_scaler(scaler, features)
             scaled.append(weakref.ref(out))
             return out
 

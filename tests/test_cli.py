@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgError
 import driftelm.dataset
 import driftelm.solvers
 from driftelm import (apply_scaler, encode_targets, fit_scaler, hidden_output,
-                      load_corpus, new_feature_map, split_target, ssa_select,
+                      load_corpus, new_feature_map, ssa_select,
                       train_daelm_s, train_daelm_t, train_elm)
 from driftelm.benchmark import DEFAULT_PENALTIES, ExperimentConfig
 from driftelm.cli import (_CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE,
@@ -108,7 +108,7 @@ def test_select_guides(drift_corpus_dir, capsys):
     assert len(set(indices)) == 6
     # the protocol's picks, in selection order: batch 5 under the corpus-wide scaler
     corpus = load_corpus(drift_corpus_dir, expected_n=4)
-    target = apply_scaler(fit_scaler(corpus), corpus[4])
+    target = apply_scaler(fit_scaler(corpus), corpus[4].features)
     assert indices == ssa_select(target, 6).tolist()
 
 
@@ -120,6 +120,23 @@ def test_select_guides_at_or_beyond_batch_size_is_refused(drift_corpus_dir, caps
     assert code == EXIT_DATA
     assert captured.out == ""
     assert f"k_guides={guides} must be below the target batch size (36)" in captured.err
+
+
+def test_bench_refuses_features_whose_scaling_overflows(small_drift_corpus, tmp_path,
+                                                        capsys):
+    # a feature spanning 2e308 scales to NaN, which must not reach the solver
+    for batch in small_drift_corpus:
+        feats = batch.features.copy()
+        if batch.batch_id == 1:
+            feats[:2, 0] = 1e308, -1e308
+        save_batch(SampleSet(feats, batch.labels, batch.batch_id),
+                   tmp_path / f"batch{batch.batch_id}.dat")
+    code = main(["bench", "--data-dir", str(tmp_path), "--method", "elm", "--guides", "0",
+                 "--hidden", "30", "--features", "4", "--runs", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_DATA
+    assert captured.out == ""
+    assert "features contain NaN or Inf" in captured.err
 
 
 def test_unknown_batch_is_data_error(drift_corpus_dir, tmp_path, capsys):
@@ -395,26 +412,26 @@ def _reference_model_json(corpus_dir, method, k, target_batch, penalties, hidden
     """
     corpus = load_corpus(corpus_dir, expected_n=4)
     scaler = fit_scaler(corpus)
-    source, target = (apply_scaler(scaler, corpus[b - 1]) for b in (1, target_batch))
-    guides, rest = split_target(target, ssa_select(target, k)) if k else (None, target)
+    source, target = corpus[0], corpus[target_batch - 1]
+    xs, xt = (apply_scaler(scaler, b.features) for b in (source, target))
+    picks = ssa_select(xt, k) if k else np.zeros(0, dtype=np.int64)
+    xg, yg, xr = xt[picks], target.labels[picks], np.delete(xt, picks, axis=0)
     pens, m = {**DEFAULT_PENALTIES[method], **penalties}, N_CLASSES
     fmap = new_feature_map(hidden, 4, "radbas", seed)
     if method == "daelm-t":
         base, fmap = fmap, new_feature_map(hidden, 4, "radbas", seed + 1_000_003)
-        beta_base = train_elm(hidden_output(base, source),
+        beta_base = train_elm(hidden_output(base, xs),
                               encode_targets(source.labels, m), pens["c_s"])
-        beta = train_daelm_t(hidden_output(fmap, guides), encode_targets(guides.labels, m),
-                             hidden_output(fmap, rest), hidden_output(base, rest) @ beta_base,
+        beta = train_daelm_t(hidden_output(fmap, xg), encode_targets(yg, m),
+                             hidden_output(fmap, xr), hidden_output(base, xr) @ beta_base,
                              pens["c_t"], pens["c_tu"])
     elif method == "daelm-s":
-        beta = train_daelm_s(hidden_output(fmap, source), encode_targets(source.labels, m),
-                             hidden_output(fmap, guides), encode_targets(guides.labels, m),
+        beta = train_daelm_s(hidden_output(fmap, xs), encode_targets(source.labels, m),
+                             hidden_output(fmap, xg), encode_targets(yg, m),
                              pens["c_s"], pens["c_t"])
     else:
-        feats, labels = source.features, source.labels
-        if guides is not None:
-            feats = np.vstack([feats, guides.features])
-            labels = np.concatenate([labels, guides.labels])
+        feats = np.vstack([xs, xg])
+        labels = np.concatenate([source.labels, yg])
         beta = train_elm(hidden_output(fmap, feats), encode_targets(labels, m), pens["c_s"])
     digest = hashlib.sha256(fmap.weights.astype("<f8").tobytes()
                             + fmap.biases.astype("<f8").tobytes()).hexdigest()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftelm import (DataError, SampleSet, apply_scaler, encode_targets,
+from driftelm import (DataError, SampleSet, ScalerParams, apply_scaler, encode_targets,
                       fit_scaler, load_batch, validate_corpus)
 from driftelm import dataset
 from driftelm.dataset import (EXPECTED_BATCH_TOTALS, EXPECTED_CLASS_COUNTS,
@@ -396,20 +396,20 @@ class TestScaler:
 
     def test_endpoints_and_midpoint(self):
         s = SampleSet(np.array([[0.0], [1.0], [2.0]]), [1, 2, 1])
-        scaled = apply_scaler(fit_scaler([s]), s)
-        np.testing.assert_allclose(scaled.features[:, 0], [-1.0, 0.0, 1.0])
+        scaled = apply_scaler(fit_scaler([s]), s.features)
+        np.testing.assert_allclose(scaled[:, 0], [-1.0, 0.0, 1.0])
 
     def test_constant_feature_maps_to_zero(self):
         s = SampleSet(np.full((4, 2), 3.0), [1, 2, 1, 2])
-        scaled = apply_scaler(fit_scaler([s]), s)
-        assert np.all(scaled.features == 0.0)
+        scaled = apply_scaler(fit_scaler([s]), s.features)
+        assert np.all(scaled == 0.0)
 
     def test_corpus_scaled_into_unit_interval(self, drift_corpus):
         scaler = fit_scaler(drift_corpus)
         for batch in drift_corpus:
-            scaled = apply_scaler(scaler, batch)
-            assert scaled.features.min() >= -1.0
-            assert scaled.features.max() <= 1.0
+            scaled = apply_scaler(scaler, batch.features)
+            assert scaled.min() >= -1.0 and scaled.max() <= 1.0
+            assert scaled.flags.c_contiguous and not scaled.flags.writeable
         assert scaler.constant_mask.sum() == 0
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.integers(1, 6))
@@ -418,8 +418,23 @@ class TestScaler:
         rng = np.random.default_rng(seed)
         feats = rng.normal(scale=10.0, size=(n_samples, n_features))
         s = SampleSet(feats, np.ones(n_samples, dtype=int))
-        scaled = apply_scaler(fit_scaler([s]), s)
-        assert scaled.features.min() >= -1.0 and scaled.features.max() <= 1.0
+        scaled = apply_scaler(fit_scaler([s]), s.features)
+        assert scaled.min() >= -1.0 and scaled.max() <= 1.0
+
+    def test_overflow_is_refused(self):
+        # the span 2e308 overflows to inf, so the extremes scale to NaN
+        s = SampleSet(np.array([[1e308, 0.0], [-1e308, 1.0]]), [1, 2])
+        with pytest.raises(DataError, match="NaN or Inf"):
+            apply_scaler(fit_scaler([s]), s.features)
+
+    def test_non_finite_or_misshapen_features_are_refused(self):
+        scaler = ScalerParams([0.0, 0.0], [1.0, 0.0])  # the second feature is constant
+        for bad in ([[np.nan, 0.5]], [[0.5, np.inf]]):
+            with pytest.raises(DataError, match="NaN or Inf"):
+                apply_scaler(scaler, bad)
+        for bad in ([0.5, 0.5], [[0.5, 0.5, 0.5]]):
+            with pytest.raises(DataError, match="dimension"):
+                apply_scaler(scaler, bad)
 
 
 class TestEncodeTargets:
@@ -499,7 +514,7 @@ class TestSyntheticDrift:
                               new_feature_map, predict, train_elm)
         source, target = make_synthetic_drift(4, 50, 5.0, seed=9)
         scaler = fit_scaler([source, target])
-        s, t = apply_scaler(scaler, source), apply_scaler(scaler, target)
+        s, t = apply_scaler(scaler, source.features), apply_scaler(scaler, target.features)
         fmap = new_feature_map(80, 8, "radbas", seed=1)
         beta = train_elm(hidden_output(fmap, s), encode_targets(source.labels, 4), 1.0)
         clf = Classifier(fmap, beta)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from driftelm import RandomFeatureMap, SampleSet, hidden_output, new_feature_map
+from driftelm import RandomFeatureMap, hidden_output, new_feature_map
 from driftelm.feature_map import map_from_descriptor
 
 
@@ -70,12 +70,6 @@ def test_row_permutation_equivariance():
     f = new_feature_map(12, 4, seed=2)
     perm = rng.permutation(15)
     np.testing.assert_array_equal(hidden_output(f, x[perm]), hidden_output(f, x)[perm])
-
-
-def test_accepts_sample_set():
-    s = SampleSet(np.zeros((3, 4)), [1, 2, 3])
-    f = new_feature_map(5, 4, seed=0)
-    np.testing.assert_array_equal(hidden_output(f, s), hidden_output(f, s.features))
 
 
 def test_dimension_mismatch():

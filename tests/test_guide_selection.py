@@ -199,7 +199,7 @@ class TestSplitTarget:
     def test_partition(self):
         rng = np.random.default_rng(4)
         batch = SampleSet(rng.normal(size=(20, 3)), rng.integers(1, 4, 20))
-        sel = ssa_select(batch, 5)
+        sel = ssa_select(batch.features, 5)
         labeled, unlabeled = split_target(batch, sel)
         assert labeled.n_samples == 5
         assert unlabeled.n_samples == 15
@@ -209,7 +209,7 @@ class TestSplitTarget:
 
     def test_labels_retained_on_both_sides(self):
         batch = SampleSet(np.arange(12.0).reshape(6, 2), [1, 2, 3, 1, 2, 3])
-        sel = ssa_select(batch, 2)
+        sel = ssa_select(batch.features, 2)
         labeled, unlabeled = split_target(batch, sel)
         np.testing.assert_array_equal(labeled.labels, batch.labels[sel])
         np.testing.assert_array_equal(unlabeled.labels, np.delete(batch.labels, sel))
@@ -219,7 +219,7 @@ class TestSplitTarget:
         # a 197-sample batch with 5 guides leaves 192 for evaluation
         rng = np.random.default_rng(5)
         batch = SampleSet(rng.normal(size=(197, 4)), rng.integers(1, 7, 197))
-        labeled, unlabeled = split_target(batch, ssa_select(batch, 5))
+        labeled, unlabeled = split_target(batch, ssa_select(batch.features, 5))
         assert labeled.n_samples == 5
         assert unlabeled.n_samples == 192
 

@@ -459,7 +459,7 @@ class TestSingleClass:
         fmap = new_feature_map(hidden, 4, "sigmoid", seed=seed % 1000)
         source = SampleSet(rng.uniform(-1, 1, (n, 4)), np.full(n, label))
         target = SampleSet(rng.uniform(-1, 1, (n + k, 4)), np.full(n + k, label))
-        guides, rest = split_target(target, ssa_select(target, k))
+        guides, rest = split_target(target, ssa_select(target.features, k))
         assert guides.n_samples == k and rest.n_samples == n
         assert set(guides.labels) == set(rest.labels) == {label}
 
@@ -468,7 +468,7 @@ class TestSingleClass:
         for t in (ts, tt):
             assert (t[:, label - 1] == 1.0).all()
             assert (np.delete(t, label - 1, axis=1) == -1.0).all()
-        hs, ht, hu = (hidden_output(fmap, x) for x in (source, guides, rest))
+        hs, ht, hu = (hidden_output(fmap, x.features) for x in (source, guides, rest))
         pseudo = hu @ rng.normal(size=(hidden, m))
         c_s, c_t, c_tu = 0.5, 10.0, 3.0
         betas = {
@@ -502,8 +502,7 @@ class TestPredictAndAccuracy:
         feats = np.vstack([rng.normal(size=(30, 4)) + 6.0,
                            rng.normal(size=(30, 4)) - 6.0])
         labels = np.array([1] * 30 + [2] * 30)
-        scaled = SampleSet(2 * (feats - feats.min(0)) / np.ptp(feats, 0) - 1,
-                           labels)
+        scaled = 2 * (feats - feats.min(0)) / np.ptp(feats, 0) - 1
         fmap = new_feature_map(60, 4, "radbas", seed=5)
         h = hidden_output(fmap, scaled)
         targets = -np.ones((60, 2))
@@ -512,6 +511,14 @@ class TestPredictAndAccuracy:
         clf = Classifier(fmap, beta)
         _, predicted = predict(clf, scaled)
         assert accuracy(predicted, labels) == 1.0
+
+    def test_non_finite_rows_are_refused(self):
+        # a NaN or Inf row would otherwise get a label all the same
+        clf = Classifier(new_feature_map(5, 2, seed=0), np.ones((5, 2)))
+        with pytest.raises(DataError, match="NaN or Inf"):
+            predict(clf, [[np.nan, 0.0], [np.inf, 1.0]])
+        with pytest.raises(DataError, match="NaN or Inf"):
+            predict(clf, np.array([[0.0, 0.0], [0.0, -np.inf]]))
 
     def test_accuracy_values(self):
         assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
