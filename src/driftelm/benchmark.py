@@ -8,18 +8,20 @@ seeds and are averaged.
 
 Across runs only the caller's unscaled batches, each task's scaler and the
 guide indices are kept: a target is scaled only for its selection, a run
-splits each task's target when it reaches the task, and every hidden layer
-scales the rows it projects. The work is run-major: a run builds its
-feature maps once from its seed and goes through the nine tasks in order.
-A hidden output is computed once and read again when a later task of the
-run reads the very same batch under the very same scaler: a fixed source,
-or a rolling target without guides, which is the next task's source under
-the global scaler. A map keeps an H only until the last step of the run
-that reads it, and the ELM trained on the source alone while that source
-is read (see `RunMap`). `sweep_guides` is the one protocol and `fit` the
-one training path; `fit_pair` builds the one task of the `train` command
-as the protocols build theirs. With ``jobs > 1`` whole runs go to a thread
-pool; results do not depend on it.
+splits each task's guides off its target when it reaches the task and
+keeps the rest as row indices, and every hidden layer gathers and scales
+the rows it projects. The work is run-major: a run builds its feature maps
+once from its seed and goes through the nine tasks in order. A hidden
+output is computed once and read again when a later step of the run reads
+the very same rows under the very same scaler: a daelm-t rest, a fixed
+daelm-s source, or a rolling target without guides, which is the next
+task's source under the global scaler. A map keeps an H only until the
+last step of the run that reads it, and the ELM trained on the source
+alone while that source is read, without the source's H (see `RunMap`).
+`sweep_guides` is the one protocol and `fit` the one training path;
+`fit_pair` builds the one task of the `train` command as the protocols
+build theirs. With ``jobs > 1`` whole runs go to a thread pool; results do
+not depend on it.
 """
 
 from __future__ import annotations
@@ -145,14 +147,28 @@ class ExperimentReport:
         return f"{self.method}({self.k_guides})" if self.k_guides else self.method
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Task:
-    """One (source, target) task, unscaled, and the scaler it is projected through."""
+    """One (source, target) task, unscaled, and the scaler it is projected through.
+
+    The rest, the target rows a task scores, is kept as row indices into the
+    target and gathered only to be projected. Like a `SampleSet`, a task
+    compares and hashes by identity, so an H of its rest can be kept by it
+    (see `rest_key`).
+    """
 
     scaler: ScalerParams
-    source: SampleSet         # labeled
-    guides: SampleSet | None  # labeled target rows the trainer sees
-    rest: SampleSet           # target remainder; labels score only
+    source: SampleSet          # labeled
+    target: SampleSet          # the whole target batch
+    guides: SampleSet | None   # labeled target rows the trainer sees
+    rest: np.ndarray | None    # ascending indices of the other rows; None: all
+
+    @property
+    def rest_key(self) -> SampleSet | Task:
+        """What an H of the rest is kept by: the target batch when the rest is
+        all of it, which a rolling run reads again as the next source, and
+        this task otherwise."""
+        return self.target if self.rest is None else self
 
 
 def _task_pairs(setting: str) -> list[tuple[int, int]]:
@@ -198,51 +214,64 @@ def _task(scaler: ScalerParams, source: SampleSet, target: SampleSet,
           indices: np.ndarray | None, k: int) -> Task:
     """The task whose guides are the first k selected rows of ``target``."""
     if not k:
-        return Task(scaler, source, None, target)
-    return Task(scaler, source, *split_target(target, indices[:k]))
+        return Task(scaler, source, target, None, None)
+    return Task(scaler, source, target, *split_target(target, indices[:k]))
 
 
 class RunMap:
     """One run's feature map and the hidden outputs a later step may read.
 
-    An H is kept by the identity of its unscaled batch and of the scaler
-    that scales it; the scaled copy it is projected from is not kept. A later
-    task of the same run reads the same batch under the same scaler in two
-    cases: a fixed source, which every task reads, and a rolling target
-    without guides, which is the next task's source under the global scaler.
-    So a map keeps each H it computes, read-only, until the run lets it go
-    with `keep_only`, which the run calls to keep only what its next step
-    reads. The ELM weights trained on the source alone (the daelm-t base
-    classifier, or elm without guides) are kept with it.
+    An H is kept by the identity of the rows it projects, a batch or a
+    task's rest (see `Task.rest_key`), and of the scaler that scales them;
+    the scaled copy it is projected from is not kept. A later step of the
+    same run reads the same rows under the same scaler in three cases: a
+    daelm-t rest, trained on and then scored; a fixed daelm-s source, which
+    every task reads; and a rolling target without guides, which is the next
+    task's source under the global scaler. So a map keeps each H that
+    `output` computes, read-only, until the run lets it go with `keep_only`,
+    which the run calls to keep only what its next step reads. The ELM
+    weights trained on the source alone (the daelm-t base classifier, or elm
+    without guides) are kept too, but not the source's H (see `source_elm`).
     """
 
     def __init__(self, fmap: RandomFeatureMap):
         self.fmap = fmap
-        # (batch, scaler) -> H; both compare and hash by identity, not values
-        self._kept: dict[tuple[SampleSet, ScalerParams], np.ndarray] = {}
+        # (batch or task, scaler) -> H; all compare and hash by identity, not values
+        self._kept: dict[tuple[SampleSet | Task, ScalerParams], np.ndarray] = {}
         self._source_elm: tuple = (None, None, None, None)  # source, scaler, c, weights
 
-    def output(self, samples: SampleSet, scaler: ScalerParams,
+    def output(self, rows: SampleSet | Task, scaler: ScalerParams,
                scaled: np.ndarray | None = None) -> np.ndarray:
-        """H of ``samples`` scaled by ``scaler``, kept until `keep_only` lets it
-        go; ``scaled``, when given, is that scaled copy, already made."""
-        key = (samples, scaler)
+        """H of ``rows``, a batch or a task standing for its rest (a key
+        `Task.rest_key` gives), scaled by ``scaler`` and kept until
+        `keep_only` lets it go; ``scaled``, when given, is that scaled copy,
+        already made."""
+        key = (rows, scaler)
         if key not in self._kept:
-            h = hidden_output(self.fmap, apply_scaler(scaler, samples.features) if scaled is None
-                              else scaled)
+            if scaled is None:
+                scaled = apply_scaler(scaler, rows.target.features[rows.rest]
+                                      if isinstance(rows, Task) else rows.features)
+            h = hidden_output(self.fmap, scaled)
             h.flags.writeable = False
             self._kept[key] = h
         return self._kept[key]
 
-    def keep_only(self, *keys: tuple[SampleSet, ScalerParams]) -> None:
-        """Drop every kept H but those of the (batch, scaler) pairs ``keys``."""
+    def keep_only(self, *keys: tuple[SampleSet | Task, ScalerParams]) -> None:
+        """Drop every kept H but those of the (rows, scaler) pairs ``keys``."""
         self._kept = {key: h for key, h in self._kept.items() if key in keys}
 
     def source_elm(self, source: SampleSet, scaler: ScalerParams, c: float) -> np.ndarray:
         """ELM weights on ``source`` scaled by ``scaler``, with penalty ``c``,
-        read-only and trained once while both stay this map's source."""
-        h = self.output(source, scaler)
+        read-only and trained once while all three stay this map's source.
+
+        The source's H is read only to train them: a kept one if there is
+        one (in a rolling run, the previous target's), or else one projected
+        for this training and not kept.
+        """
         if self._source_elm[:3] != (source, scaler, c):  # compared by identity
+            h = self._kept.get((source, scaler))
+            if h is None:
+                h = hidden_output(self.fmap, apply_scaler(scaler, source.features))
             beta = train_elm(h, encode_targets(source.labels, N_CLASSES), c)
             beta.flags.writeable = False
             self._source_elm = (source, scaler, c, beta)
@@ -263,10 +292,11 @@ def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
     if cfg.method == "daelm-t":
         beta_base = base.source_elm(source, scaler, pens["c_s"])
         # the coupled model is pulled toward the soft scores the base classifier
-        # gives the rest through its own map; the rest is scaled once for both
-        rest = apply_scaler(scaler, task.rest.features)
+        # gives the rest through its own map; the rest is gathered and scaled
+        # once for both
+        rest = apply_scaler(scaler, task.target.features[task.rest])
         pseudo = hidden_output(base.fmap, rest) @ beta_base
-        h_rest = layer.output(task.rest, scaler, rest)
+        h_rest = layer.output(task.rest_key, scaler, rest)
         del rest
         beta = train_daelm_t(hidden_output(layer.fmap, apply_scaler(scaler, guides.features)),
                              encode_targets(guides.labels, m), h_rest, pseudo,
@@ -297,12 +327,14 @@ def _score(cfg: ExperimentConfig, pairs: list[tuple[ScalerParams, SampleSet, Sam
             task = _task(*pair, indices, cfg.k_guides)
             after = [(source, scaler) for scaler, source, _ in pairs[t + 1:t + 2]]
             clf = fit(cfg, task, maps)
+            scored = (task.rest_key, task.scaler)
             for m in maps:  # the rest H daelm-t computed is scored next
-                m.keep_only(*after, (task.rest, task.scaler))
-            scores = maps[-1].output(task.rest, task.scaler) @ clf.beta
+                m.keep_only(*after, scored)
+            scores = maps[-1].output(*scored) @ clf.beta
             for m in maps:
                 m.keep_only(*after)
-            acc[t, r] = 100.0 * accuracy(labels_from_scores(scores), task.rest.labels)
+            labels = task.target.labels if task.rest is None else task.target.labels[task.rest]
+            acc[t, r] = 100.0 * accuracy(labels_from_scores(scores), labels)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

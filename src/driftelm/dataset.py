@@ -387,11 +387,12 @@ def apply_scaler(scaler: ScalerParams, features) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != scaler.minimum.shape[0]:
         raise DataError("scaler dimension does not match samples")
-    safe = np.where(scaler.maximum > scaler.minimum, scaler.maximum - scaler.minimum, 1.0)
-    scaled = np.subtract(features, scaler.minimum, order="C")
-    scaled *= 2.0
-    scaled /= safe
-    scaled -= 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        safe = np.where(scaler.maximum > scaler.minimum, scaler.maximum - scaler.minimum, 1.0)
+        scaled = np.subtract(features, scaler.minimum, order="C")
+        scaled *= 2.0
+        scaled /= safe
+        scaled -= 1.0
     if not np.isfinite(scaled).all():
         raise DataError("features contain NaN or Inf")
     scaled[:, scaler.constant_mask] = 0.0

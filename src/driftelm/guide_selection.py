@@ -200,11 +200,12 @@ def ssa_select(x, k: int) -> np.ndarray:
     return indices
 
 
-def split_target(x: SampleSet, indices: np.ndarray) -> tuple[SampleSet, SampleSet]:
+def split_target(x: SampleSet, indices: np.ndarray) -> tuple[SampleSet, np.ndarray]:
     """Split a target batch into the guide rows at ``indices`` and the rest.
 
-    Guides keep their labels for training; the remainder keeps labels too,
-    but only for evaluation, never for training.
+    The guides are a labeled `SampleSet` for training. The rest is not
+    copied: it is the ascending indices of the other rows, as a read-only
+    int64 vector, whose labels are for evaluation only, never for training.
     """
     indices = np.asarray(indices)
     if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
@@ -214,7 +215,8 @@ def split_target(x: SampleSet, indices: np.ndarray) -> tuple[SampleSet, SampleSe
         raise DataError("selection indices out of range for this batch")
     mask = np.zeros(n, dtype=bool)
     mask[indices] = True
-    rest = np.flatnonzero(~mask)
+    rest = np.flatnonzero(~mask).astype(np.int64, copy=False)
     if rest.size != n - indices.size:
         raise DataError("selection indices must be distinct")
-    return x.take(indices), x.take(rest)
+    rest.flags.writeable = False
+    return x.take(indices), rest

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import driftelm.benchmark
 from driftelm import (DataError, ExperimentConfig, SampleSet, accuracy,
                       apply_scaler, emit_report, emit_sweep_csv, fit_scaler, hidden_output,
-                      new_feature_map, predict, run_experiment, split_target,
-                      ssa_select, sweep_guides, train_elm)
+                      new_feature_map, predict, run_experiment, solve_ridge,
+                      split_target, ssa_select, sweep_guides, train_elm)
 from driftelm.benchmark import (DEFAULT_PENALTIES, RunMap, Task, TaskResult,
                                 feature_map_seeds, fit, run_maps)
 
@@ -270,7 +270,8 @@ class TestReuse:
 
     @pytest.fixture
     def held(self, monkeypatch):
-        """Per hidden_output call: the task being run and what each map holds."""
+        """Per hidden_output call: the task being run and the keys each map
+        holds, base map first."""
         held, state = [], {}
 
         def recorded_maps(*args):
@@ -282,7 +283,7 @@ class TestReuse:
             return fit(cfg, task, maps)
 
         def recorded_hidden(fmap, x):
-            held.append((state["task"], [key for m in state["maps"] for key in m._kept]))
+            held.append((state["task"], [list(m._kept) for m in state["maps"]]))
             return hidden_output(fmap, x)
 
         monkeypatch.setattr(driftelm.benchmark, "run_maps", recorded_maps)
@@ -295,14 +296,21 @@ class TestReuse:
                                            ("daelm-t", 4)])
     def test_a_map_holds_only_what_the_current_task_reads(
             self, small_drift_corpus, held, setting, method, k):
-        # no H of an earlier task's rest, or of a source no longer read, is held
+        # no H of an earlier task's rest, or of a source no longer read, is held;
+        # only daelm-s reads its source's H after training on it, so only
+        # daelm-s keeps it, and the daelm-t base map holds no H at all
         cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
                                hidden_size=30, runs=2, base_seed=5)
         run_experiment(cfg, small_drift_corpus)
         assert len(held) >= 9 * cfg.runs
         for task, kept in held:
-            assert all((x is task.source or x is task.rest) and by is task.scaler
-                       for x, by in kept)
+            keys = [key for per_map in kept for key in per_map]
+            assert all((x is task.source or x is task.rest_key) and by is task.scaler
+                       for x, by in keys)
+            if method != "daelm-s":
+                assert all(x is not task.source for x, _ in keys)
+            if method == "daelm-t":
+                assert kept[0] == []
 
     def test_rolling_elm_projects_each_batch_holding_nothing_else(
             self, small_drift_corpus, held):
@@ -312,7 +320,7 @@ class TestReuse:
                                hidden_size=30, runs=2, base_seed=5)
         run_experiment(cfg, small_drift_corpus)
         assert len(held) == 10 * cfg.runs
-        assert all(kept == [] for _, kept in held)
+        assert all(kept == [[]] for _, kept in held)
 
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
     @pytest.mark.parametrize("method, k, scope", [
@@ -335,13 +343,14 @@ class TestReuse:
                               small_drift_corpus[task_result.target_batch - 1])
             scaler = fit_scaler(small_drift_corpus if scope == "global" else [source, target])
             xt = apply_scaler(scaler, target.features)
-            guides, rest = split_target(target, ssa_select(xt, k)) if k else (None, target)
+            guides, rest = split_target(target, ssa_select(xt, k)) if k else (None, None)
+            scored = slice(None) if rest is None else rest
             expected = []
             for r in range(cfg.runs):
-                clf = fit(cfg, Task(scaler, source, guides, rest),
+                clf = fit(cfg, Task(scaler, source, target, guides, rest),
                           run_maps(cfg, source.n_features, cfg.base_seed + r))
-                scores = predict(clf, apply_scaler(scaler, rest.features))[1]
-                expected.append(100.0 * accuracy(scores, rest.labels))
+                scores = predict(clf, apply_scaler(scaler, target.features[scored]))[1]
+                expected.append(100.0 * accuracy(scores, target.labels[scored]))
             assert task_result.accuracies == tuple(expected)
 
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
@@ -372,6 +381,34 @@ class TestReuse:
         run_experiment(cfg, small_drift_corpus)
         assert len(alive) >= 9 * cfg.runs
         assert max(alive) <= 1
+
+    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
+    @pytest.mark.parametrize("method", ["elm", "daelm-s", "daelm-t"])
+    def test_no_gathered_rest_is_alive_while_a_solve_runs(self, small_drift_corpus,
+                                                          monkeypatch, setting, method):
+        # a task holds its rest as row indices: the rows are gathered only to
+        # be scaled and projected, and neither copy is held through a solve
+        k, batches = 4, {id(b.features) for b in small_drift_corpus}
+        copies, alive = [], []
+
+        def tracked_scaler(scaler, features):
+            out = apply_scaler(scaler, features)
+            if id(features) not in batches and len(features) > k:  # not a batch or guides
+                copies.extend([weakref.ref(features), weakref.ref(out)])
+            return out
+
+        def counted_solve(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in copies))
+            return solve_ridge(*args, **kwargs)
+
+        monkeypatch.setattr(driftelm.benchmark, "apply_scaler", tracked_scaler)
+        monkeypatch.setattr(driftelm.solvers, "solve_ridge", counted_solve)
+        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
+                               hidden_size=30, runs=2, base_seed=5)
+        run_experiment(cfg, small_drift_corpus)
+        assert len(copies) >= 2 * 9 * cfg.runs  # every task gathered its rest
+        assert len(alive) >= 9 * cfg.runs
+        assert max(alive) == 0
 
 
 class TestSweep:

@@ -122,9 +122,11 @@ def test_select_guides_at_or_beyond_batch_size_is_refused(drift_corpus_dir, caps
     assert f"k_guides={guides} must be below the target batch size (36)" in captured.err
 
 
+@pytest.mark.filterwarnings("error")
 def test_bench_refuses_features_whose_scaling_overflows(small_drift_corpus, tmp_path,
                                                         capsys):
-    # a feature spanning 2e308 scales to NaN, which must not reach the solver
+    # a feature spanning 2e308 scales to NaN, which must not reach the solver;
+    # the error line is all that is printed, with no numpy warning before it
     for batch in small_drift_corpus:
         feats = batch.features.copy()
         if batch.batch_id == 1:
@@ -136,7 +138,7 @@ def test_bench_refuses_features_whose_scaling_overflows(small_drift_corpus, tmp_
     captured = capsys.readouterr()
     assert code == EXIT_DATA
     assert captured.out == ""
-    assert "features contain NaN or Inf" in captured.err
+    assert captured.err.splitlines() == ["error: features contain NaN or Inf"]
 
 
 def test_unknown_batch_is_data_error(drift_corpus_dir, tmp_path, capsys):

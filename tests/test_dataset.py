@@ -421,8 +421,10 @@ class TestScaler:
         scaled = apply_scaler(fit_scaler([s]), s.features)
         assert scaled.min() >= -1.0 and scaled.max() <= 1.0
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_is_refused(self):
-        # the span 2e308 overflows to inf, so the extremes scale to NaN
+        # the span 2e308 overflows to inf, so the extremes scale to NaN; the
+        # DataError is all the caller gets, with no numpy warning before it
         s = SampleSet(np.array([[1e308, 0.0], [-1e308, 1.0]]), [1, 2])
         with pytest.raises(DataError, match="NaN or Inf"):
             apply_scaler(fit_scaler([s]), s.features)

@@ -460,15 +460,16 @@ class TestSingleClass:
         source = SampleSet(rng.uniform(-1, 1, (n, 4)), np.full(n, label))
         target = SampleSet(rng.uniform(-1, 1, (n + k, 4)), np.full(n + k, label))
         guides, rest = split_target(target, ssa_select(target.features, k))
-        assert guides.n_samples == k and rest.n_samples == n
-        assert set(guides.labels) == set(rest.labels) == {label}
+        assert guides.n_samples == k and rest.size == n
+        assert set(guides.labels) == set(target.labels[rest]) == {label}
 
         ts = encode_targets(source.labels, m)
         tt = encode_targets(guides.labels, m)
         for t in (ts, tt):
             assert (t[:, label - 1] == 1.0).all()
             assert (np.delete(t, label - 1, axis=1) == -1.0).all()
-        hs, ht, hu = (hidden_output(fmap, x.features) for x in (source, guides, rest))
+        hs, ht, hu = (hidden_output(fmap, x)
+                      for x in (source.features, guides.features, target.features[rest]))
         pseudo = hu @ rng.normal(size=(hidden, m))
         c_s, c_t, c_tu = 0.5, 10.0, 3.0
         betas = {
