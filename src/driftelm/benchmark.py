@@ -10,14 +10,14 @@ Across runs only the caller's unscaled batches, each task's scaler and the
 guide indices are kept: a target is scaled only for its selection, a run
 splits each task's guides off its target when it reaches the task and
 keeps the rest as row indices, and every hidden layer gathers and scales
-the rows it projects. The work is run-major: a run builds its feature maps
-once from its seed and goes through the nine tasks in order. A hidden
-output is computed once and read again when a later step of the run reads
-the very same rows under the very same scaler: a daelm-t rest, a fixed
-daelm-s source, or a rolling target without guides, which is the next
-task's source under the global scaler. A map keeps an H only until the
-last step of the run that reads it, and the ELM trained on the source
-alone while that source is read, without the source's H (see `RunMap`).
+the rows it projects. The work is run-major: a run draws its maps once
+from its seed, as one `RunMap`, and goes through the nine tasks in order.
+A hidden output is computed once and read again when a later step of the
+run reads the very same rows under the very same scaler: a daelm-t rest, a
+fixed daelm-s source, or a rolling target without guides, which is the
+next task's source under the global scaler. A run keeps an H only until
+its last step that reads it, and the ELM trained on the source alone while
+that source is read, without the source's H (see `RunMap`).
 `sweep_guides` is the one protocol and `fit` the one training path;
 `fit_pair` builds the one task of the `train` command as the protocols
 build theirs. With ``jobs > 1`` whole runs go to a thread pool; results do
@@ -34,8 +34,7 @@ import numpy as np
 
 from .dataset import (BATCH_IDS, N_CLASSES, DataError, SampleSet,
                       ScalerParams, apply_scaler, encode_targets, fit_scaler)
-from .feature_map import (ACTIVATIONS, RandomFeatureMap, hidden_output,
-                          new_feature_map)
+from .feature_map import ACTIVATIONS, hidden_output, new_feature_map
 from .guide_selection import split_target, ssa_select
 # predict is not called here; it stays bound because tracers of the
 # benchmark wrap this module's names (see perfbench/tracing.py)
@@ -56,13 +55,6 @@ SCALER_SCOPES = ("global", "pair")
 # Offset separating the target-side feature map seed from the base map seed
 # in daelm-t runs; prime, so it never collides with another run's base seed.
 TARGET_MAP_SEED_OFFSET = 1_000_003
-
-
-def feature_map_seeds(method: str, run_seed: int) -> tuple[int, ...]:
-    """Seeds of the feature maps one run builds (base map first for daelm-t)."""
-    if method == "daelm-t":
-        return (run_seed, run_seed + TARGET_MAP_SEED_OFFSET)
-    return (run_seed,)
 
 
 @dataclass(frozen=True)
@@ -219,31 +211,37 @@ def _task(scaler: ScalerParams, source: SampleSet, target: SampleSet,
 
 
 class RunMap:
-    """One run's feature map and the hidden outputs a later step may read.
+    """One run's feature maps and the hidden outputs a later step may read.
 
-    An H is kept by the identity of the rows it projects, a batch or a
-    task's rest (see `Task.rest_key`), and of the scaler that scales them;
-    the scaled copy it is projected from is not kept. A later step of the
-    same run reads the same rows under the same scaler in three cases: a
-    daelm-t rest, trained on and then scored; a fixed daelm-s source, which
-    every task reads; and a rolling target without guides, which is the next
-    task's source under the global scaler. So a map keeps each H that
-    `output` computes, read-only, until the run lets it go with `keep_only`,
-    which the run calls to keep only what its next step reads. The ELM
-    weights trained on the source alone (the daelm-t base classifier, or elm
-    without guides) are kept too, but not the source's H (see `source_elm`).
+    ``base`` is drawn at the run's seed; daelm-t then draws its coupled
+    model's ``fmap`` at the seed plus `TARGET_MAP_SEED_OFFSET`, and for every
+    other method ``fmap is base``. Only ``fmap``'s outputs are kept, by the
+    identity of the rows projected, a batch or a task's rest (see
+    `Task.rest_key`), and of the scaler that scales them; the scaled copy is
+    not kept. A later step of the same run reads the same rows under the
+    same scaler in three cases: a daelm-t rest, trained on and then scored;
+    a fixed daelm-s source, which every task reads; and a rolling target
+    without guides, which is the next task's source under the global scaler.
+    So each H that `output` computes is kept, read-only, until the run calls
+    `keep_only` to keep only what its next step reads. The ELM weights
+    trained through ``base`` on the source alone (the daelm-t base
+    classifier, or elm without guides) are kept too, but not the source's H
+    (see `source_elm`).
     """
 
-    def __init__(self, fmap: RandomFeatureMap):
-        self.fmap = fmap
+    def __init__(self, cfg: ExperimentConfig, n_features: int, run_seed: int):
+        shape = (cfg.hidden_size, n_features, cfg.activation)
+        self.base = new_feature_map(*shape, run_seed)
+        self.fmap = (new_feature_map(*shape, run_seed + TARGET_MAP_SEED_OFFSET)
+                     if cfg.method == "daelm-t" else self.base)
         # (batch or task, scaler) -> H; all compare and hash by identity, not values
         self._kept: dict[tuple[SampleSet | Task, ScalerParams], np.ndarray] = {}
         self._source_elm: tuple = (None, None, None, None)  # source, scaler, c, weights
 
     def output(self, rows: SampleSet | Task, scaler: ScalerParams,
                scaled: np.ndarray | None = None) -> np.ndarray:
-        """H of ``rows``, a batch or a task standing for its rest (a key
-        `Task.rest_key` gives), scaled by ``scaler`` and kept until
+        """``fmap``'s H of ``rows``, a batch or a task standing for its rest (a
+        key `Task.rest_key` gives), scaled by ``scaler`` and kept until
         `keep_only` lets it go; ``scaled``, when given, is that scaled copy,
         already made."""
         key = (rows, scaler)
@@ -261,59 +259,53 @@ class RunMap:
         self._kept = {key: h for key, h in self._kept.items() if key in keys}
 
     def source_elm(self, source: SampleSet, scaler: ScalerParams, c: float) -> np.ndarray:
-        """ELM weights on ``source`` scaled by ``scaler``, with penalty ``c``,
-        read-only and trained once while all three stay this map's source.
+        """``base``'s ELM weights on ``source`` scaled by ``scaler``, with
+        penalty ``c``, read-only and trained once while all three stay this
+        run's source.
 
-        The source's H is read only to train them: a kept one if there is
-        one (in a rolling run, the previous target's), or else one projected
-        for this training and not kept.
+        The source's H is read only to train them: a kept one if ``base`` is
+        ``fmap`` and there is one (in a rolling run, the previous target's),
+        or else one projected for this training and not kept.
         """
         if self._source_elm[:3] != (source, scaler, c):  # compared by identity
-            h = self._kept.get((source, scaler))
+            h = self._kept.get((source, scaler)) if self.base is self.fmap else None
             if h is None:
-                h = hidden_output(self.fmap, apply_scaler(scaler, source.features))
+                h = hidden_output(self.base, apply_scaler(scaler, source.features))
             beta = train_elm(h, encode_targets(source.labels, N_CLASSES), c)
             beta.flags.writeable = False
             self._source_elm = (source, scaler, c, beta)
         return self._source_elm[3]
 
 
-def run_maps(cfg: ExperimentConfig, n_features: int, run_seed: int) -> list[RunMap]:
-    """The feature maps of one run, base map first for daelm-t."""
-    return [RunMap(new_feature_map(cfg.hidden_size, n_features, cfg.activation, seed))
-            for seed in feature_map_seeds(cfg.method, run_seed)]
-
-
-def fit(cfg: ExperimentConfig, task: Task, maps: list[RunMap]) -> Classifier:
-    """Train ``cfg.method`` on one task with the maps of one run."""
+def fit(cfg: ExperimentConfig, task: Task, run: RunMap) -> Classifier:
+    """Train ``cfg.method`` on one task with one run's maps; it predicts through ``run.fmap``."""
     pens = cfg.resolved_penalties()
     scaler, source, guides, m = task.scaler, task.source, task.guides, N_CLASSES
-    base, layer = maps[0], maps[-1]  # the same map unless daelm-t
     if cfg.method == "daelm-t":
-        beta_base = base.source_elm(source, scaler, pens["c_s"])
+        beta_base = run.source_elm(source, scaler, pens["c_s"])
         # the coupled model is pulled toward the soft scores the base classifier
         # gives the rest through its own map; the rest is gathered and scaled
         # once for both
         rest = apply_scaler(scaler, task.target.features[task.rest])
-        pseudo = hidden_output(base.fmap, rest) @ beta_base
-        h_rest = layer.output(task.rest_key, scaler, rest)
+        pseudo = hidden_output(run.base, rest) @ beta_base
+        h_rest = run.output(task.rest_key, scaler, rest)
         del rest
-        beta = train_daelm_t(hidden_output(layer.fmap, apply_scaler(scaler, guides.features)),
+        beta = train_daelm_t(hidden_output(run.fmap, apply_scaler(scaler, guides.features)),
                              encode_targets(guides.labels, m), h_rest, pseudo,
                              pens["c_t"], pens["c_tu"])
     elif cfg.method == "daelm-s":
         beta = train_daelm_s(
-            base.output(source, scaler), encode_targets(source.labels, m),
-            hidden_output(layer.fmap, apply_scaler(scaler, guides.features)),
+            run.output(source, scaler), encode_targets(source.labels, m),
+            hidden_output(run.fmap, apply_scaler(scaler, guides.features)),
             encode_targets(guides.labels, m), pens["c_s"], pens["c_t"])
     elif guides is not None:  # elm on source rows plus the labeled guides
         feats = np.vstack([apply_scaler(scaler, s.features) for s in (source, guides)])
         labels = np.concatenate([source.labels, guides.labels])
-        beta = train_elm(hidden_output(layer.fmap, feats), encode_targets(labels, m),
+        beta = train_elm(hidden_output(run.fmap, feats), encode_targets(labels, m),
                          pens["c_s"])
     else:
-        beta = base.source_elm(source, scaler, pens["c_s"])
-    return Classifier(layer.fmap, beta)
+        beta = run.source_elm(source, scaler, pens["c_s"])
+    return Classifier(run.fmap, beta)
 
 
 def _score(cfg: ExperimentConfig, pairs: list[tuple[ScalerParams, SampleSet, SampleSet]],
@@ -322,24 +314,23 @@ def _score(cfg: ExperimentConfig, pairs: list[tuple[ScalerParams, SampleSet, Sam
     acc = np.empty((len(pairs), cfg.runs))
 
     def run(r):
-        maps = run_maps(cfg, pairs[0][1].n_features, cfg.base_seed + r)
+        run_map = RunMap(cfg, pairs[0][1].n_features, cfg.base_seed + r)
         for t, (pair, indices) in enumerate(zip(pairs, selections)):
             task = _task(*pair, indices, cfg.k_guides)
             after = [(source, scaler) for scaler, source, _ in pairs[t + 1:t + 2]]
-            clf = fit(cfg, task, maps)
+            clf = fit(cfg, task, run_map)
             scored = (task.rest_key, task.scaler)
-            for m in maps:  # the rest H daelm-t computed is scored next
-                m.keep_only(*after, scored)
-            scores = maps[-1].output(*scored) @ clf.beta
-            for m in maps:
-                m.keep_only(*after)
+            run_map.keep_only(*after, scored)  # the rest H daelm-t computed is scored next
+            scores = run_map.output(*scored) @ clf.beta
+            run_map.keep_only(*after)
             labels = task.target.labels if task.rest is None else task.target.labels[task.rest]
             acc[t, r] = 100.0 * accuracy(labels_from_scores(scores), labels)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             list(pool.map(run, range(cfg.runs)))
-    else:
+    else:  # on this thread, not a one-worker pool: a worker thread allocates from
+        # its own glibc malloc arena, which raised peak RSS by 6 % (137 -> 145 MB)
         for r in range(cfg.runs):
             run(r)
 
@@ -382,7 +373,7 @@ def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
     [pair] = pairs = _batch_pairs(cfg, corpus, [(source_id, target_id)])
     [indices] = _select(pairs, cfg.k_guides)
     task = _task(*pair, indices, cfg.k_guides)
-    return fit(cfg, task, run_maps(cfg, task.source.n_features, cfg.base_seed)), task.scaler
+    return fit(cfg, task, RunMap(cfg, task.source.n_features, cfg.base_seed)), task.scaler
 
 
 REPORT_FORMATS = ("table", "csv", "jsonl")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import benchmark, dataset, solvers
 from .benchmark import DEFAULT_PENALTIES, ExperimentConfig
-from .dataset import DataError, write_atomic
+from .dataset import DataError, utf8_text, write_atomic
 from .solvers import SolverError
 
 EXIT_OK = 0
@@ -90,18 +90,11 @@ def _load_corpus(args, allow_missing=False):
                                allow_missing=allow_missing)
 
 
-def _read_text(path) -> str:
-    """A file's text as UTF-8; undecodable bytes are a DataError naming the file."""
-    try:
-        return Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-
-
 def _read_config_file(path) -> dict:
     """Flat key=value config as key -> (line number, value); '#' starts a comment."""
     values = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    text = utf8_text(Path(path).read_bytes(), path)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -219,7 +212,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     _check_out_dir(args)
-    text = _read_text(args.model)
+    text = utf8_text(Path(args.model).read_bytes(), args.model)
     try:
         clf, scaler = solvers.classifier_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:

@@ -196,15 +196,20 @@ def _write_entry(entry: Path, samples: SampleSet) -> None:
         pass
 
 
-def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of a batch file's bytes, one line at a time."""
+def utf8_text(data: bytes, path) -> str:
+    """The bytes of the file ``path`` as UTF-8 text; undecodable bytes are a
+    DataError naming the file."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Features and labels of a batch file's bytes, one line at a time."""
     rows: list[np.ndarray] = []
     labels: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(utf8_text(data, path).splitlines(), start=1):
         tokens = line.split()
         if not tokens:
             continue

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 import driftelm.benchmark
 from driftelm import (DataError, ExperimentConfig, SampleSet, accuracy,
-                      apply_scaler, emit_report, emit_sweep_csv, fit_scaler, hidden_output,
-                      new_feature_map, predict, run_experiment, solve_ridge,
+                      apply_scaler, emit_report, emit_sweep_csv, encode_targets, fit_scaler,
+                      hidden_output, new_feature_map, predict, run_experiment, solve_ridge,
                       split_target, ssa_select, sweep_guides, train_elm)
-from driftelm.benchmark import (DEFAULT_PENALTIES, RunMap, Task, TaskResult,
-                                feature_map_seeds, fit, run_maps)
+from driftelm.benchmark import DEFAULT_PENALTIES, RunMap, Task, TaskResult, fit
+from driftelm.dataset import N_CLASSES
 
 FAST = dict(k_guides=4, hidden_size=30, runs=2, base_seed=5)
 
@@ -59,9 +59,10 @@ class TestConfig:
         ExperimentConfig(method="elm", k_guides=0)  # plain source-only elm
 
     def test_daelm_t_uses_two_distinct_seeds(self):
-        seeds = feature_map_seeds("daelm-t", 11)
-        assert len(seeds) == 2 and seeds[0] != seeds[1]
-        assert feature_map_seeds("daelm-s", 11) == (11,)
+        run = RunMap(ExperimentConfig(method="daelm-t", hidden_size=8), 4, 11)
+        assert run.base.seed == 11 and run.fmap.seed != run.base.seed
+        run = RunMap(ExperimentConfig(method="daelm-s", hidden_size=8), 4, 11)
+        assert run.fmap is run.base and run.base.seed == 11
 
 
 class TestProtocols:
@@ -219,7 +220,7 @@ class TestReuse:
         cfg = ExperimentConfig(method=method, k_guides=k, hidden_size=30, runs=3,
                                base_seed=5)
         run_experiment(cfg, small_drift_corpus)
-        assert len(calls["maps"]) == 3 * len(feature_map_seeds(method, 0))
+        assert len(calls["maps"]) == 3 * (2 if method == "daelm-t" else 1)
         source_calls = [seed for seed, _, unscaled in calls["hidden"]
                         if unscaled is small_drift_corpus[0].features]
         assert source_calls == [5, 6, 7]
@@ -246,7 +247,7 @@ class TestReuse:
     def test_kept_outputs_are_read_only_and_bounded(self, small_drift_corpus, calls):
         a, b = small_drift_corpus[:2]
         scaler, other = fit_scaler(small_drift_corpus), fit_scaler(small_drift_corpus)
-        layer = RunMap(new_feature_map(8, 4, seed=1))
+        layer = RunMap(ExperimentConfig(method="elm", hidden_size=8), 4, 1)
         h = layer.output(a, scaler)
         assert not h.flags.writeable
         with pytest.raises(ValueError):
@@ -268,25 +269,31 @@ class TestReuse:
             assert unscaled is x.features
             np.testing.assert_array_equal(got, apply_scaler(scaler, x.features))
 
+    def test_daelm_t_base_classifier_projects_through_the_base_map(self, small_drift_corpus):
+        # a daelm-t run keeps its coupled model's H only: even with the
+        # source's H kept, the base classifier projects the source anew
+        source = small_drift_corpus[0]
+        scaler = fit_scaler(small_drift_corpus)
+        run = RunMap(ExperimentConfig(method="daelm-t", hidden_size=30), source.n_features, 5)
+        run.output(source, scaler)
+        c = DEFAULT_PENALTIES["daelm-t"]["c_s"]
+        expected = train_elm(hidden_output(run.base, apply_scaler(scaler, source.features)),
+                             encode_targets(source.labels, N_CLASSES), c)
+        np.testing.assert_array_equal(run.source_elm(source, scaler, c), expected)
+
     @pytest.fixture
     def held(self, monkeypatch):
-        """Per hidden_output call: the task being run and the keys each map
-        holds, base map first."""
+        """Per hidden_output call: the task being run and the keys its run holds."""
         held, state = [], {}
 
-        def recorded_maps(*args):
-            state["maps"] = run_maps(*args)
-            return state["maps"]
-
-        def recorded_fit(cfg, task, maps):
-            state["task"] = task
-            return fit(cfg, task, maps)
+        def recorded_fit(cfg, task, run):
+            state["task"], state["run"] = task, run
+            return fit(cfg, task, run)
 
         def recorded_hidden(fmap, x):
-            held.append((state["task"], [list(m._kept) for m in state["maps"]]))
+            held.append((state["task"], list(state["run"]._kept)))
             return hidden_output(fmap, x)
 
-        monkeypatch.setattr(driftelm.benchmark, "run_maps", recorded_maps)
         monkeypatch.setattr(driftelm.benchmark, "fit", recorded_fit)
         monkeypatch.setattr(driftelm.benchmark, "hidden_output", recorded_hidden)
         return held
@@ -298,19 +305,16 @@ class TestReuse:
             self, small_drift_corpus, held, setting, method, k):
         # no H of an earlier task's rest, or of a source no longer read, is held;
         # only daelm-s reads its source's H after training on it, so only
-        # daelm-s keeps it, and the daelm-t base map holds no H at all
+        # daelm-s keeps it (a daelm-t run keeps no H of its base map at all)
         cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
                                hidden_size=30, runs=2, base_seed=5)
         run_experiment(cfg, small_drift_corpus)
         assert len(held) >= 9 * cfg.runs
-        for task, kept in held:
-            keys = [key for per_map in kept for key in per_map]
+        for task, keys in held:
             assert all((x is task.source or x is task.rest_key) and by is task.scaler
                        for x, by in keys)
             if method != "daelm-s":
                 assert all(x is not task.source for x, _ in keys)
-            if method == "daelm-t":
-                assert kept[0] == []
 
     def test_rolling_elm_projects_each_batch_holding_nothing_else(
             self, small_drift_corpus, held):
@@ -320,7 +324,7 @@ class TestReuse:
                                hidden_size=30, runs=2, base_seed=5)
         run_experiment(cfg, small_drift_corpus)
         assert len(held) == 10 * cfg.runs
-        assert all(kept == [[]] for _, kept in held)
+        assert all(keys == [] for _, keys in held)
 
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
     @pytest.mark.parametrize("method, k, scope", [
@@ -348,7 +352,7 @@ class TestReuse:
             expected = []
             for r in range(cfg.runs):
                 clf = fit(cfg, Task(scaler, source, target, guides, rest),
-                          run_maps(cfg, source.n_features, cfg.base_seed + r))
+                          RunMap(cfg, source.n_features, cfg.base_seed + r))
                 scores = predict(clf, apply_scaler(scaler, target.features[scored]))[1]
                 expected.append(100.0 * accuracy(scores, target.labels[scored]))
             assert task_result.accuracies == tuple(expected)
