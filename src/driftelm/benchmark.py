@@ -11,13 +11,11 @@ guide indices are kept: a target is scaled only for its selection, a run
 splits each task's guides off its target when it reaches the task and
 keeps the rest as row indices, and every hidden layer gathers and scales
 the rows it projects. The work is run-major: a run draws its maps once
-from its seed, as one `RunMap`, and goes through the nine tasks in order.
-A hidden output is computed once and read again when a later step of the
-run reads the very same rows under the very same scaler: a daelm-t rest, a
-fixed daelm-s source, or a rolling target without guides, which is the
-next task's source under the global scaler. A run keeps an H only until
-its last step that reads it, and the ELM trained on the source alone while
-that source is read, without the source's H (see `RunMap`).
+from its seed, as one `RunMap`, and goes through every guide count's nine
+tasks in order. It keeps a hidden output only while a later step reads the
+very same rows under the very same scaler, and the ELM trained on the
+source alone only while that source is read (see `RunMap`); so the counts
+of a sweep share a fixed source's H and ELM, and never a rest's rows.
 `sweep_guides` is the one protocol and `fit` the one training path;
 `fit_pair` builds the one task of the `train` command as the protocols
 build theirs. With ``jobs > 1`` whole runs go to a thread pool; results do
@@ -308,23 +306,37 @@ def fit(cfg: ExperimentConfig, task: Task, run: RunMap) -> Classifier:
     return Classifier(run.fmap, beta)
 
 
-def _score(cfg: ExperimentConfig, pairs: list[tuple[ScalerParams, SampleSet, SampleSet]],
-           selections: list[np.ndarray | None]) -> ExperimentReport:
-    """Run every run of one guide count; a run builds each task when it reaches it."""
-    acc = np.empty((len(pairs), cfg.runs))
+def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
+                 ks: list[int]) -> list[ExperimentReport]:
+    """One report per guide count in ``ks``, in that order.
+
+    Every guide count is checked against every target before any work. Each
+    target is then selected once, at the largest count, and each count takes
+    a prefix of that selection: greedy max-min picks do not depend on k. A
+    run draws one `RunMap` and goes through every count's tasks, count by
+    count, building each task when it reaches it.
+    """
+    if not ks:
+        raise ValueError("ks must be non-empty")
+    for k in ks:
+        replace(cfg, k_guides=k)  # refuses a count the config would refuse
+    pairs = _batch_pairs(cfg, corpus, _task_pairs(cfg.setting))
+    selections = _select(pairs, max(ks))
+    steps = [(k, pair, indices) for k in ks for pair, indices in zip(pairs, selections)]
+    acc = np.empty((len(steps), cfg.runs))
 
     def run(r):
         run_map = RunMap(cfg, pairs[0][1].n_features, cfg.base_seed + r)
-        for t, (pair, indices) in enumerate(zip(pairs, selections)):
-            task = _task(*pair, indices, cfg.k_guides)
-            after = [(source, scaler) for scaler, source, _ in pairs[t + 1:t + 2]]
+        for s, (k, pair, indices) in enumerate(steps):
+            task = _task(*pair, indices, k)
+            after = [(source, scaler) for _, (scaler, source, _), _ in steps[s + 1:s + 2]]
             clf = fit(cfg, task, run_map)
             scored = (task.rest_key, task.scaler)
             run_map.keep_only(*after, scored)  # the rest H daelm-t computed is scored next
             scores = run_map.output(*scored) @ clf.beta
             run_map.keep_only(*after)
             labels = task.target.labels if task.rest is None else task.target.labels[task.rest]
-            acc[t, r] = 100.0 * accuracy(labels_from_scores(scores), labels)
+            acc[s, r] = 100.0 * accuracy(labels_from_scores(scores), labels)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -334,25 +346,10 @@ def _score(cfg: ExperimentConfig, pairs: list[tuple[ScalerParams, SampleSet, Sam
         for r in range(cfg.runs):
             run(r)
 
-    results = tuple(TaskResult(source.batch_id, target.batch_id, tuple(acc[t]))
-                    for t, (_, source, target) in enumerate(pairs))
-    return ExperimentReport(cfg.method, cfg.setting, cfg.k_guides, results)
-
-
-def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
-                 ks: list[int]) -> list[ExperimentReport]:
-    """One report per guide count in ``ks``, in that order.
-
-    Every guide count is checked against every target before any work. Each
-    target is then selected once, at the largest count, and each count takes
-    a prefix of that selection: greedy max-min picks do not depend on k.
-    """
-    if not ks:
-        raise ValueError("ks must be non-empty")
-    cfgs = [replace(cfg, k_guides=k) for k in ks]
-    pairs = _batch_pairs(cfg, corpus, _task_pairs(cfg.setting))
-    selections = _select(pairs, max(ks))
-    return [_score(k_cfg, pairs, selections) for k_cfg in cfgs]
+    per_k = acc.reshape(len(ks), len(pairs), cfg.runs)
+    return [ExperimentReport(cfg.method, cfg.setting, k, tuple(
+        TaskResult(source.batch_id, target.batch_id, tuple(row))
+        for (_, source, target), row in zip(pairs, rows))) for k, rows in zip(ks, per_k)]
 
 
 def run_experiment(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:

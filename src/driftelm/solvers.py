@@ -252,9 +252,12 @@ def classifier_from_dict(doc) -> tuple[Classifier, ScalerParams]:
     scaler = ScalerParams(*(_numbers(bounds.get(key), 1, f"scaler {key}")
                             for key in ("min", "max")))
     beta = _numbers(doc["beta"], 2, "beta")
-    fmap = map_from_descriptor(doc["feature_map"])
+    # the map's sizes are checked before its weights are drawn, so a size no
+    # beta fits never reaches an allocation
+    desc = doc["feature_map"] if isinstance(doc["feature_map"], dict) else {}
+    size = desc.get("hidden_size"), desc.get("n_features")
     m, (rows, cols), width = doc["m"], beta.shape, scaler.minimum.shape[0]
-    if type(m) is not int or (m, rows, width) != (cols, fmap.hidden_size, fmap.n_features):
+    if type(m) is not int or (m, rows, width) != (cols, *size):
         raise DataError(f"model file: m = {m!r}, beta {rows}x{cols} and scaler width {width} "
-                        f"do not fit a {fmap.hidden_size}x{fmap.n_features} feature map")
-    return Classifier(fmap, beta), scaler
+                        f"do not fit a {size[0]}x{size[1]} feature map")
+    return Classifier(map_from_descriptor(doc["feature_map"]), beta), scaler

@@ -119,6 +119,10 @@ MALFORMED_MODELS = {
     "no-map-seed": lambda d: _edit(d, "feature_map", "seed"),
     "no-map-sha256": lambda d: _edit(d, "feature_map", "sha256"),
     "float-map-size": lambda d: _edit(d, "feature_map", "hidden_size", change=float),
+    # sizes whose weights would take more bytes than a 128 TiB address space
+    # holds, yet below numpy's size limit: drawing them fails at once anywhere
+    "huge-map-size": lambda d: _edit(d, "feature_map", "hidden_size", change=lambda _: 10**15),
+    "huge-map-width": lambda d: _edit(d, "feature_map", "n_features", change=lambda _: 10**15),
     "string-beta": lambda d: _edit(d, "beta", change=str),
     "string-in-beta": lambda d: _edit(d, "beta", 0, 0, change=str),
     "nan-in-beta": lambda d: _edit(d, "beta", 0, 0, change=lambda _: float("nan")),

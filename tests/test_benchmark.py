@@ -225,6 +225,27 @@ class TestReuse:
                         if unscaled is small_drift_corpus[0].features]
         assert source_calls == [5, 6, 7]
 
+    @pytest.mark.parametrize("method", ["daelm-s", "daelm-t"])
+    def test_a_fixed_sweep_reads_its_source_once_per_run(
+            self, small_drift_corpus, calls, monkeypatch, method):
+        # every guide count reads the same source under the same scaler, so a
+        # run's one RunMap projects it, and trains daelm-t's base ELM, once
+        trained = []
+
+        def counted(h, targets, c):
+            trained.append(h.shape[0])
+            return train_elm(h, targets, c)
+
+        monkeypatch.setattr(driftelm.benchmark, "train_elm", counted)
+        cfg = ExperimentConfig(method=method, k_guides=4, hidden_size=30, runs=3,
+                               base_seed=5)
+        sweep_guides(cfg, small_drift_corpus, [2, 6, 4])
+        assert len(calls["maps"]) == 3 * (2 if method == "daelm-t" else 1)
+        source_calls = [seed for seed, _, unscaled in calls["hidden"]
+                        if unscaled is small_drift_corpus[0].features]
+        assert source_calls == [5, 6, 7]
+        assert len(trained) == (3 if method == "daelm-t" else 0)
+
     @pytest.mark.parametrize("setting, per_run", [("fixed-source", 1),
                                                   ("rolling-source", 9)])
     @pytest.mark.parametrize("method, k", [("elm", 0), ("daelm-t", 4)])
@@ -428,7 +449,8 @@ class TestSweep:
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
     @pytest.mark.parametrize("scope", ["global", "pair"])
     @pytest.mark.parametrize("method, ks", [("daelm-s", [6, 2, 4]),
-                                            ("elm", [0, 2, 4])])
+                                            ("elm", [0, 2, 4]),
+                                            ("daelm-t", [6, 2, 4])])
     def test_sweep_matches_per_k_runs(self, small_drift_corpus, setting, scope,
                                       method, ks):
         cfg = ExperimentConfig(method=method, setting=setting, scaler_scope=scope,
