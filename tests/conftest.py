@@ -78,6 +78,55 @@ def both_forms(blocks):
     return [solve_ridge(blocks, branch) for branch in ("primal", "dual")]
 
 
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-30)
+
+
+# Objective gradients, written out independently of the solver code paths.
+def elm_grad(beta, h, t, c):
+    return beta - c * h.T @ (t - h @ beta)
+
+
+def daelm_s_grad(beta, hs, ts, ht, tt, c_s, c_t):
+    return (beta - c_s * hs.T @ (ts - hs @ beta)
+            - c_t * ht.T @ (tt - ht @ beta))
+
+
+def daelm_t_grad(beta, ht, tt, hu, pseudo, c_t, c_tu):
+    return (beta - c_t * ht.T @ (tt - ht @ beta)
+            - c_tu * hu.T @ (pseudo - hu @ beta))
+
+
+def ssa_bruteforce(points, k):
+    """Step-by-step re-derivation of the selection on a full distance matrix.
+
+    Independent of the library implementation: quadratic-time scans with
+    explicit lowest-index tie handling.
+    """
+    n = len(points)
+    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    best = -1.0
+    pair = (0, 1)
+    for p in range(n):
+        for q in range(p + 1, n):
+            if dist[p, q] > best:
+                best = dist[p, q]
+                pair = (p, q)
+    selected = [pair[0], pair[1]]
+    while len(selected) < min(k, n):
+        best_val = -1.0
+        best_idx = None
+        for i in range(n):
+            if i in selected:
+                continue
+            nearest = min(dist[i, s] for s in selected)
+            if nearest > best_val:
+                best_val = nearest
+                best_idx = i
+        selected.append(best_idx)
+    return selected, best
+
+
 def official_corpus_dir():
     """Directory of the real 10-batch corpus, or None when absent."""
     candidates = []

@@ -17,9 +17,8 @@ from driftelm import (ExperimentConfig, load_corpus, run_experiment,
                       train_elm, validate_corpus)
 from driftelm.cli import EXIT_OK, main
 
-from conftest import both_forms, make_drift_corpus, official_corpus_dir
-from test_guide_selection import ssa_bruteforce
-from test_solvers import daelm_s_grad, daelm_t_grad, elm_grad, rel_diff
+from conftest import (both_forms, daelm_s_grad, daelm_t_grad, elm_grad,
+                      make_drift_corpus, official_corpus_dir, rel_diff, ssa_bruteforce)
 
 # Reference average accuracies (%) for the official 10-batch corpus.
 SETTING1_REFERENCE = {"daelm-s-30": 87.00, "daelm-t-50": 91.86, "elm": 57.93}

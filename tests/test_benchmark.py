@@ -1,6 +1,8 @@
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftelm.benchmark
-from driftelm import (DataError, ExperimentConfig, SampleSet, accuracy,
-                      apply_scaler, emit_report, emit_sweep_csv, encode_targets, fit_scaler,
-                      hidden_output, new_feature_map, predict, run_experiment, solve_ridge,
-                      split_target, ssa_select, sweep_guides, train_elm)
-from driftelm.benchmark import DEFAULT_PENALTIES, RunMap, Task, TaskResult, fit
+from driftelm import (DataError, ExperimentConfig, accuracy, apply_scaler, emit_report,
+                      emit_sweep_csv, encode_targets, fit_scaler, hidden_output,
+                      labels_from_scores, new_feature_map, run_experiment, solve_ridge,
+                      ssa_select, sweep_guides)
+from driftelm.benchmark import DEFAULT_PENALTIES, TARGET_MAP_SEED_OFFSET, RunMap, TaskResult
 from driftelm.dataset import N_CLASSES
+
+from conftest import make_drift_corpus
 
 FAST = dict(k_guides=4, hidden_size=30, runs=2, base_seed=5)
 
@@ -173,210 +177,166 @@ class TestProtocols:
         assert coupled.tasks[0].mean > 60.0
 
 
-class TestReuse:
-    """Each run builds its maps once and computes each kept H once."""
+def reference_tasks(cfg, corpus, ks):
+    """Per guide count in ``ks``, each task's (source, target, per-run
+    accuracies), computed from the package's public functions only.
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Per hidden_output call: the map's seed, the projected matrix and the
-        unscaled features it was scaled from (None for any other matrix)."""
-        calls, scaled = {"hidden": [], "maps": []}, []
+    Each method's ridge blocks are written out:
+        elm:      (H, T, c_s) of the source rows stacked over the guide rows
+        daelm-s:  (Hs, Ts, c_s) and (Hg, Tg, c_t)
+        daelm-t:  (Hg, Tg, c_t) and (H_rest, pseudo, c_tu) through the
+                  second map; pseudo is the base map's H of the rest times
+                  the base ELM, trained on the source through the base map
+    """
+    pens = cfg.resolved_penalties()
+    ids = ([(1, t) for t in range(2, 11)] if cfg.setting == "fixed-source"
+           else [(t - 1, t) for t in range(2, 11)])
+    shape = (cfg.hidden_size, corpus[0].n_features, cfg.activation)
+    maps = []  # per run: the base map, and the map the model predicts through
+    for r in range(cfg.runs):
+        base = new_feature_map(*shape, cfg.base_seed + r)
+        maps.append((base, new_feature_map(*shape, cfg.base_seed + r + TARGET_MAP_SEED_OFFSET)
+                     if cfg.method == "daelm-t" else base))
+    result = [[] for _ in ks]
+    for s, t in ids:
+        source, target = corpus[s - 1], corpus[t - 1]
+        scaler = fit_scaler(corpus if cfg.scaler_scope == "global" else [source, target])
+        xs, xt = apply_scaler(scaler, source.features), apply_scaler(scaler, target.features)
+        ts = encode_targets(source.labels, N_CLASSES)
+        for tasks, k in zip(result, ks):
+            picked = ssa_select(xt, k) if k else np.arange(0)
+            rest = np.setdiff1d(np.arange(target.n_samples), picked)
+            tg = encode_targets(target.labels[picked], N_CLASSES) if k else ts[:0]
+            accuracies = []
+            for base, fmap in maps:
+                h_rest = hidden_output(fmap, xt[rest])  # the projection of the rest's own rows
+                if cfg.method == "elm":
+                    blocks = [(hidden_output(fmap, np.vstack([xs, xt[picked]])),
+                               np.vstack([ts, tg]), pens["c_s"])]
+                elif cfg.method == "daelm-s":
+                    blocks = [(hidden_output(fmap, xs), ts, pens["c_s"]),
+                              (hidden_output(fmap, xt[picked]), tg, pens["c_t"])]
+                else:
+                    beta0 = solve_ridge([(hidden_output(base, xs), ts, pens["c_s"])])
+                    blocks = [(hidden_output(fmap, xt[picked]), tg, pens["c_t"]),
+                              (h_rest, hidden_output(base, xt[rest]) @ beta0, pens["c_tu"])]
+                scores = h_rest @ solve_ridge(blocks)
+                accuracies.append(100.0 * accuracy(labels_from_scores(scores),
+                                                   target.labels[rest]))
+            tasks.append((s, t, tuple(accuracies)))
+    return result
 
-        def tracked_scaler(scaler, features):
-            out = apply_scaler(scaler, features)
-            scaled.append((out, features))  # kept alive, so identities stay unique
-            return out
 
-        def counted_hidden(fmap, x):
-            unscaled = next((features for out, features in scaled if out is x), None)
-            calls["hidden"].append((fmap.seed, x, unscaled))
-            return hidden_output(fmap, x)
+@pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
+@pytest.mark.parametrize("scope", ["global", "pair"])
+@pytest.mark.parametrize("method, ks", [pytest.param("elm", [0, 4, 2], id="elm"),
+                                        pytest.param("daelm-s", [6, 2, 4], id="daelm-s"),
+                                        pytest.param("daelm-t", [6, 2, 4], id="daelm-t")])
+def test_protocols_match_the_reference(small_drift_corpus, method, ks, scope, setting):
+    """Under the pair scope a rolling batch is scaled one way as a target and
+    another as the next source, so an H kept by batch alone fails here."""
+    cfg = ExperimentConfig(method=method, setting=setting, scaler_scope=scope, **FAST)
+    expected = reference_tasks(cfg, small_drift_corpus, ks)
+    for reports in (sweep_guides(cfg, small_drift_corpus, ks),
+                    [run_experiment(replace(cfg, k_guides=k), small_drift_corpus) for k in ks]):
+        assert [[(t.source_batch, t.target_batch, t.accuracies) for t in report.tasks]
+                for report in reports] == expected
 
-        def counted_map(*args):
-            calls["maps"].append(args)
-            return new_feature_map(*args)
 
-        monkeypatch.setattr(driftelm.benchmark, "apply_scaler", tracked_scaler)
-        monkeypatch.setattr(driftelm.benchmark, "hidden_output", counted_hidden)
-        monkeypatch.setattr(driftelm.benchmark, "new_feature_map", counted_map)
-        return calls
+# The protocol's work is counted where it calls each kind: the name, at the
+# module that binds it. A change that moves such a call re-points its site here.
+WORK_SITES = {"maps": (driftelm.benchmark, "new_feature_map"),
+              "projections": (driftelm.benchmark, "hidden_output"),
+              "solves": (driftelm.solvers, "solve_ridge")}
 
-    @pytest.mark.parametrize("runs", [1, 3])
-    def test_rolling_elm_computes_one_output_per_batch_per_run(
-            self, small_drift_corpus, calls, runs):
-        cfg = ExperimentConfig(method="elm", setting="rolling-source", k_guides=0,
-                               hidden_size=30, runs=runs, base_seed=5)
-        run_experiment(cfg, small_drift_corpus)
-        assert len(calls["maps"]) == runs
-        assert len(calls["hidden"]) == 10 * runs
-        batch_of = {id(b.features): b.batch_id for b in small_drift_corpus}
-        assert Counter((seed, batch_of.get(id(unscaled)))
-                       for seed, _, unscaled in calls["hidden"]) == {
-            (5 + r, b): 1 for r in range(runs) for b in range(1, 11)}
+# Upper bounds on one run's work, (maps drawn, hidden outputs computed, ridge
+# solves), per (method, guide counts, setting) on small_drift_corpus at FAST;
+# each count scales with the runs. They are today's counts: a change that
+# does less work lowers its row.
+WORK_PER_RUN = {
+    ("elm", (0,), "fixed-source"): (1, 10, 1),
+    ("elm", (0,), "rolling-source"): (1, 10, 9),
+    ("elm", (4,), "fixed-source"): (1, 18, 9),
+    ("elm", (4,), "rolling-source"): (1, 18, 9),
+    ("daelm-s", (4,), "fixed-source"): (1, 19, 9),
+    ("daelm-s", (4,), "rolling-source"): (1, 27, 9),
+    ("daelm-t", (4,), "fixed-source"): (2, 28, 10),
+    ("daelm-t", (4,), "rolling-source"): (2, 36, 18),
+    ("elm", (0, 2, 4), "fixed-source"): (1, 46, 19),
+    ("elm", (0, 2, 4), "rolling-source"): (1, 46, 27),
+    ("daelm-s", (2, 6, 4), "fixed-source"): (1, 55, 27),
+    ("daelm-s", (2, 6, 4), "rolling-source"): (1, 81, 27),
+    ("daelm-t", (2, 6, 4), "fixed-source"): (2, 82, 28),
+    ("daelm-t", (2, 6, 4), "rolling-source"): (2, 108, 54),
+}
 
-    @pytest.mark.parametrize("method, k", [("elm", 0), ("daelm-s", 4), ("daelm-t", 4)])
-    def test_fixed_source_output_is_computed_once_per_run(
-            self, small_drift_corpus, calls, method, k):
-        cfg = ExperimentConfig(method=method, k_guides=k, hidden_size=30, runs=3,
-                               base_seed=5)
-        run_experiment(cfg, small_drift_corpus)
-        assert len(calls["maps"]) == 3 * (2 if method == "daelm-t" else 1)
-        source_calls = [seed for seed, _, unscaled in calls["hidden"]
-                        if unscaled is small_drift_corpus[0].features]
-        assert source_calls == [5, 6, 7]
+# Upper bounds on the bytes alive (as tracemalloc counts them) when any ridge
+# solve starts, in KiB, per (method, k, setting) on memory_corpus with 100
+# hidden units, 2 runs and seed 3: today's value, rounded up from a cold run
+# (a warm one reads up to 17 KiB less), plus 64 KiB. A gathered rest held
+# through a solve adds about 150 KiB, and a source H kept beside its ELM
+# about 470 KiB.
+SOLVE_MEMORY_KIB = {
+    ("daelm-t", 10, "fixed-source"): 640 + 64,
+    ("daelm-t", 10, "rolling-source"): 645 + 64,
+    ("elm", 0, "rolling-source"): 585 + 64,
+    ("daelm-s", 10, "fixed-source"): 615 + 64,
+}
 
-    @pytest.mark.parametrize("method", ["daelm-s", "daelm-t"])
-    def test_a_fixed_sweep_reads_its_source_once_per_run(
-            self, small_drift_corpus, calls, monkeypatch, method):
-        # every guide count reads the same source under the same scaler, so a
-        # run's one RunMap projects it, and trains daelm-t's base ELM, once
-        trained = []
 
-        def counted(h, targets, c):
-            trained.append(h.shape[0])
-            return train_elm(h, targets, c)
+def on_call(monkeypatch, kind, hook):
+    """Call ``hook()`` as each call of the ``kind`` of work starts."""
+    module, name = WORK_SITES[kind]
+    fn = getattr(module, name)
 
-        monkeypatch.setattr(driftelm.benchmark, "train_elm", counted)
-        cfg = ExperimentConfig(method=method, k_guides=4, hidden_size=30, runs=3,
-                               base_seed=5)
-        sweep_guides(cfg, small_drift_corpus, [2, 6, 4])
-        assert len(calls["maps"]) == 3 * (2 if method == "daelm-t" else 1)
-        source_calls = [seed for seed, _, unscaled in calls["hidden"]
-                        if unscaled is small_drift_corpus[0].features]
-        assert source_calls == [5, 6, 7]
-        assert len(trained) == (3 if method == "daelm-t" else 0)
+    def wrapper(*args, **kwargs):
+        hook()
+        return fn(*args, **kwargs)
 
-    @pytest.mark.parametrize("setting, per_run", [("fixed-source", 1),
-                                                  ("rolling-source", 9)])
-    @pytest.mark.parametrize("method, k", [("elm", 0), ("daelm-t", 4)])
-    def test_source_elm_is_trained_once_per_source(self, small_drift_corpus, monkeypatch,
-                                                   setting, per_run, method, k):
-        # the daelm-t base classifier and the plain elm train on the source
-        # alone, so a run trains them once per distinct source batch
-        trained = []
+    monkeypatch.setattr(module, name, wrapper)
 
-        def counted(h, targets, c):
-            trained.append(h.shape[0])
-            return train_elm(h, targets, c)
 
-        monkeypatch.setattr(driftelm.benchmark, "train_elm", counted)
-        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
-                               hidden_size=30, runs=3, base_seed=5)
-        run_experiment(cfg, small_drift_corpus)
-        assert len(trained) == per_run * cfg.runs
+@pytest.fixture
+def work(monkeypatch):
+    """How many calls of each kind of work the test makes."""
+    counts = Counter()
+    for kind in WORK_SITES:
+        on_call(monkeypatch, kind, partial(counts.update, [kind]))
+    return counts
 
-    def test_kept_outputs_are_read_only_and_bounded(self, small_drift_corpus, calls):
-        a, b = small_drift_corpus[:2]
-        scaler, other = fit_scaler(small_drift_corpus), fit_scaler(small_drift_corpus)
-        layer = RunMap(ExperimentConfig(method="elm", hidden_size=8), 4, 1)
-        h = layer.output(a, scaler)
-        assert not h.flags.writeable
-        with pytest.raises(ValueError):
-            h[0, 0] = 1.0
-        assert layer.output(a, scaler) is h  # kept until let go
-        hb = layer.output(b, scaler)
-        twin = SampleSet(b.features, b.labels, b.batch_id)
-        layer.output(twin, scaler)  # the same values in another object
-        layer.output(b, other)  # the same batch under an equal scaler, another object
-        layer.keep_only((b, scaler))  # a, twin and b under other are no longer kept
-        assert layer.output(b, scaler) is hb
-        assert layer.output(a, scaler) is not h
-        layer.keep_only()
-        assert layer.output(b, scaler) is not hb
-        # each call projected its batch scaled, not as the caller holds it
-        batches = (a, b, twin, b, a, b)
-        assert len(calls["hidden"]) == len(batches)
-        for (_, got, unscaled), x in zip(calls["hidden"], batches):
-            assert unscaled is x.features
-            np.testing.assert_array_equal(got, apply_scaler(scaler, x.features))
 
-    def test_daelm_t_base_classifier_projects_through_the_base_map(self, small_drift_corpus):
-        # a daelm-t run keeps its coupled model's H only: even with the
-        # source's H kept, the base classifier projects the source anew
-        source = small_drift_corpus[0]
-        scaler = fit_scaler(small_drift_corpus)
-        run = RunMap(ExperimentConfig(method="daelm-t", hidden_size=30), source.n_features, 5)
-        run.output(source, scaler)
-        c = DEFAULT_PENALTIES["daelm-t"]["c_s"]
-        expected = train_elm(hidden_output(run.base, apply_scaler(scaler, source.features)),
-                             encode_targets(source.labels, N_CLASSES), c)
-        np.testing.assert_array_equal(run.source_elm(source, scaler, c), expected)
+@pytest.fixture(scope="module")
+def memory_corpus():
+    return make_drift_corpus(n_features=32, per_class_source=100, per_class_target=100,
+                             seed=11)
 
-    @pytest.fixture
-    def held(self, monkeypatch):
-        """Per hidden_output call: the task being run and the keys its run holds."""
-        held, state = [], {}
 
-        def recorded_fit(cfg, task, run):
-            state["task"], state["run"] = task, run
-            return fit(cfg, task, run)
+class TestBudgets:
+    @pytest.mark.parametrize("method, ks, setting", list(WORK_PER_RUN), ids=[
+        "-".join([method, *map(str, ks), setting]) for method, ks, setting in WORK_PER_RUN])
+    def test_work_per_run_is_within_budget(self, small_drift_corpus, work, method, ks,
+                                           setting):
+        cfg = ExperimentConfig(method=method, setting=setting, **FAST)
+        sweep_guides(cfg, small_drift_corpus, list(ks))
+        limits = {kind: cfg.runs * n
+                  for kind, n in zip(WORK_SITES, WORK_PER_RUN[method, ks, setting])}
+        assert all(work[kind] <= limit for kind, limit in limits.items()), (work, limits)
 
-        def recorded_hidden(fmap, x):
-            held.append((state["task"], list(state["run"]._kept)))
-            return hidden_output(fmap, x)
-
-        monkeypatch.setattr(driftelm.benchmark, "fit", recorded_fit)
-        monkeypatch.setattr(driftelm.benchmark, "hidden_output", recorded_hidden)
-        return held
-
-    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
-    @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
-                                           ("daelm-t", 4)])
-    def test_a_map_holds_only_what_the_current_task_reads(
-            self, small_drift_corpus, held, setting, method, k):
-        # no H of an earlier task's rest, or of a source no longer read, is held;
-        # only daelm-s reads its source's H after training on it, so only
-        # daelm-s keeps it (a daelm-t run keeps no H of its base map at all)
-        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
-                               hidden_size=30, runs=2, base_seed=5)
-        run_experiment(cfg, small_drift_corpus)
-        assert len(held) >= 9 * cfg.runs
-        for task, keys in held:
-            assert all((x is task.source or x is task.rest_key) and by is task.scaler
-                       for x, by in keys)
-            if method != "daelm-s":
-                assert all(x is not task.source for x, _ in keys)
-
-    def test_rolling_elm_projects_each_batch_holding_nothing_else(
-            self, small_drift_corpus, held):
-        # the source H is let go once trained on, before the next batch is
-        # projected; the scored batch is kept as the next task's source
-        cfg = ExperimentConfig(method="elm", setting="rolling-source", k_guides=0,
-                               hidden_size=30, runs=2, base_seed=5)
-        run_experiment(cfg, small_drift_corpus)
-        assert len(held) == 10 * cfg.runs
-        assert all(keys == [] for _, keys in held)
-
-    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
-    @pytest.mark.parametrize("method, k, scope", [
-        pytest.param(method, k, scope, id=f"{method}-{k}" + ("-pair" if scope == "pair" else ""))
-        for scope in ("global", "pair")
-        for method, k in [("elm", 0), ("elm", 4), ("daelm-s", 4), ("daelm-t", 4)]])
-    def test_reuse_matches_fresh_maps_per_task(self, small_drift_corpus, setting,
-                                               method, k, scope):
-        """Reference: every (task, run) cell on fresh maps, scored by predict.
-
-        Under the pair scope a rolling batch is scaled one way as a target and
-        another as the next source, so an H kept by batch alone fails here.
-        """
-        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
-                               hidden_size=30, runs=2, base_seed=5, scaler_scope=scope)
-        report = run_experiment(cfg, small_drift_corpus)
-        assert len(report.tasks) == 9
-        for task_result in report.tasks:
-            source, target = (small_drift_corpus[task_result.source_batch - 1],
-                              small_drift_corpus[task_result.target_batch - 1])
-            scaler = fit_scaler(small_drift_corpus if scope == "global" else [source, target])
-            xt = apply_scaler(scaler, target.features)
-            guides, rest = split_target(target, ssa_select(xt, k)) if k else (None, None)
-            scored = slice(None) if rest is None else rest
-            expected = []
-            for r in range(cfg.runs):
-                clf = fit(cfg, Task(scaler, source, target, guides, rest),
-                          RunMap(cfg, source.n_features, cfg.base_seed + r))
-                scores = predict(clf, apply_scaler(scaler, target.features[scored]))[1]
-                expected.append(100.0 * accuracy(scores, target.labels[scored]))
-            assert task_result.accuracies == tuple(expected)
+    @pytest.mark.parametrize("method, k, setting", list(SOLVE_MEMORY_KIB))
+    def test_bytes_alive_at_each_solve_are_within_budget(self, memory_corpus, monkeypatch,
+                                                         method, k, setting):
+        # tracemalloc counts what is allocated after it starts: the run's arrays, not the corpus
+        alive = []
+        on_call(monkeypatch, "solves", lambda: alive.append(tracemalloc.get_traced_memory()[0]))
+        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k, hidden_size=100,
+                               runs=2, base_seed=3)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, memory_corpus)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) >= 9 * cfg.runs
+        assert max(alive) <= SOLVE_MEMORY_KIB[method, k, setting] * 1024, max(alive) / 1024
 
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
     @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
@@ -406,34 +366,6 @@ class TestReuse:
         run_experiment(cfg, small_drift_corpus)
         assert len(alive) >= 9 * cfg.runs
         assert max(alive) <= 1
-
-    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
-    @pytest.mark.parametrize("method", ["elm", "daelm-s", "daelm-t"])
-    def test_no_gathered_rest_is_alive_while_a_solve_runs(self, small_drift_corpus,
-                                                          monkeypatch, setting, method):
-        # a task holds its rest as row indices: the rows are gathered only to
-        # be scaled and projected, and neither copy is held through a solve
-        k, batches = 4, {id(b.features) for b in small_drift_corpus}
-        copies, alive = [], []
-
-        def tracked_scaler(scaler, features):
-            out = apply_scaler(scaler, features)
-            if id(features) not in batches and len(features) > k:  # not a batch or guides
-                copies.extend([weakref.ref(features), weakref.ref(out)])
-            return out
-
-        def counted_solve(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in copies))
-            return solve_ridge(*args, **kwargs)
-
-        monkeypatch.setattr(driftelm.benchmark, "apply_scaler", tracked_scaler)
-        monkeypatch.setattr(driftelm.solvers, "solve_ridge", counted_solve)
-        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k,
-                               hidden_size=30, runs=2, base_seed=5)
-        run_experiment(cfg, small_drift_corpus)
-        assert len(copies) >= 2 * 9 * cfg.runs  # every task gathered its rest
-        assert len(alive) >= 9 * cfg.runs
-        assert max(alive) == 0
 
 
 class TestSweep:

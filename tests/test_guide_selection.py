@@ -6,35 +6,7 @@ from hypothesis import strategies as st
 from driftelm import DataError, SampleSet, guide_selection, split_target, ssa_select
 from driftelm.guide_selection import _farthest_pair, _pair_rows
 
-
-def ssa_bruteforce(points, k):
-    """Step-by-step re-derivation of the selection on a full distance matrix.
-
-    Independent of the library implementation: quadratic-time scans with
-    explicit lowest-index tie handling.
-    """
-    n = len(points)
-    dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-    best = -1.0
-    pair = (0, 1)
-    for p in range(n):
-        for q in range(p + 1, n):
-            if dist[p, q] > best:
-                best = dist[p, q]
-                pair = (p, q)
-    selected = [pair[0], pair[1]]
-    while len(selected) < min(k, n):
-        best_val = -1.0
-        best_idx = None
-        for i in range(n):
-            if i in selected:
-                continue
-            nearest = min(dist[i, s] for s in selected)
-            if nearest > best_val:
-                best_val = nearest
-                best_idx = i
-        selected.append(best_idx)
-    return selected, best
+from conftest import ssa_bruteforce
 
 
 def test_hand_trace_on_line():

@@ -16,30 +16,12 @@ from driftelm import (Classifier, DataError, SampleSet, ScalerParams,
                       split_target, ssa_select, train_daelm_s, train_daelm_t,
                       train_elm)
 
-from conftest import MALFORMED_MODELS, both_forms
+from conftest import MALFORMED_MODELS, rel_diff
 
 
-def rel_diff(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(a), 1e-30)
-
-
-# Objective gradients, written out independently of the solver code paths.
+# The objective's gradient, written out independently of the solver code paths.
 def ridge_grad(beta, blocks):
     return beta + sum(c * h.T @ (h @ beta - t) for h, t, c in blocks)
-
-
-def elm_grad(beta, h, t, c):
-    return beta - c * h.T @ (t - h @ beta)
-
-
-def daelm_s_grad(beta, hs, ts, ht, tt, c_s, c_t):
-    return (beta - c_s * hs.T @ (ts - hs @ beta)
-            - c_t * ht.T @ (tt - ht @ beta))
-
-
-def daelm_t_grad(beta, ht, tt, hu, pseudo, c_t, c_tu):
-    return (beta - c_t * ht.T @ (tt - ht @ beta)
-            - c_tu * hu.T @ (pseudo - hu @ beta))
 
 
 def stationary(grad, beta):
@@ -246,97 +228,67 @@ class TestSolveRidge:
             assert np.array_equal(h, h0) and np.array_equal(t, t0)
 
 
-class TestTrainElm:
-    def test_identity_map_weak_regularization(self):
-        t = np.random.default_rng(0).normal(size=(8, 3))
-        beta = train_elm(np.eye(8), t, c=1e8)
-        assert np.abs(beta - t).max() < 1e-6
+class TestTrainers:
+    """Each trainer is `solve_ridge` on its method's blocks; the other tests
+    here state facts of one method each."""
 
-    def test_branch_equivalence(self):
-        rng = np.random.default_rng(1)
-        h, t = random_instance(rng, 20, 50, 3)
-        beta = train_elm(h, t, 1.0)
-        assert all(rel_diff(beta, ref) < 1e-8 for ref in both_forms([(h, t, 1.0)]))
+    @pytest.mark.parametrize("rows", [12, 25, 40])  # below, at and above L = 25
+    @pytest.mark.parametrize("method", ["elm", "daelm-s", "daelm-t"])
+    def test_trainer_is_solve_ridge_on_its_blocks(self, method, rows):
+        # auto takes the dual form below L rows in all and the primal form
+        # from L on, so each trainer returns that forced form's bytes
+        rng = np.random.default_rng(rows)
+        h1, t1 = random_instance(rng, rows - 5, 25, 3)
+        h2, t2 = random_instance(rng, 5, 25, 3)
+        h, t = np.vstack([h1, h2]), np.vstack([t1, t2])
+        c1, c2 = 0.3, 7.0
+        beta, blocks = {
+            "elm": (lambda: train_elm(h, t, c1), [(h, t, c1)]),
+            "daelm-s": (lambda: train_daelm_s(h1, t1, h2, t2, c1, c2),
+                        [(h1, t1, c1), (h2, t2, c2)]),
+            "daelm-t": (lambda: train_daelm_t(h2, t2, h1, t1, c2, c1),
+                        [(h2, t2, c2), (h1, t1, c1)]),
+        }[method]
+        branch = "primal" if rows >= 25 else "dual"
+        assert beta().tobytes() == solve_ridge(blocks, branch).tobytes()
 
-    def test_auto_branch_selection(self):
-        # auto must reproduce the dual path bit-for-bit when rows < hidden
-        # size, and the primal path otherwise (primal also wins the tie)
-        rng = np.random.default_rng(19)
-        under_h, under_t = random_instance(rng, 10, 25, 2)
-        assert train_elm(under_h, under_t, 1.0).tobytes() \
-            == solve_ridge([(under_h, under_t, 1.0)], "dual").tobytes()
-        over_h, over_t = random_instance(rng, 40, 25, 2)
-        assert train_elm(over_h, over_t, 1.0).tobytes() \
-            == solve_ridge([(over_h, over_t, 1.0)], "primal").tobytes()
-        square_h, square_t = random_instance(rng, 25, 25, 2)
-        assert train_elm(square_h, square_t, 1.0).tobytes() \
-            == solve_ridge([(square_h, square_t, 1.0)], "primal").tobytes()
+    @pytest.mark.parametrize("rows", [12, 40])  # both branches of train_elm
+    def test_a_zero_coupling_penalty_collapses_to_elm(self, rows):
+        # the zero-weight block is dropped, so the solve is elm's own
+        rng = np.random.default_rng(rows)
+        h1, t1 = random_instance(rng, rows, 25, 6)
+        h2, t2 = random_instance(rng, 25, 25, 6)
+        elm = train_elm(h1, t1, 0.7).tobytes()
+        assert train_daelm_s(h1, t1, h2, t2, 0.7, 0.0).tobytes() == elm
+        assert train_daelm_t(h1, t1, h2, t2, 0.7, 0.0).tobytes() == elm
 
-    def test_stationarity(self):
-        rng = np.random.default_rng(2)
-        for n_rows in (10, 60):
-            h, t = random_instance(rng, n_rows, 30, 4)
-            beta = train_elm(h, t, 5.0)
-            g = elm_grad(beta, h, t, 5.0)
-            assert np.linalg.norm(g) <= 1e-8 * (1 + np.linalg.norm(beta))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            train_elm(np.array([[np.inf]]), np.array([[1.0]]), 1.0)
-        with pytest.raises(ValueError):
-            train_elm(np.ones((2, 2)), np.ones((2, 1)), 0.0)
-        with pytest.raises(ValueError):
-            train_elm(np.ones((2, 2)), np.ones((3, 1)), 1.0)
-
-
-class TestTrainDaelmS:
-    def test_zero_guide_penalty_collapses_to_elm(self):
-        rng = np.random.default_rng(3)
-        for n_s in (12, 40):  # both solver branches of train_elm
-            hs, ts = random_instance(rng, n_s, 25, 6)
-            ht, tt = random_instance(rng, 5, 25, 6)
-            collapsed = train_daelm_s(hs, ts, ht, tt, 2.0, 0.0)
-            assert rel_diff(collapsed, train_elm(hs, ts, 2.0)) < 1e-8
-
-    def test_branch_equivalence(self):
-        rng = np.random.default_rng(4)
-        hs, ts = random_instance(rng, 30, 50, 6)
-        ht, tt = random_instance(rng, 5, 50, 6)
-        c_s, c_t = 0.3, 7.0
-        beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)
-        assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(hs, ts, c_s), (ht, tt, c_t)]))
-
-    def test_stationarity(self):
-        rng = np.random.default_rng(5)
-        for n_s in (10, 45):
-            hs, ts = random_instance(rng, n_s, 30, 3)
-            ht, tt = random_instance(rng, 6, 30, 3)
-            c_s, c_t = 1.5, 4.0
-            beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)
-            g = daelm_s_grad(beta, hs, ts, ht, tt, c_s, c_t)
-            assert np.linalg.norm(g) <= 1e-8 * (1 + np.linalg.norm(beta))
+    def test_pseudo_targets_steer_the_solution_and_stay_soft(self):
+        rng = np.random.default_rng(16)
+        ht, tt = random_instance(rng, 5, 20, 3)
+        hu, _ = random_instance(rng, 15, 20, 3)
+        c_t, c_tu = 1.0, 5.0
+        pseudo = hu @ rng.normal(size=(20, 3))
+        soft = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
+        other = train_daelm_t(ht, tt, hu, rng.normal(size=(15, 3)), c_t, c_tu)
+        assert rel_diff(soft, other) > 1e-3
+        # hardening the base outputs to +/-1 must change the result: beta solves
+        # (I + c_t Ht'Ht + c_tu Hu'Hu) beta = c_t Ht'Tt + c_tu Hu'hard
+        hard = -np.ones_like(pseudo)
+        hard[np.arange(len(pseudo)), np.argmax(pseudo, axis=1)] = 1.0
+        gram = np.eye(20) + c_t * ht.T @ ht + c_tu * hu.T @ hu
+        hardened = np.linalg.solve(gram, c_t * ht.T @ tt + c_tu * hu.T @ hard)
+        assert rel_diff(soft, hardened) > 1e-3
 
     def test_dual_multipliers_match_residuals(self):
-        # at the optimum each block's multiplier is its penalty times its
-        # residual, and beta = Hs'alpha_s + Ht'alpha_t; both follow from beta
+        # at the optimum each block's multiplier is its weight times its
+        # residual, and beta = H1'alpha_1 + H2'alpha_2; 16 rows under L = 40: dual
         rng = np.random.default_rng(6)
-        hs, ts = random_instance(rng, 12, 40, 2)
-        ht, tt = random_instance(rng, 4, 40, 2)
-        c_s, c_t = 0.8, 3.0
-        beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)  # 16 rows under L = 40: dual
-        alpha_s = c_s * (ts - hs @ beta)
-        alpha_t = c_t * (tt - ht @ beta)
-        assert rel_diff(beta, hs.T @ alpha_s + ht.T @ alpha_t) < 1e-6
-
-    def test_dual_blocks_are_spd(self, factored_dims):
-        # the dual branch factors one stacked (rows x rows) system, and it
-        # factors on the first try: no jitter retry
-        rng = np.random.default_rng(7)
-        hs, ts = random_instance(rng, 10, 30, 2)
-        ht, tt = random_instance(rng, 5, 30, 2)
-        train_daelm_s(hs, ts, ht, tt, 1.0, 1.0)
-        assert factored_dims == [15]
+        h1, t1 = random_instance(rng, 12, 40, 2)
+        h2, t2 = random_instance(rng, 4, 40, 2)
+        for train, c1, c2 in ((train_daelm_s, 0.8, 3.0), (train_daelm_t, 0.9, 2.0)):
+            beta = train(h1, t1, h2, t2, c1, c2)
+            alpha1, alpha2 = c1 * (t1 - h1 @ beta), c2 * (t2 - h2 @ beta)
+            assert rel_diff(beta, h1.T @ alpha1 + h2.T @ alpha2) < 1e-6
 
     def test_monotone_source_fit(self):
         rng = np.random.default_rng(8)
@@ -348,103 +300,10 @@ class TestTrainDaelmS:
             residuals.append(np.linalg.norm(ts - hs @ beta))
         assert all(b <= a + 1e-10 for a, b in zip(residuals, residuals[1:]))
 
-    def test_forced_dual_with_zero_penalty_matches_primal(self):
-        rng = np.random.default_rng(9)
-        hs, ts = random_instance(rng, 5, 10, 2)
-        ht, tt = random_instance(rng, 3, 10, 2)
-        c_s, c_t = 1.0, 0.0
-        beta = train_daelm_s(hs, ts, ht, tt, c_s, c_t)
-        assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(hs, ts, c_s), (ht, tt, c_t)]))
-
-    def test_dimension_checks(self):
-        rng = np.random.default_rng(10)
-        hs, ts = random_instance(rng, 5, 10, 2)
-        ht, tt = random_instance(rng, 3, 11, 2)
-        with pytest.raises(ValueError, match="hidden sizes"):
-            train_daelm_s(hs, ts, ht, tt, 1.0, 1.0)
-
-
-class TestTrainDaelmT:
-    def test_zero_unlabeled_penalty_collapses_to_elm(self):
-        rng = np.random.default_rng(12)
-        for n_t in (8, 30):
-            ht, tt = random_instance(rng, n_t, 20, 4)
-            hu, pseudo = random_instance(rng, 25, 20, 4)
-            collapsed = train_daelm_t(ht, tt, hu, pseudo, 0.7, 0.0)
-            assert rel_diff(collapsed, train_elm(ht, tt, 0.7)) < 1e-8
-            # the zero-weight block is dropped, so the solve is elm's own
-            assert collapsed.tobytes() == train_elm(ht, tt, 0.7).tobytes()
-
-    def test_branch_equivalence(self):
-        rng = np.random.default_rng(13)
-        ht, tt = random_instance(rng, 10, 60, 6)
-        hu, pseudo = random_instance(rng, 40, 60, 6)
-        c_t, c_tu = 0.4, 9.0
-        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
-        assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(ht, tt, c_t), (hu, pseudo, c_tu)]))
-
-    def test_pseudo_override_branch_equivalence(self):
-        # pseudo-targets unrelated to any base model, fewer rows than hidden nodes
-        rng = np.random.default_rng(21)
-        ht, tt = random_instance(rng, 6, 40, 2)
-        hu, _ = random_instance(rng, 20, 40, 2)
-        pseudo = rng.normal(size=(20, 2))
-        c_t, c_tu = 0.5, 4.0
-        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
-        assert all(rel_diff(beta, ref) < 1e-6
-                   for ref in both_forms([(ht, tt, c_t), (hu, pseudo, c_tu)]))
-
-    def test_stationarity(self):
-        rng = np.random.default_rng(14)
-        for n_t in (6, 35):
-            ht, tt = random_instance(rng, n_t, 25, 3)
-            hu, pseudo = random_instance(rng, 15, 25, 3)
-            c_t, c_tu = 1.2, 3.3
-            beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
-            g = daelm_t_grad(beta, ht, tt, hu, pseudo, c_t, c_tu)
-            assert np.linalg.norm(g) <= 1e-8 * (1 + np.linalg.norm(beta))
-
-    def test_dual_multipliers_match_residuals(self):
-        # multipliers are the weighted residuals; beta = Ht'alpha_t + Hu'alpha_tu
-        rng = np.random.default_rng(15)
-        ht, tt = random_instance(rng, 5, 30, 2)
-        hu, pseudo = random_instance(rng, 12, 30, 2)
-        c_t, c_tu = 0.9, 2.0
-        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)  # 17 rows under L = 30: dual
-        alpha_t = c_t * (tt - ht @ beta)
-        alpha_tu = c_tu * (pseudo - hu @ beta)
-        assert rel_diff(beta, ht.T @ alpha_t + hu.T @ alpha_tu) < 1e-6
-
-    def test_pseudo_targets_steer_the_solution(self):
-        rng = np.random.default_rng(20)
-        ht, tt = random_instance(rng, 5, 20, 3)
-        hu, pseudo = random_instance(rng, 15, 20, 3)
-        c_t, c_tu = 1.0, 5.0
-        beta = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
-        other = train_daelm_t(ht, tt, hu, rng.normal(size=(15, 3)), c_t, c_tu)
-        assert rel_diff(beta, other) > 1e-3
-        with pytest.raises(ValueError, match="row counts"):
-            train_daelm_t(ht, tt, hu, pseudo[:3], c_t, c_tu)
-
-    def test_pseudo_targets_are_soft(self):
-        # hardening the base outputs to +/-1 must change the result
-        rng = np.random.default_rng(16)
-        ht, tt = random_instance(rng, 5, 20, 3)
-        hu, _ = random_instance(rng, 15, 20, 3)
-        beta_base = rng.normal(size=(20, 3))
-        c_t, c_tu = 1.0, 5.0
-        pseudo = hu @ beta_base
-        soft = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
-        hard = -np.ones_like(pseudo)
-        hard[np.arange(len(pseudo)), np.argmax(pseudo, axis=1)] = 1.0
-        # reproduce the solve with hardened targets through the public form:
-        # beta solves (I + c_t Ht'Ht + c_tu Hu'Hu) beta = c_t Ht'Tt + c_tu Hu'hard
-        gram = (np.eye(20) + c_t * ht.T @ ht + c_tu * hu.T @ hu)
-        rhs = c_t * ht.T @ tt + c_tu * hu.T @ hard
-        hardened = np.linalg.solve(gram, rhs)
-        assert rel_diff(soft, hardened) > 1e-3
+    @pytest.mark.parametrize("c", [0.0, -1.0, np.inf])
+    def test_train_elm_refuses_a_penalty_that_is_not_positive(self, c):
+        with pytest.raises(ValueError, match="positive penalty"):
+            train_elm(np.ones((2, 2)), np.ones((2, 1)), c)
 
 
 class TestSingleClass:
