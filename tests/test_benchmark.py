@@ -227,22 +227,6 @@ def reference_tasks(cfg, corpus, ks):
     return result
 
 
-@pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
-@pytest.mark.parametrize("scope", ["global", "pair"])
-@pytest.mark.parametrize("method, ks", [pytest.param("elm", [0, 4, 2], id="elm"),
-                                        pytest.param("daelm-s", [6, 2, 4], id="daelm-s"),
-                                        pytest.param("daelm-t", [6, 2, 4], id="daelm-t")])
-def test_protocols_match_the_reference(small_drift_corpus, method, ks, scope, setting):
-    """Under the pair scope a rolling batch is scaled one way as a target and
-    another as the next source, so an H kept by batch alone fails here."""
-    cfg = ExperimentConfig(method=method, setting=setting, scaler_scope=scope, **FAST)
-    expected = reference_tasks(cfg, small_drift_corpus, ks)
-    for reports in (sweep_guides(cfg, small_drift_corpus, ks),
-                    [run_experiment(replace(cfg, k_guides=k), small_drift_corpus) for k in ks]):
-        assert [[(t.source_batch, t.target_batch, t.accuracies) for t in report.tasks]
-                for report in reports] == expected
-
-
 # The protocol's work is counted where it calls each kind: the name, at the
 # module that binds it. A change that moves such a call re-points its site here.
 WORK_SITES = {"maps": (driftelm.benchmark, "new_feature_map"),
@@ -311,7 +295,33 @@ def memory_corpus():
                              seed=11)
 
 
-class TestBudgets:
+class TestReuse:
+    """A run draws its maps once and shares them across its tasks and guide
+    counts: the results equal the reference's fresh maps per task, and the
+    work and the bytes alive stay within budget."""
+
+    @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
+    @pytest.mark.parametrize("method, ks, scope", [
+        pytest.param(method, ks, scope,
+                     id=f"{method}-{ks[0]}" + ("-pair" if scope == "pair" else ""))
+        for scope in ("global", "pair")
+        for method, ks in [("elm", [0, 4, 2]), ("elm", [4, 0, 2]), ("daelm-s", [4, 6, 2]),
+                           ("daelm-t", [4, 6, 2])]])
+    def test_reuse_matches_fresh_maps_per_task(self, small_drift_corpus, setting,
+                                               method, ks, scope):
+        """Both a sweep over ``ks`` and a run at each k equal the reference.
+
+        Under the pair scope a rolling batch is scaled one way as a target and
+        another as the next source, so an H kept by batch alone fails here.
+        """
+        cfg = ExperimentConfig(method=method, setting=setting, scaler_scope=scope, **FAST)
+        expected = reference_tasks(cfg, small_drift_corpus, ks)
+        for reports in (sweep_guides(cfg, small_drift_corpus, ks),
+                        [run_experiment(replace(cfg, k_guides=k), small_drift_corpus)
+                         for k in ks]):
+            assert [[(t.source_batch, t.target_batch, t.accuracies) for t in report.tasks]
+                    for report in reports] == expected
+
     @pytest.mark.parametrize("method, ks, setting", list(WORK_PER_RUN), ids=[
         "-".join([method, *map(str, ks), setting]) for method, ks, setting in WORK_PER_RUN])
     def test_work_per_run_is_within_budget(self, small_drift_corpus, work, method, ks,

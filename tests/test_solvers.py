@@ -229,8 +229,8 @@ class TestSolveRidge:
 
 
 class TestTrainers:
-    """Each trainer is `solve_ridge` on its method's blocks; the other tests
-    here state facts of one method each."""
+    """Each trainer is `solve_ridge` on its method's blocks; the classes
+    below state facts of one method each."""
 
     @pytest.mark.parametrize("rows", [12, 25, 40])  # below, at and above L = 25
     @pytest.mark.parametrize("method", ["elm", "daelm-s", "daelm-t"])
@@ -252,43 +252,49 @@ class TestTrainers:
         branch = "primal" if rows >= 25 else "dual"
         assert beta().tobytes() == solve_ridge(blocks, branch).tobytes()
 
-    @pytest.mark.parametrize("rows", [12, 40])  # both branches of train_elm
-    def test_a_zero_coupling_penalty_collapses_to_elm(self, rows):
-        # the zero-weight block is dropped, so the solve is elm's own
+
+def check_dual_multipliers(train, c1, c2):
+    """At the optimum each block's multiplier is its weight times its
+    residual, and beta = H1'alpha_1 + H2'alpha_2; 16 rows under L = 40: dual."""
+    rng = np.random.default_rng(6)
+    h1, t1 = random_instance(rng, 12, 40, 2)
+    h2, t2 = random_instance(rng, 4, 40, 2)
+    beta = train(h1, t1, h2, t2, c1, c2)
+    alpha1, alpha2 = c1 * (t1 - h1 @ beta), c2 * (t2 - h2 @ beta)
+    assert rel_diff(beta, h1.T @ alpha1 + h2.T @ alpha2) < 1e-6
+
+
+def check_collapse_to_elm(train):
+    """A zero coupling penalty drops its block, so the solve is elm's own, on
+    both branches of train_elm."""
+    for rows in (12, 40):
         rng = np.random.default_rng(rows)
         h1, t1 = random_instance(rng, rows, 25, 6)
         h2, t2 = random_instance(rng, 25, 25, 6)
-        elm = train_elm(h1, t1, 0.7).tobytes()
-        assert train_daelm_s(h1, t1, h2, t2, 0.7, 0.0).tobytes() == elm
-        assert train_daelm_t(h1, t1, h2, t2, 0.7, 0.0).tobytes() == elm
+        assert train(h1, t1, h2, t2, 0.7, 0.0).tobytes() == train_elm(h1, t1, 0.7).tobytes()
 
-    def test_pseudo_targets_steer_the_solution_and_stay_soft(self):
-        rng = np.random.default_rng(16)
-        ht, tt = random_instance(rng, 5, 20, 3)
-        hu, _ = random_instance(rng, 15, 20, 3)
-        c_t, c_tu = 1.0, 5.0
-        pseudo = hu @ rng.normal(size=(20, 3))
-        soft = train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu)
-        other = train_daelm_t(ht, tt, hu, rng.normal(size=(15, 3)), c_t, c_tu)
-        assert rel_diff(soft, other) > 1e-3
-        # hardening the base outputs to +/-1 must change the result: beta solves
-        # (I + c_t Ht'Ht + c_tu Hu'Hu) beta = c_t Ht'Tt + c_tu Hu'hard
-        hard = -np.ones_like(pseudo)
-        hard[np.arange(len(pseudo)), np.argmax(pseudo, axis=1)] = 1.0
-        gram = np.eye(20) + c_t * ht.T @ ht + c_tu * hu.T @ hu
-        hardened = np.linalg.solve(gram, c_t * ht.T @ tt + c_tu * hu.T @ hard)
-        assert rel_diff(soft, hardened) > 1e-3
+
+def soft_and_other_targets():
+    """A daelm-t instance: pseudo-targets from a base model, and random ones."""
+    rng = np.random.default_rng(16)
+    ht, tt = random_instance(rng, 5, 20, 3)
+    hu, _ = random_instance(rng, 15, 20, 3)
+    return ht, tt, hu, hu @ rng.normal(size=(20, 3)), rng.normal(size=(15, 3))
+
+
+class TestTrainElm:
+    def test_rejects_bad_inputs(self):
+        for c in (0.0, -1.0, np.inf):
+            with pytest.raises(ValueError, match="positive penalty"):
+                train_elm(np.ones((2, 2)), np.ones((2, 1)), c)
+
+
+class TestTrainDaelmS:
+    def test_zero_guide_penalty_collapses_to_elm(self):
+        check_collapse_to_elm(train_daelm_s)
 
     def test_dual_multipliers_match_residuals(self):
-        # at the optimum each block's multiplier is its weight times its
-        # residual, and beta = H1'alpha_1 + H2'alpha_2; 16 rows under L = 40: dual
-        rng = np.random.default_rng(6)
-        h1, t1 = random_instance(rng, 12, 40, 2)
-        h2, t2 = random_instance(rng, 4, 40, 2)
-        for train, c1, c2 in ((train_daelm_s, 0.8, 3.0), (train_daelm_t, 0.9, 2.0)):
-            beta = train(h1, t1, h2, t2, c1, c2)
-            alpha1, alpha2 = c1 * (t1 - h1 @ beta), c2 * (t2 - h2 @ beta)
-            assert rel_diff(beta, h1.T @ alpha1 + h2.T @ alpha2) < 1e-6
+        check_dual_multipliers(train_daelm_s, 0.8, 3.0)
 
     def test_monotone_source_fit(self):
         rng = np.random.default_rng(8)
@@ -300,10 +306,29 @@ class TestTrainers:
             residuals.append(np.linalg.norm(ts - hs @ beta))
         assert all(b <= a + 1e-10 for a, b in zip(residuals, residuals[1:]))
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, np.inf])
-    def test_train_elm_refuses_a_penalty_that_is_not_positive(self, c):
-        with pytest.raises(ValueError, match="positive penalty"):
-            train_elm(np.ones((2, 2)), np.ones((2, 1)), c)
+
+class TestTrainDaelmT:
+    def test_zero_unlabeled_penalty_collapses_to_elm(self):
+        check_collapse_to_elm(train_daelm_t)
+
+    def test_dual_multipliers_match_residuals(self):
+        check_dual_multipliers(train_daelm_t, 0.9, 2.0)
+
+    def test_pseudo_targets_steer_the_solution(self):
+        ht, tt, hu, pseudo, other = soft_and_other_targets()
+        assert rel_diff(train_daelm_t(ht, tt, hu, pseudo, 1.0, 5.0),
+                        train_daelm_t(ht, tt, hu, other, 1.0, 5.0)) > 1e-3
+
+    def test_pseudo_targets_are_soft(self):
+        # hardening the base outputs to +/-1 must change the result: beta solves
+        # (I + c_t Ht'Ht + c_tu Hu'Hu) beta = c_t Ht'Tt + c_tu Hu'hard
+        ht, tt, hu, pseudo, _ = soft_and_other_targets()
+        c_t, c_tu = 1.0, 5.0
+        hard = -np.ones_like(pseudo)
+        hard[np.arange(len(pseudo)), np.argmax(pseudo, axis=1)] = 1.0
+        gram = np.eye(20) + c_t * ht.T @ ht + c_tu * hu.T @ hu
+        hardened = np.linalg.solve(gram, c_t * ht.T @ tt + c_tu * hu.T @ hard)
+        assert rel_diff(train_daelm_t(ht, tt, hu, pseudo, c_t, c_tu), hardened) > 1e-3
 
 
 class TestSingleClass:
