@@ -9,13 +9,18 @@ seeds and are averaged.
 Across runs only the caller's unscaled batches, each task's scaler and the
 guide indices are kept: a target is scaled only for its selection, a run
 splits each task's guides off its target when it reaches the task and
-keeps the rest as row indices, and every hidden layer gathers and scales
-the rows it projects. The work is run-major: a run draws its maps once
-from its seed, as one `RunMap`, and goes through every guide count's nine
-tasks in order. It keeps a hidden output only while a later step reads the
-very same rows under the very same scaler, and the ELM trained on the
-source alone only while that source is read (see `RunMap`); so the counts
-of a sweep share a fixed source's H and ELM, and never a rest's rows.
+keeps the rest as row indices, and every hidden layer scales the rows it
+projects. A run draws its maps once from its seed, as one `RunMap`, and
+goes through the nine (source, target) pairs in order, every guide count
+of a pair in a row. elm and daelm-s do not read the rest to train: each
+count is trained first, then the whole target is projected once, and each
+count scores its rest's rows of that H times its weights. daelm-t trains
+on its rest: each count projects the target's rest and guides once, and
+the pseudo-targets are rows of the base classifier's scores of the whole
+target, computed once per pair. A run keeps a batch's H only while a later
+step reads it under the same scaler (see `RunMap`). So no target H is alive
+at an elm or daelm-s solve, and a sweep projects the same matrices as a run
+at each of its counts.
 `sweep_guides` is the one protocol and `fit` the one training path;
 `fit_pair` builds the one task of the `train` command as the protocols
 build theirs. With ``jobs > 1`` whole runs go to a thread pool; results do
@@ -142,9 +147,7 @@ class Task:
     """One (source, target) task, unscaled, and the scaler it is projected through.
 
     The rest, the target rows a task scores, is kept as row indices into the
-    target and gathered only to be projected. Like a `SampleSet`, a task
-    compares and hashes by identity, so an H of its rest can be kept by it
-    (see `rest_key`).
+    target.
     """
 
     scaler: ScalerParams
@@ -152,13 +155,6 @@ class Task:
     target: SampleSet          # the whole target batch
     guides: SampleSet | None   # labeled target rows the trainer sees
     rest: np.ndarray | None    # ascending indices of the other rows; None: all
-
-    @property
-    def rest_key(self) -> SampleSet | Task:
-        """What an H of the rest is kept by: the target batch when the rest is
-        all of it, which a rolling run reads again as the next source, and
-        this task otherwise."""
-        return self.target if self.rest is None else self
 
 
 def _task_pairs(setting: str) -> list[tuple[int, int]]:
@@ -209,22 +205,21 @@ def _task(scaler: ScalerParams, source: SampleSet, target: SampleSet,
 
 
 class RunMap:
-    """One run's feature maps and the hidden outputs a later step may read.
+    """One run's feature maps and what a later step of the run reads again.
 
     ``base`` is drawn at the run's seed; daelm-t then draws its coupled
     model's ``fmap`` at the seed plus `TARGET_MAP_SEED_OFFSET`, and for every
-    other method ``fmap is base``. Only ``fmap``'s outputs are kept, by the
-    identity of the rows projected, a batch or a task's rest (see
-    `Task.rest_key`), and of the scaler that scales them; the scaled copy is
-    not kept. A later step of the same run reads the same rows under the
-    same scaler in three cases: a daelm-t rest, trained on and then scored;
-    a fixed daelm-s source, which every task reads; and a rolling target
-    without guides, which is the next task's source under the global scaler.
-    So each H that `output` computes is kept, read-only, until the run calls
-    `keep_only` to keep only what its next step reads. The ELM weights
-    trained through ``base`` on the source alone (the daelm-t base
-    classifier, or elm without guides) are kept too, but not the source's H
-    (see `source_elm`).
+    other method ``fmap is base``. ``fmap``'s H of a whole batch is kept by
+    the identity of the batch and of the scaler that scales it; the scaled
+    copy is not kept. A later step reads such an H again in two cases: a
+    fixed daelm-s source, which every task reads, and an elm or daelm-s
+    target, which is the next pair's source under the global scaler. So
+    each H that `output` computes is kept, read-only, until the run calls
+    `keep_only` to keep only what its next step reads. Through ``base``, the
+    ELM trained on the source alone (the daelm-t base classifier, or elm
+    without guides) is kept while the source is read, but not the source's
+    H (see `source_elm`), and for daelm-t that ELM's scores of the whole
+    target while the target is read (see `base_scores`).
     """
 
     def __init__(self, cfg: ExperimentConfig, n_features: int, run_seed: int):
@@ -232,28 +227,23 @@ class RunMap:
         self.base = new_feature_map(*shape, run_seed)
         self.fmap = (new_feature_map(*shape, run_seed + TARGET_MAP_SEED_OFFSET)
                      if cfg.method == "daelm-t" else self.base)
-        # (batch or task, scaler) -> H; all compare and hash by identity, not values
-        self._kept: dict[tuple[SampleSet | Task, ScalerParams], np.ndarray] = {}
+        # (batch, scaler) -> H; both compare and hash by identity, not values
+        self._kept: dict[tuple[SampleSet, ScalerParams], np.ndarray] = {}
         self._source_elm: tuple = (None, None, None, None)  # source, scaler, c, weights
+        self._base_scores: tuple = (None,) * 5  # source, scaler, c, target, scores
 
-    def output(self, rows: SampleSet | Task, scaler: ScalerParams,
-               scaled: np.ndarray | None = None) -> np.ndarray:
-        """``fmap``'s H of ``rows``, a batch or a task standing for its rest (a
-        key `Task.rest_key` gives), scaled by ``scaler`` and kept until
-        `keep_only` lets it go; ``scaled``, when given, is that scaled copy,
-        already made."""
-        key = (rows, scaler)
+    def output(self, batch: SampleSet, scaler: ScalerParams) -> np.ndarray:
+        """``fmap``'s H of ``batch`` scaled by ``scaler``, kept until `keep_only`
+        lets it go."""
+        key = (batch, scaler)
         if key not in self._kept:
-            if scaled is None:
-                scaled = apply_scaler(scaler, rows.target.features[rows.rest]
-                                      if isinstance(rows, Task) else rows.features)
-            h = hidden_output(self.fmap, scaled)
+            h = hidden_output(self.fmap, apply_scaler(scaler, batch.features))
             h.flags.writeable = False
             self._kept[key] = h
         return self._kept[key]
 
-    def keep_only(self, *keys: tuple[SampleSet | Task, ScalerParams]) -> None:
-        """Drop every kept H but those of the (rows, scaler) pairs ``keys``."""
+    def keep_only(self, *keys: tuple[SampleSet, ScalerParams]) -> None:
+        """Drop every kept H but those of the (batch, scaler) pairs ``keys``."""
         self._kept = {key: h for key, h in self._kept.items() if key in keys}
 
     def source_elm(self, source: SampleSet, scaler: ScalerParams, c: float) -> np.ndarray:
@@ -274,24 +264,40 @@ class RunMap:
             self._source_elm = (source, scaler, c, beta)
         return self._source_elm[3]
 
+    def base_scores(self, task: Task, c: float) -> np.ndarray:
+        """The scores that `source_elm` with penalty ``c`` gives every row of
+        the task's target through ``base``, read-only and computed once while
+        the task's source, scaler and target and ``c`` stay."""
+        key = (task.source, task.scaler, c, task.target)
+        if self._base_scores[:4] != key:  # compared by identity
+            beta = self.source_elm(task.source, task.scaler, c)
+            scores = hidden_output(self.base, apply_scaler(task.scaler,
+                                                           task.target.features)) @ beta
+            scores.flags.writeable = False
+            self._base_scores = (*key, scores)
+        return self._base_scores[4]
 
-def fit(cfg: ExperimentConfig, task: Task, run: RunMap) -> Classifier:
-    """Train ``cfg.method`` on one task with one run's maps; it predicts through ``run.fmap``."""
+
+def fit(cfg: ExperimentConfig, task: Task,
+        run: RunMap) -> tuple[Classifier, np.ndarray | None]:
+    """Train ``cfg.method`` on one task with one run's maps; it predicts
+    through ``run.fmap``. daelm-t, which trains on the rest's H, also
+    returns the rest's scores, that H times the weights; the other methods
+    return None."""
     pens = cfg.resolved_penalties()
     scaler, source, guides, m = task.scaler, task.source, task.guides, N_CLASSES
     if cfg.method == "daelm-t":
-        beta_base = run.source_elm(source, scaler, pens["c_s"])
-        # the coupled model is pulled toward the soft scores the base classifier
-        # gives the rest through its own map; the rest is gathered and scaled
-        # once for both
-        rest = apply_scaler(scaler, task.target.features[task.rest])
-        pseudo = hidden_output(run.base, rest) @ beta_base
-        h_rest = run.output(task.rest_key, scaler, rest)
-        del rest
-        beta = train_daelm_t(hidden_output(run.fmap, apply_scaler(scaler, guides.features)),
-                             encode_targets(guides.labels, m), h_rest, pseudo,
-                             pens["c_t"], pens["c_tu"])
-    elif cfg.method == "daelm-s":
+        # the coupled model is pulled toward the base classifier's scores of
+        # the rest; both of its blocks are views of one projection of the
+        # target's rows, the rest (ascending) and then the guides
+        pseudo = run.base_scores(task, pens["c_s"])[task.rest]
+        h = hidden_output(run.fmap, apply_scaler(
+            scaler, np.vstack([task.target.features[task.rest], guides.features])))
+        h_rest = h[:task.rest.size]
+        beta = train_daelm_t(h[task.rest.size:], encode_targets(guides.labels, m),
+                             h_rest, pseudo, pens["c_t"], pens["c_tu"])
+        return Classifier(run.fmap, beta), h_rest @ beta
+    if cfg.method == "daelm-s":
         beta = train_daelm_s(
             run.output(source, scaler), encode_targets(source.labels, m),
             hidden_output(run.fmap, apply_scaler(scaler, guides.features)),
@@ -303,7 +309,41 @@ def fit(cfg: ExperimentConfig, task: Task, run: RunMap) -> Classifier:
                          pens["c_s"])
     else:
         beta = run.source_elm(source, scaler, pens["c_s"])
-    return Classifier(run.fmap, beta)
+    return Classifier(run.fmap, beta), None
+
+
+def _percent_correct(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Percent of rows whose highest score is their label."""
+    return 100.0 * accuracy(labels_from_scores(scores), labels)
+
+
+def _pair_accuracies(cfg: ExperimentConfig, run: RunMap,
+                     pair: tuple[ScalerParams, SampleSet, SampleSet],
+                     indices: np.ndarray | None, ks: list[int],
+                     after: list[tuple[SampleSet, ScalerParams]]) -> list[float]:
+    """One run's accuracy in percent on one (scaler, source, target) pair at
+    each count in ``ks``, whose guides are prefixes of ``indices``; ``after``
+    names the H that the run's next pair reads, if any. elm and daelm-s
+    train every count before the target is projected, so that no target H
+    is alive at their solves."""
+    scaler, source, target = pair
+    run.keep_only((source, scaler))  # the previous target, when it is this source
+    acc, unscored = [0.0] * len(ks), []
+    for i, k in enumerate(ks):
+        task = _task(scaler, source, target, indices, k)
+        clf, scores = fit(cfg, task, run)
+        if scores is None:
+            unscored.append((i, task.rest, clf.beta))
+        else:
+            acc[i] = _percent_correct(scores, target.labels[task.rest])
+        del clf, scores  # not kept into the next count's fit
+    if unscored:
+        run.keep_only(*after)  # this source, when the next pair reads it
+        for i, rest, beta in unscored:
+            rows = slice(None) if rest is None else rest
+            acc[i] = _percent_correct((run.output(target, scaler) @ beta)[rows],
+                                      target.labels[rows])
+    return acc
 
 
 def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
@@ -313,8 +353,9 @@ def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
     Every guide count is checked against every target before any work. Each
     target is then selected once, at the largest count, and each count takes
     a prefix of that selection: greedy max-min picks do not depend on k. A
-    run draws one `RunMap` and goes through every count's tasks, count by
-    count, building each task when it reaches it.
+    run draws one `RunMap` and goes through the pairs in order, every count
+    of a pair in a row (see `_pair_accuracies`), building each task when it
+    reaches it.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
@@ -322,21 +363,13 @@ def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
         replace(cfg, k_guides=k)  # refuses a count the config would refuse
     pairs = _batch_pairs(cfg, corpus, _task_pairs(cfg.setting))
     selections = _select(pairs, max(ks))
-    steps = [(k, pair, indices) for k in ks for pair, indices in zip(pairs, selections)]
-    acc = np.empty((len(steps), cfg.runs))
+    acc = np.empty((len(ks), len(pairs), cfg.runs))
 
     def run(r):
         run_map = RunMap(cfg, pairs[0][1].n_features, cfg.base_seed + r)
-        for s, (k, pair, indices) in enumerate(steps):
-            task = _task(*pair, indices, k)
-            after = [(source, scaler) for _, (scaler, source, _), _ in steps[s + 1:s + 2]]
-            clf = fit(cfg, task, run_map)
-            scored = (task.rest_key, task.scaler)
-            run_map.keep_only(*after, scored)  # the rest H daelm-t computed is scored next
-            scores = run_map.output(*scored) @ clf.beta
-            run_map.keep_only(*after)
-            labels = task.target.labels if task.rest is None else task.target.labels[task.rest]
-            acc[s, r] = 100.0 * accuracy(labels_from_scores(scores), labels)
+        for p, (pair, indices) in enumerate(zip(pairs, selections)):
+            after = [(source, scaler) for scaler, source, _ in pairs[p + 1:p + 2]]
+            acc[:, p, r] = _pair_accuracies(cfg, run_map, pair, indices, ks, after)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -346,10 +379,9 @@ def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
         for r in range(cfg.runs):
             run(r)
 
-    per_k = acc.reshape(len(ks), len(pairs), cfg.runs)
     return [ExperimentReport(cfg.method, cfg.setting, k, tuple(
         TaskResult(source.batch_id, target.batch_id, tuple(row))
-        for (_, source, target), row in zip(pairs, rows))) for k, rows in zip(ks, per_k)]
+        for (_, source, target), row in zip(pairs, rows))) for k, rows in zip(ks, acc)]
 
 
 def run_experiment(cfg: ExperimentConfig, corpus: list[SampleSet]) -> ExperimentReport:
@@ -370,7 +402,8 @@ def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
     [pair] = pairs = _batch_pairs(cfg, corpus, [(source_id, target_id)])
     [indices] = _select(pairs, cfg.k_guides)
     task = _task(*pair, indices, cfg.k_guides)
-    return fit(cfg, task, RunMap(cfg, task.source.n_features, cfg.base_seed)), task.scaler
+    clf, _ = fit(cfg, task, RunMap(cfg, task.source.n_features, cfg.base_seed))
+    return clf, task.scaler
 
 
 REPORT_FORMATS = ("table", "csv", "jsonl")

@@ -181,12 +181,17 @@ def reference_tasks(cfg, corpus, ks):
     """Per guide count in ``ks``, each task's (source, target, per-run
     accuracies), computed from the package's public functions only.
 
-    Each method's ridge blocks are written out:
+    Each method's ridge blocks are written out, and the scores of the rest:
         elm:      (H, T, c_s) of the source rows stacked over the guide rows
         daelm-s:  (Hs, Ts, c_s) and (Hg, Tg, c_t)
+                  both score the rest's rows of the whole target's H times
+                  the weights
         daelm-t:  (Hg, Tg, c_t) and (H_rest, pseudo, c_tu) through the
-                  second map; pseudo is the base map's H of the rest times
-                  the base ELM, trained on the source through the base map
+                  second map, both rows of one projection of the rest and
+                  then the guides, and scores H_rest times the weights;
+                  pseudo is the rest's rows of the base map's H of the whole
+                  target times the base ELM, trained on the source through
+                  the base map
     """
     pens = cfg.resolved_penalties()
     ids = ([(1, t) for t in range(2, 11)] if cfg.setting == "fixed-source"
@@ -209,18 +214,21 @@ def reference_tasks(cfg, corpus, ks):
             tg = encode_targets(target.labels[picked], N_CLASSES) if k else ts[:0]
             accuracies = []
             for base, fmap in maps:
-                h_rest = hidden_output(fmap, xt[rest])  # the projection of the rest's own rows
-                if cfg.method == "elm":
-                    blocks = [(hidden_output(fmap, np.vstack([xs, xt[picked]])),
-                               np.vstack([ts, tg]), pens["c_s"])]
-                elif cfg.method == "daelm-s":
-                    blocks = [(hidden_output(fmap, xs), ts, pens["c_s"]),
-                              (hidden_output(fmap, xt[picked]), tg, pens["c_t"])]
-                else:
+                if cfg.method == "daelm-t":
                     beta0 = solve_ridge([(hidden_output(base, xs), ts, pens["c_s"])])
-                    blocks = [(hidden_output(fmap, xt[picked]), tg, pens["c_t"]),
-                              (h_rest, hidden_output(base, xt[rest]) @ beta0, pens["c_tu"])]
-                scores = h_rest @ solve_ridge(blocks)
+                    h = hidden_output(fmap, xt[np.concatenate([rest, picked])])
+                    h_rest = h[:rest.size]
+                    blocks = [(h[rest.size:], tg, pens["c_t"]),
+                              (h_rest, (hidden_output(base, xt) @ beta0)[rest], pens["c_tu"])]
+                    scores = h_rest @ solve_ridge(blocks)
+                else:
+                    if cfg.method == "elm":
+                        blocks = [(hidden_output(fmap, np.vstack([xs, xt[picked]])),
+                                   np.vstack([ts, tg]), pens["c_s"])]
+                    else:
+                        blocks = [(hidden_output(fmap, xs), ts, pens["c_s"]),
+                                  (hidden_output(fmap, xt[picked]), tg, pens["c_t"])]
+                    scores = (hidden_output(fmap, xt) @ solve_ridge(blocks))[rest]
                 accuracies.append(100.0 * accuracy(labels_from_scores(scores),
                                                    target.labels[rest]))
             tasks.append((s, t, tuple(accuracies)))
@@ -243,15 +251,15 @@ WORK_PER_RUN = {
     ("elm", (4,), "fixed-source"): (1, 18, 9),
     ("elm", (4,), "rolling-source"): (1, 18, 9),
     ("daelm-s", (4,), "fixed-source"): (1, 19, 9),
-    ("daelm-s", (4,), "rolling-source"): (1, 27, 9),
-    ("daelm-t", (4,), "fixed-source"): (2, 28, 10),
-    ("daelm-t", (4,), "rolling-source"): (2, 36, 18),
-    ("elm", (0, 2, 4), "fixed-source"): (1, 46, 19),
-    ("elm", (0, 2, 4), "rolling-source"): (1, 46, 27),
-    ("daelm-s", (2, 6, 4), "fixed-source"): (1, 55, 27),
-    ("daelm-s", (2, 6, 4), "rolling-source"): (1, 81, 27),
-    ("daelm-t", (2, 6, 4), "fixed-source"): (2, 82, 28),
-    ("daelm-t", (2, 6, 4), "rolling-source"): (2, 108, 54),
+    ("daelm-s", (4,), "rolling-source"): (1, 19, 9),
+    ("daelm-t", (4,), "fixed-source"): (2, 19, 10),
+    ("daelm-t", (4,), "rolling-source"): (2, 27, 18),
+    ("elm", (0, 2, 4), "fixed-source"): (1, 28, 19),
+    ("elm", (0, 2, 4), "rolling-source"): (1, 28, 27),
+    ("daelm-s", (2, 6, 4), "fixed-source"): (1, 37, 27),
+    ("daelm-s", (2, 6, 4), "rolling-source"): (1, 37, 27),
+    ("daelm-t", (2, 6, 4), "fixed-source"): (2, 37, 28),
+    ("daelm-t", (2, 6, 4), "rolling-source"): (2, 45, 36),
 }
 
 # Upper bounds on the bytes alive (as tracemalloc counts them) when any ridge
@@ -265,6 +273,17 @@ SOLVE_MEMORY_KIB = {
     ("daelm-t", 10, "rolling-source"): 645 + 64,
     ("elm", 0, "rolling-source"): 585 + 64,
     ("daelm-s", 10, "fixed-source"): 615 + 64,
+}
+
+# The same when any hidden-layer projection starts. Its scaled rows are alive
+# then (150 KiB for a whole target), and so is the H a later step reads (the
+# fixed daelm-s source's); a previous target's H kept into the next target's
+# projection adds about 470 KiB.
+PROJECTION_MEMORY_KIB = {
+    ("daelm-t", 10, "fixed-source"): 305 + 64,
+    ("daelm-t", 10, "rolling-source"): 315 + 64,
+    ("elm", 0, "rolling-source"): 210 + 64,
+    ("daelm-s", 10, "fixed-source"): 690 + 64,
 }
 
 
@@ -332,21 +351,32 @@ class TestReuse:
                   for kind, n in zip(WORK_SITES, WORK_PER_RUN[method, ks, setting])}
         assert all(work[kind] <= limit for kind, limit in limits.items()), (work, limits)
 
-    @pytest.mark.parametrize("method, k, setting", list(SOLVE_MEMORY_KIB))
+    @pytest.mark.parametrize("method, ks, setting", [
+        *((method, (k,), setting) for method, k, setting in SOLVE_MEMORY_KIB),
+        ("daelm-s", (4, 10, 7), "fixed-source"), ("daelm-t", (4, 10, 7), "rolling-source")],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
     def test_bytes_alive_at_each_solve_are_within_budget(self, memory_corpus, monkeypatch,
-                                                         method, k, setting):
+                                                         method, ks, setting):
+        """Each solve and each projection starts within its budget, and a
+        sweep within its largest count's: no count or target holds on to
+        another's H."""
         # tracemalloc counts what is allocated after it starts: the run's arrays, not the corpus
-        alive = []
-        on_call(monkeypatch, "solves", lambda: alive.append(tracemalloc.get_traced_memory()[0]))
-        cfg = ExperimentConfig(method=method, setting=setting, k_guides=k, hidden_size=100,
-                               runs=2, base_seed=3)
+        alive = {"solves": [], "projections": []}
+        for kind, at in alive.items():
+            on_call(monkeypatch, kind,
+                    lambda at=at: at.append(tracemalloc.get_traced_memory()[0]))
+        cfg = ExperimentConfig(method=method, setting=setting, hidden_size=100, runs=2,
+                               base_seed=3)
         tracemalloc.start()
         try:
-            run_experiment(cfg, memory_corpus)
+            sweep_guides(cfg, memory_corpus, list(ks))
         finally:
             tracemalloc.stop()
-        assert len(alive) >= 9 * cfg.runs
-        assert max(alive) <= SOLVE_MEMORY_KIB[method, k, setting] * 1024, max(alive) / 1024
+        assert all(len(at) >= 9 * len(ks) * cfg.runs for at in alive.values())
+        key = method, max(ks), setting
+        budgets = {"solves": SOLVE_MEMORY_KIB[key], "projections": PROJECTION_MEMORY_KIB[key]}
+        peaks = {kind: max(at) / 1024 for kind, at in alive.items()}
+        assert all(peaks[kind] <= budgets[kind] for kind in peaks), (peaks, budgets)
 
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
     @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),
