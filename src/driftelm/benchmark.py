@@ -11,16 +11,16 @@ guide indices are kept: a target is scaled only for its selection, a run
 splits each task's guides off its target when it reaches the task and
 keeps the rest as row indices, and every hidden layer scales the rows it
 projects. A run draws its maps once from its seed, as one `RunMap`, and
-goes through the nine (source, target) pairs in order, every guide count
-of a pair in a row. elm and daelm-s do not read the rest to train: each
-count is trained first, then the whole target is projected once, and each
-count scores its rest's rows of that H times its weights. daelm-t trains
-on its rest: each count projects the target's rest and guides once, and
-the pseudo-targets are rows of the base classifier's scores of the whole
-target, computed once per pair. A run keeps a batch's H only while a later
-step reads it under the same scaler (see `RunMap`). So no target H is alive
-at an elm or daelm-s solve, and a sweep projects the same matrices as a run
-at each of its counts.
+goes through the nine (source, target) pairs in order. A pair first
+computes the one term its tasks read from the source (see `_source_term`),
+then runs every guide count in a row. elm and daelm-s do not read the rest
+to train: each count is trained first, then the whole target is projected
+once, and each count scores its rest's rows of that H times its weights.
+daelm-t trains on its rest: each count projects the target's rest and
+guides once, and its pseudo-targets are rows of the pair's term. Between
+pairs a run holds only the source term its next pair reads. So no target
+H is alive at an elm or daelm-s solve, and a sweep projects the same
+matrices as a run at each of its counts.
 `sweep_guides` is the one protocol and `fit` the one training path;
 `fit_pair` builds the one task of the `train` command as the protocols
 build theirs. With ``jobs > 1`` whole runs go to a thread pool; results do
@@ -205,21 +205,13 @@ def _task(scaler: ScalerParams, source: SampleSet, target: SampleSet,
 
 
 class RunMap:
-    """One run's feature maps and what a later step of the run reads again.
+    """One run's feature maps, and the one term it carries between pairs.
 
     ``base`` is drawn at the run's seed; daelm-t then draws its coupled
     model's ``fmap`` at the seed plus `TARGET_MAP_SEED_OFFSET`, and for every
-    other method ``fmap is base``. ``fmap``'s H of a whole batch is kept by
-    the identity of the batch and of the scaler that scales it; the scaled
-    copy is not kept. A later step reads such an H again in two cases: a
-    fixed daelm-s source, which every task reads, and an elm or daelm-s
-    target, which is the next pair's source under the global scaler. So
-    each H that `output` computes is kept, read-only, until the run calls
-    `keep_only` to keep only what its next step reads. Through ``base``, the
-    ELM trained on the source alone (the daelm-t base classifier, or elm
-    without guides) is kept while the source is read, but not the source's
-    H (see `source_elm`), and for daelm-t that ELM's scores of the whole
-    target while the target is read (see `base_scores`).
+    other method ``fmap is base``. ``held`` is the `_part` of the batch the
+    next pair reads as its source, or None; the pair before sets it only when
+    the next pair reads that batch under the same scaler.
     """
 
     def __init__(self, cfg: ExperimentConfig, n_features: int, run_seed: int):
@@ -227,88 +219,78 @@ class RunMap:
         self.base = new_feature_map(*shape, run_seed)
         self.fmap = (new_feature_map(*shape, run_seed + TARGET_MAP_SEED_OFFSET)
                      if cfg.method == "daelm-t" else self.base)
-        # (batch, scaler) -> H; both compare and hash by identity, not values
-        self._kept: dict[tuple[SampleSet, ScalerParams], np.ndarray] = {}
-        self._source_elm: tuple = (None, None, None, None)  # source, scaler, c, weights
-        self._base_scores: tuple = (None,) * 5  # source, scaler, c, target, scores
-
-    def output(self, batch: SampleSet, scaler: ScalerParams) -> np.ndarray:
-        """``fmap``'s H of ``batch`` scaled by ``scaler``, kept until `keep_only`
-        lets it go."""
-        key = (batch, scaler)
-        if key not in self._kept:
-            h = hidden_output(self.fmap, apply_scaler(scaler, batch.features))
-            h.flags.writeable = False
-            self._kept[key] = h
-        return self._kept[key]
-
-    def keep_only(self, *keys: tuple[SampleSet, ScalerParams]) -> None:
-        """Drop every kept H but those of the (batch, scaler) pairs ``keys``."""
-        self._kept = {key: h for key, h in self._kept.items() if key in keys}
-
-    def source_elm(self, source: SampleSet, scaler: ScalerParams, c: float) -> np.ndarray:
-        """``base``'s ELM weights on ``source`` scaled by ``scaler``, with
-        penalty ``c``, read-only and trained once while all three stay this
-        run's source.
-
-        The source's H is read only to train them: a kept one if ``base`` is
-        ``fmap`` and there is one (in a rolling run, the previous target's),
-        or else one projected for this training and not kept.
-        """
-        if self._source_elm[:3] != (source, scaler, c):  # compared by identity
-            h = self._kept.get((source, scaler)) if self.base is self.fmap else None
-            if h is None:
-                h = hidden_output(self.base, apply_scaler(scaler, source.features))
-            beta = train_elm(h, encode_targets(source.labels, N_CLASSES), c)
-            beta.flags.writeable = False
-            self._source_elm = (source, scaler, c, beta)
-        return self._source_elm[3]
-
-    def base_scores(self, task: Task, c: float) -> np.ndarray:
-        """The scores that `source_elm` with penalty ``c`` gives every row of
-        the task's target through ``base``, read-only and computed once while
-        the task's source, scaler and target and ``c`` stay."""
-        key = (task.source, task.scaler, c, task.target)
-        if self._base_scores[:4] != key:  # compared by identity
-            beta = self.source_elm(task.source, task.scaler, c)
-            scores = hidden_output(self.base, apply_scaler(task.scaler,
-                                                           task.target.features)) @ beta
-            scores.flags.writeable = False
-            self._base_scores = (*key, scores)
-        return self._base_scores[4]
+        self.held: np.ndarray | None = None
 
 
-def fit(cfg: ExperimentConfig, task: Task,
-        run: RunMap) -> tuple[Classifier, np.ndarray | None]:
-    """Train ``cfg.method`` on one task with one run's maps; it predicts
-    through ``run.fmap``. daelm-t, which trains on the rest's H, also
-    returns the rest's scores, that H times the weights; the other methods
-    return None."""
+def _project(fmap, scaler: ScalerParams, batch: SampleSet) -> np.ndarray:
+    """``fmap``'s H of ``batch`` scaled by ``scaler``; the scaled copy is not kept."""
+    return hidden_output(fmap, apply_scaler(scaler, batch.features))
+
+
+def _part(cfg: ExperimentConfig, h: np.ndarray, batch: SampleSet) -> np.ndarray:
+    """What a pair reads from its source ``batch``, whose H through the base
+    map is ``h``: daelm-s, whose ``base`` is ``fmap``, reads ``h``; elm and
+    daelm-t read the weights of the ELM trained on it alone."""
+    if cfg.method == "daelm-s":
+        return h
+    return train_elm(h, encode_targets(batch.labels, N_CLASSES),
+                     cfg.resolved_penalties()["c_s"])
+
+
+def _source_term(cfg: ExperimentConfig, run: RunMap,
+                 pair: tuple[ScalerParams, SampleSet, SampleSet], ks: list[int],
+                 then: SampleSet | None = None) -> np.ndarray | None:
+    """What every task of ``pair`` at the counts ``ks`` reads from its
+    source: its `_part`, which daelm-t turns into the base ELM's scores of
+    the whole target, or None for elm with guides only. The held part, if
+    any, is this source's. ``then`` is the batch the next pair reads as its
+    source under this scaler, if any; its part is held if it is this
+    source, or for daelm-t the target, from the target's base H."""
+    scaler, source, target = pair
+    if cfg.method == "elm" and 0 not in ks:
+        return None
+    part, run.held = run.held, None
+    if part is None:
+        part = _part(cfg, _project(run.base, scaler, source), source)
+    if then is source:
+        run.held = part
+    if cfg.method != "daelm-t":
+        return part
+    h = _project(run.base, scaler, target)
+    if then is target:
+        run.held = _part(cfg, h, target)
+    return h @ part
+
+
+def fit(cfg: ExperimentConfig, task: Task, run: RunMap,
+        term: np.ndarray | None) -> tuple[Classifier, np.ndarray | None]:
+    """Train ``cfg.method`` on one task with one run's maps and its pair's
+    source term (see `_source_term`); it predicts through ``run.fmap``.
+    daelm-t, which trains on the rest's H, also returns the rest's scores,
+    that H times the weights; the other methods return None."""
     pens = cfg.resolved_penalties()
     scaler, source, guides, m = task.scaler, task.source, task.guides, N_CLASSES
     if cfg.method == "daelm-t":
         # the coupled model is pulled toward the base classifier's scores of
         # the rest; both of its blocks are views of one projection of the
         # target's rows, the rest (ascending) and then the guides
-        pseudo = run.base_scores(task, pens["c_s"])[task.rest]
         h = hidden_output(run.fmap, apply_scaler(
             scaler, np.vstack([task.target.features[task.rest], guides.features])))
         h_rest = h[:task.rest.size]
         beta = train_daelm_t(h[task.rest.size:], encode_targets(guides.labels, m),
-                             h_rest, pseudo, pens["c_t"], pens["c_tu"])
+                             h_rest, term[task.rest], pens["c_t"], pens["c_tu"])
         return Classifier(run.fmap, beta), h_rest @ beta
     if cfg.method == "daelm-s":
-        beta = train_daelm_s(
-            run.output(source, scaler), encode_targets(source.labels, m),
-            hidden_output(run.fmap, apply_scaler(scaler, guides.features)),
-            encode_targets(guides.labels, m), pens["c_s"], pens["c_t"])
+        beta = train_daelm_s(term, encode_targets(source.labels, m),
+                             _project(run.fmap, scaler, guides),
+                             encode_targets(guides.labels, m), pens["c_s"], pens["c_t"])
     elif guides is not None:  # elm on source rows plus the labeled guides
         feats = np.vstack([apply_scaler(scaler, s.features) for s in (source, guides)])
         labels = np.concatenate([source.labels, guides.labels])
         beta = train_elm(hidden_output(run.fmap, feats), encode_targets(labels, m),
                          pens["c_s"])
     else:
-        beta = run.source_elm(source, scaler, pens["c_s"])
+        beta = term
     return Classifier(run.fmap, beta), None
 
 
@@ -320,29 +302,35 @@ def _percent_correct(scores: np.ndarray, labels: np.ndarray) -> float:
 def _pair_accuracies(cfg: ExperimentConfig, run: RunMap,
                      pair: tuple[ScalerParams, SampleSet, SampleSet],
                      indices: np.ndarray | None, ks: list[int],
-                     after: list[tuple[SampleSet, ScalerParams]]) -> list[float]:
+                     next_pair: tuple[ScalerParams, SampleSet, SampleSet] | None
+                     ) -> list[float]:
     """One run's accuracy in percent on one (scaler, source, target) pair at
-    each count in ``ks``, whose guides are prefixes of ``indices``; ``after``
-    names the H that the run's next pair reads, if any. elm and daelm-s
-    train every count before the target is projected, so that no target H
-    is alive at their solves."""
+    each count in ``ks``, whose guides are prefixes of ``indices``, before
+    the run's ``next_pair``, if any. elm and daelm-s train every count before
+    the target is projected, so that no target H is alive at their solves;
+    that H then gives the part the next pair reads, if it reads the target."""
     scaler, source, target = pair
-    run.keep_only((source, scaler))  # the previous target, when it is this source
+    # the batch the next pair reads as its source, if it reads it under this scaler
+    then = next_pair[1] if next_pair is not None and next_pair[0] is scaler else None
+    term = _source_term(cfg, run, pair, ks, then)
+    reads = term is not None
     acc, unscored = [0.0] * len(ks), []
     for i, k in enumerate(ks):
         task = _task(scaler, source, target, indices, k)
-        clf, scores = fit(cfg, task, run)
+        clf, scores = fit(cfg, task, run, term)
         if scores is None:
             unscored.append((i, task.rest, clf.beta))
         else:
             acc[i] = _percent_correct(scores, target.labels[task.rest])
         del clf, scores  # not kept into the next count's fit
+    del term  # held on only if the next pair reads it
     if unscored:
-        run.keep_only(*after)  # this source, when the next pair reads it
+        h = _project(run.fmap, scaler, target)
+        if reads and then is target:
+            run.held = _part(cfg, h, target)
         for i, rest, beta in unscored:
             rows = slice(None) if rest is None else rest
-            acc[i] = _percent_correct((run.output(target, scaler) @ beta)[rows],
-                                      target.labels[rows])
+            acc[i] = _percent_correct((h @ beta)[rows], target.labels[rows])
     return acc
 
 
@@ -367,9 +355,9 @@ def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
 
     def run(r):
         run_map = RunMap(cfg, pairs[0][1].n_features, cfg.base_seed + r)
-        for p, (pair, indices) in enumerate(zip(pairs, selections)):
-            after = [(source, scaler) for scaler, source, _ in pairs[p + 1:p + 2]]
-            acc[:, p, r] = _pair_accuracies(cfg, run_map, pair, indices, ks, after)
+        for p, (pair, indices, next_pair) in enumerate(zip(pairs, selections,
+                                                           [*pairs[1:], None])):
+            acc[:, p, r] = _pair_accuracies(cfg, run_map, pair, indices, ks, next_pair)
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -402,7 +390,8 @@ def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
     [pair] = pairs = _batch_pairs(cfg, corpus, [(source_id, target_id)])
     [indices] = _select(pairs, cfg.k_guides)
     task = _task(*pair, indices, cfg.k_guides)
-    clf, _ = fit(cfg, task, RunMap(cfg, task.source.n_features, cfg.base_seed))
+    run = RunMap(cfg, task.source.n_features, cfg.base_seed)
+    clf, _ = fit(cfg, task, run, _source_term(cfg, run, pair, [cfg.k_guides]))
     return clf, task.scaler
 
 

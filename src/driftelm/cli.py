@@ -312,6 +312,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # such as a size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -43,6 +43,9 @@ CASES = [
     ("validate-data-out-in-missing-dir",
      ["validate-data", "--data-dir", "{D}", "--out", "{F}/missing/report.txt"],
      2, "{F}/missing"),
+    ("validate-data-features-out-of-memory",
+     ["validate-data", "--data-dir", "{D}", "--features", "1000000000000"],
+     2, "out of memory"),
     ("select-guides", ["select-guides", "--data-dir", "{D}", "--features", "4",
                        "--batch", "5", "--guides", "6"], 0, None),
     ("select-guides-one-guide", ["select-guides", "--data-dir", "{D}", "--batch", "5",
@@ -134,6 +137,9 @@ CASES = [
     ("bench-daelm-t-zero-ctu", ["bench", "--data-dir", "{D}", "--method", "daelm-t",
                                 "--ctu", "0", *FAST, *RUNS], 0, None),
     ("bench-empty-hidden", ["bench", "--data-dir", "{D}", "--hidden", ""], 1, None),
+    ("bench-hidden-out-of-memory", ["bench", "--data-dir", "{D}", "--features", "4",
+                                    "--hidden", "1000000000000000", *RUNS],
+     2, "out of memory"),
     ("sweep", ["sweep", "--data-dir", "{D}", "--method", "daelm-s", "--ks", "3,5",
                *MAP, *RUNS], 0, None),
     ("sweep-guides", ["sweep", "--data-dir", "{D}", "--ks", "3", "--guides", "4"], 1, None),
