@@ -56,6 +56,26 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _kept(arr, dtype) -> np.ndarray:
+    """``arr`` itself if it is a read-only, C-ordered ``dtype`` array that owns
+    its memory, so that nothing else can write to it; else a read-only copy."""
+    if (type(arr) is np.ndarray and arr.dtype == dtype and arr.flags.c_contiguous
+            and arr.flags.owndata and not arr.flags.writeable):
+        return arr
+    return _readonly(np.array(arr, dtype=dtype, order="C"))
+
+
+def _whole(labels) -> np.ndarray:
+    """``labels`` as int64, not copied if they are int64 already; a DataError
+    if any is not a whole number, where a cast would truncate it."""
+    raw = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN and Inf cast to garbage, refused below
+        ids = raw.astype(np.int64, copy=False)
+    if ids is not raw and not np.array_equal(ids, raw):
+        raise DataError("labels must be whole numbers")
+    return ids
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """An immutable, unscaled batch of labeled samples, as loaded or split.
@@ -63,6 +83,12 @@ class SampleSet:
     features : (N, n) float matrix, finite.
     labels   : (N,) vector of 1-based class ids in 1..N_CLASSES.
     batch_id : which corpus batch the samples came from (0 for synthetic).
+
+    Both arrays are read-only. An array that is already read-only, C-ordered,
+    of the right dtype (float64, int64) and owns its memory is kept as it is,
+    as a load or ``take`` hands it over; anything else, a writable array or a
+    view included, is copied, so a later write by the caller cannot reach it.
+    Labels that are not whole numbers are refused, not truncated.
     """
 
     features: np.ndarray
@@ -70,18 +96,18 @@ class SampleSet:
     batch_id: int = 0
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64, order="C")
+        feats = _kept(self.features, np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise DataError("features must be a non-empty 2-D matrix")
-        if not np.isfinite(feats).all():
+        if not (np.isfinite(feats.min()) and np.isfinite(feats.max())):  # NaN reaches both
             raise DataError("features contain NaN or Inf")
-        labels = np.array(self.labels, dtype=np.int64)
+        labels = _kept(_whole(self.labels), np.int64)
         if labels.shape != (feats.shape[0],):
             raise DataError("labels must be one class id per sample")
         if labels.min() < 1 or labels.max() > N_CLASSES:
             raise DataError(f"labels must lie in 1..{N_CLASSES}")
-        object.__setattr__(self, "features", _readonly(feats))
-        object.__setattr__(self, "labels", _readonly(labels))
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_samples(self) -> int:
@@ -94,7 +120,8 @@ class SampleSet:
     def take(self, indices) -> "SampleSet":
         """Row subset (copy)."""
         idx = np.asarray(indices, dtype=np.int64)
-        return SampleSet(self.features[idx], self.labels[idx], self.batch_id)
+        return SampleSet(_readonly(self.features[idx]), _readonly(self.labels[idx]),
+                         self.batch_id)
 
 
 def load_batch(path, batch_id: int, expected_n: int = N_FEATURES) -> SampleSet:
@@ -103,27 +130,35 @@ def load_batch(path, batch_id: int, expected_n: int = N_FEATURES) -> SampleSet:
     Lines are ``<class>[;<concentration>] <idx>:<value> ...`` with class ids
     in 1..N_CLASSES and 1-based feature indices; the concentration token is
     discarded, absent indices default to 0 and a repeated index keeps its
-    last value. The file is read once, as UTF-8, and parsed line by line.
-    Errors, including undecodable bytes and non-finite values, raise
-    ``DataError`` naming the file and, where there is one, the line.
+    last value. The file is parsed line by line, as UTF-8. Errors, including
+    undecodable bytes and non-finite values, raise ``DataError`` naming the
+    file and, where there is one, the line.
 
     The parsed arrays are cached by content (``_entry_path``): a later load
     of the same bytes, from any path, reads them back instead of parsing.
+    The key is hashed from the file in chunks, so a hit never holds the
+    file's bytes and the batch it returns holds the only copy of its arrays.
+    A miss reads the file whole and keys its entry by the bytes it parsed.
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            entry = _entry_path(iter(functools.partial(fh.read, _HASH_CHUNK), b""), expected_n)
+            cached = None if entry is None else _read_entry(entry, expected_n, batch_id)
+            if cached is not None:
+                return cached
+            fh.seek(0)
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    entry = _entry_path(data, expected_n)
-    if entry is not None:
-        cached = _read_entry(entry, expected_n, batch_id)
-        if cached is not None:
-            return cached
     samples = SampleSet(*_parse_lines(data, path, expected_n), batch_id)
-    if entry is not None:
-        _write_entry(entry, samples)
+    if entry is not None:  # the file may have changed since it was hashed
+        _write_entry(_entry_path([data], expected_n), samples)
     return samples
+
+
+# Bytes of a file read and hashed at a time.
+_HASH_CHUNK = 2**16
 
 
 @functools.cache
@@ -133,13 +168,15 @@ def _parser_digest() -> bytes:
     return hashlib.sha256(Path(__file__).read_bytes() + versions).digest()
 
 
-def _entry_path(data: bytes, expected_n: int) -> Path | None:
-    """Where the parse of ``data`` is cached: a file named by its key.
+def _entry_path(chunks, expected_n: int) -> Path | None:
+    """Where the parse of a file's bytes, given as ``chunks`` in order, is
+    cached: a file named by its key.
 
     Entries live in ``$XDG_CACHE_HOME/driftelm`` (else ``~/.cache/driftelm``).
     The key is a sha256 over the parser, ``expected_n`` and the bytes; an
     entry no load names any more ages out through the size bound. None when
-    there is no home directory or the module's source cannot be read.
+    there is no home directory or the module's source cannot be read; then
+    no chunk is read.
     """
     root = os.environ.get("XDG_CACHE_HOME", "")
     try:
@@ -147,7 +184,8 @@ def _entry_path(data: bytes, expected_n: int) -> Path | None:
         key = hashlib.sha256(_parser_digest() + b"%d\0" % expected_n)
     except (OSError, RuntimeError):  # RuntimeError: no home directory
         return None
-    key.update(data)
+    for chunk in chunks:
+        key.update(chunk)
     return base / "driftelm" / f"{key.hexdigest()}.npy"
 
 
@@ -155,18 +193,33 @@ def _read_entry(entry: Path, expected_n: int, batch_id: int) -> SampleSet | None
     """The batch a cache entry holds; None for a missing or damaged one.
 
     An entry is two ``.npy`` records in a row: the features and the labels.
+    Each is read straight into an array of its own, which the batch keeps.
     """
     try:
         with open(entry, "rb") as fh:
-            features = np.load(fh, allow_pickle=False)
-            labels = np.load(fh, allow_pickle=False)
-        if (features.dtype == np.float64 and features.ndim == 2
-                and features.shape[1] == expected_n
-                and labels.dtype == np.int64 and labels.shape == features.shape[:1]):
+            features = _read_record(fh, np.float64)
+            labels = _read_record(fh, np.int64)
+        if (features.ndim == 2 and features.shape[1] == expected_n
+                and labels.shape == features.shape[:1]):
             return SampleSet(features, labels, batch_id)
     except Exception:  # any failure to read an entry means: parse the file
         pass
     return None
+
+
+def _read_record(fh, dtype) -> np.ndarray:
+    """The next ``.npy`` record of ``fh`` as a read-only array that owns its
+    memory; ValueError unless it is a whole, C-ordered version 1.0 record of
+    ``dtype``, as ``np.save`` writes one."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 record")
+    shape, fortran_order, got = np.lib.format.read_array_header_1_0(fh)
+    if fortran_order or got != dtype:
+        raise ValueError(f"not a C-ordered {np.dtype(dtype)} record")
+    arr = np.empty(shape, dtype)
+    if fh.readinto(arr) != arr.nbytes:
+        raise ValueError("truncated record")
+    return _readonly(arr)
 
 
 # Entries beyond this many bytes, oldest written first, are removed.
@@ -206,7 +259,8 @@ def utf8_text(data: bytes, path) -> str:
 
 
 def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of a batch file's bytes, one line at a time."""
+    """Features and labels of a batch file's bytes, one line at a time, as
+    read-only arrays for a ``SampleSet`` to keep."""
     rows: list[np.ndarray] = []
     labels: list[int] = []
     for lineno, line in enumerate(utf8_text(data, path).splitlines(), start=1):
@@ -239,7 +293,7 @@ def _parse_lines(data: bytes, path: Path, expected_n: int) -> tuple[np.ndarray, 
         labels.append(label)
     if not rows:
         raise DataError(f"{path}: no samples")
-    return np.vstack(rows), np.asarray(labels)
+    return _readonly(np.vstack(rows)), _readonly(np.array(labels, dtype=np.int64))
 
 
 def write_atomic(path, content: str | bytes) -> None:
@@ -406,7 +460,7 @@ def apply_scaler(scaler: ScalerParams, features) -> np.ndarray:
 
 def encode_targets(labels, m: int) -> np.ndarray:
     """One-vs-rest target rows: +1 in the label's column, -1 elsewhere."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _whole(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise DataError("labels must be a non-empty vector")
     if labels.min() < 1 or labels.max() > m:

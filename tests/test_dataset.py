@@ -1,5 +1,6 @@
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,8 +192,40 @@ class TestParseCache:
         assert load_batch(path, batch_id=1, expected_n=2).features.tolist() == [[0.5, 1.0]]
         assert len(cache_files(isolated_cache)) == 3
 
+    def test_entry_is_keyed_by_the_bytes_parsed(self, tmp_path, monkeypatch, isolated_cache):
+        path = write_lines(tmp_path / "b.dat", ["1 1:0.5"])
+        original, swapped = path.read_bytes(), b"2 1:7.5\n"
+        real = dataset._entry_path
+
+        def rewrite_after_the_probe(chunks, expected_n):
+            monkeypatch.setattr(dataset, "_entry_path", real)
+            entry = real(chunks, expected_n)
+            path.write_bytes(swapped)  # the file changes before it is parsed
+            return entry
+        monkeypatch.setattr(dataset, "_entry_path", rewrite_after_the_probe)
+        assert load_batch(path, batch_id=1, expected_n=1).features.tolist() == [[7.5]]
+        path.write_bytes(original)
+        got = load_batch(path, batch_id=1, expected_n=1)
+        assert got.features.tolist() == [[0.5]] and got.labels.tolist() == [1]
+        assert len(cache_files(isolated_cache)) == 2
+        refuse_parsers(monkeypatch)
+        path.write_bytes(swapped)
+        assert load_batch(path, batch_id=1, expected_n=1).features.tolist() == [[7.5]]
+
+    def test_hit_keeps_the_arrays_it_reads(self, dense_batch, monkeypatch):
+        load_batch(dense_batch, batch_id=2, expected_n=5)
+        read, real = [], dataset._read_record
+
+        def recorded(fh, dtype):
+            read.append(real(fh, dtype))
+            return read[-1]
+        monkeypatch.setattr(dataset, "_read_record", recorded)
+        hit = load_batch(dense_batch, batch_id=2, expected_n=5)
+        assert len(read) == 2
+        assert hit.features is read[0] and hit.labels is read[1]
+
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "pickle", "float32",
-                                        "object", "nan"])
+                                        "object", "nan", "fortran"])
     def test_damaged_entry_is_parsed_again_and_rewritten(self, dense_batch, monkeypatch,
                                                          isolated_cache, damage):
         want = load_batch(dense_batch, batch_id=2, expected_n=5)
@@ -212,6 +245,8 @@ class TestParseCache:
                 features = features.astype(np.float32)
             elif damage == "object":
                 features = features.astype(object)
+            elif damage == "fortran":  # the right values, in an order no entry is written in
+                features = np.asfortranarray(features)
             else:
                 features = np.full_like(features, np.nan)
             with open(entry, "wb") as fh:
@@ -229,11 +264,11 @@ class TestParseCache:
         paths = [write_lines(tmp_path / f"b{i}.dat", [f"1 1:{i}.5"]) for i in range(4)]
         for i, path in enumerate(paths):
             load_batch(path, batch_id=1, expected_n=1)
-            entry = dataset._entry_path(path.read_bytes(), 1)
+            entry = dataset._entry_path([path.read_bytes()], 1)
             os.utime(entry, ns=(i, i))  # distinct write times, oldest first
             if i == 0:  # room for two entries of this size
                 monkeypatch.setattr(dataset, "_CACHE_MAX_BYTES", 2 * entry.stat().st_size)
-        entries = {dataset._entry_path(p.read_bytes(), 1) for p in paths[2:]}
+        entries = {dataset._entry_path([p.read_bytes()], 1) for p in paths[2:]}
         assert set(cache_files(isolated_cache)) == entries
 
     @pytest.mark.parametrize("root", ["a-file", "no-home"])
@@ -315,6 +350,9 @@ class TestSampleSet:
     def test_rejects_nan(self):
         with pytest.raises(DataError, match="NaN"):
             SampleSet(np.array([[np.nan]]), [1])
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DataError, match="NaN or Inf"):
+                SampleSet(np.array([[0.5, 1.0], [value, -2.0]]), [1, 2])
 
     def test_rejects_bad_labels(self):
         for labels in ([1, 7], [0, 1]):
@@ -322,6 +360,35 @@ class TestSampleSet:
                 SampleSet(np.ones((2, 2)), labels)
         with pytest.raises(DataError, match="one class id per sample"):
             SampleSet(np.ones((2, 2)), [1, 2, 3])
+        for labels in ([1.9, 2.5], [1.0, np.nan], [np.inf, 1.0]):
+            with pytest.raises(DataError, match="whole numbers"):
+                SampleSet(np.ones((2, 3)), labels)
+        assert SampleSet(np.ones((2, 3)), [1.0, 6.0]).labels.tolist() == [1, 6]
+
+    def test_writable_input_is_copied(self):
+        feats, labels = np.ones((2, 3)), np.array([1, 2])
+        s = SampleSet(feats, labels)
+        feats[0, 0], labels[0] = 5.0, 6
+        assert s.features[0, 0] == 1.0 and s.labels[0] == 1
+        assert not np.shares_memory(s.features, feats)
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        base = np.ones((4, 3))
+        view = base[:2]
+        view.flags.writeable = False
+        s = SampleSet(view, [1, 2])
+        assert not np.shares_memory(s.features, base)
+        base[0, 0] = 5.0
+        assert s.features[0, 0] == 1.0
+
+    def test_read_only_array_of_its_own_is_kept(self):
+        feats, labels = np.ones((2, 3)), np.array([1, 2])
+        feats.flags.writeable = labels.flags.writeable = False
+        s = SampleSet(feats, labels)
+        assert s.features is feats and s.labels is labels
+        for other in (feats.astype(np.float32), np.asfortranarray(np.ones((3, 2)))[:2]):
+            other.flags.writeable = False
+            assert SampleSet(other, [1, 2]).features is not other
 
     def test_immutable(self):
         s = SampleSet(np.ones((2, 2)), [1, 2])
@@ -333,6 +400,44 @@ class TestSampleSet:
         sub = s.take([2, 0])
         np.testing.assert_array_equal(sub.labels, [3, 1])
         np.testing.assert_array_equal(sub.features, [[4.0, 5.0], [0.0, 1.0]])
+
+
+def allocation_peak(call):
+    """``call()``'s result and the most bytes it had allocated at once, as
+    tracemalloc counts them. A first, untraced call leaves out what only a
+    first call allocates, so the figure does not depend on the tests run before."""
+    call()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Bytes beyond the result's arrays that a load or a take may allocate at its
+# peak: headers, Python objects, the chunks of a file being hashed; never a
+# second copy of the batch (the parse, or the file's bytes, held at once).
+PEAK_SLACK = 128 * 2**10
+
+
+class TestMemory:
+    def test_cache_hit_holds_one_copy_of_the_batch(self, tmp_path):
+        rng = np.random.default_rng(2)
+        feats = rng.normal(scale=100.0, size=(1200, 32))
+        path = tmp_path / "batch6.dat"
+        path.write_bytes(dense_text("perfbench", rng.integers(1, 7, size=1200), feats).encode())
+        assert path.stat().st_size > 6 * dataset._HASH_CHUNK
+        load_batch(path, batch_id=6, expected_n=32)  # writes the entry
+        hit, peak = allocation_peak(lambda: load_batch(path, batch_id=6, expected_n=32))
+        assert hit.features.shape == (1200, 32)
+        assert peak <= hit.features.nbytes + hit.labels.nbytes + PEAK_SLACK
+
+    def test_take_builds_its_rows_once(self):
+        rng = np.random.default_rng(4)
+        s = SampleSet(rng.normal(size=(2000, 64)), rng.integers(1, 7, size=2000))
+        idx = np.arange(0, 2000, 2)
+        sub, peak = allocation_peak(lambda: s.take(idx))
+        assert peak <= sub.features.nbytes + sub.labels.nbytes + PEAK_SLACK
 
 
 class TestValidateCorpus:
@@ -454,6 +559,12 @@ class TestEncodeTargets:
     def test_out_of_range_label(self):
         with pytest.raises(DataError):
             encode_targets([0], 6)
+
+    def test_fractional_label(self):
+        for labels in ([1.9], [np.nan]):
+            with pytest.raises(DataError, match="whole numbers"):
+                encode_targets(labels, 6)
+        np.testing.assert_array_equal(encode_targets([2.0], 6), encode_targets([2], 6))
 
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=50), st.integers(9, 12))
     @settings(max_examples=50, deadline=None)
