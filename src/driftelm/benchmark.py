@@ -6,10 +6,10 @@ Each task selects k guide samples from the target batch, trains the chosen
 method, and scores the unlabeled remainder; runs repeat with consecutive
 seeds and are averaged.
 
-Across runs only the caller's unscaled batches, each task's scaler and the
-guide indices are kept: a target is scaled only for its selection, a run
-splits each task's guides off its target when it reaches the task and
-keeps the rest as row indices, and every hidden layer scales the rows it
+Across runs only the caller's unscaled batches, each pair's scaler and the
+guide indices are kept: a target is scaled only for its selection, `fit`
+splits a count's guides off its target when the run reaches it and returns
+the rest as row indices, and every hidden layer scales the rows it
 projects. A run draws its maps once from its seed, as one `RunMap`, and
 goes through the nine (source, target) pairs in order. A pair first
 computes the one term its tasks read from the source (see `_source_term`),
@@ -21,10 +21,10 @@ guides once, and its pseudo-targets are rows of the pair's term. Between
 pairs a run holds only the source term its next pair reads. So no target
 H is alive at an elm or daelm-s solve, and a sweep projects the same
 matrices as a run at each of its counts.
-`sweep_guides` is the one protocol and `fit` the one training path;
-`fit_pair` builds the one task of the `train` command as the protocols
-build theirs. With ``jobs > 1`` whole runs go to a thread pool; results do
-not depend on it.
+`sweep_guides` is the one protocol and `fit` the one training path. It
+returns weights; `fit_pair`, the `train` command's one pair, is the one
+caller that wraps them in a `Classifier`. With ``jobs > 1`` whole runs go
+to a thread pool; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -118,6 +118,8 @@ class TaskResult:
     accuracies: tuple[float, ...]  # per-run accuracy, percent
 
     def __post_init__(self):
+        if not self.accuracies:
+            raise ValueError("accuracies must hold at least one run")
         if any(not 0.0 <= a <= 100.0 for a in self.accuracies):
             raise ValueError("accuracies must lie in [0, 100]")
 
@@ -140,21 +142,6 @@ class ExperimentReport:
     @property
     def label(self) -> str:
         return f"{self.method}({self.k_guides})" if self.k_guides else self.method
-
-
-@dataclass(frozen=True, eq=False)
-class Task:
-    """One (source, target) task, unscaled, and the scaler it is projected through.
-
-    The rest, the target rows a task scores, is kept as row indices into the
-    target.
-    """
-
-    scaler: ScalerParams
-    source: SampleSet          # labeled
-    target: SampleSet          # the whole target batch
-    guides: SampleSet | None   # labeled target rows the trainer sees
-    rest: np.ndarray | None    # ascending indices of the other rows; None: all
 
 
 def _task_pairs(setting: str) -> list[tuple[int, int]]:
@@ -194,14 +181,6 @@ def _select(pairs: list[tuple[ScalerParams, SampleSet, SampleSet]],
                             f"({target.n_samples})")
     return [ssa_select(apply_scaler(scaler, target.features), k) if k else None
             for scaler, _, target in pairs]
-
-
-def _task(scaler: ScalerParams, source: SampleSet, target: SampleSet,
-          indices: np.ndarray | None, k: int) -> Task:
-    """The task whose guides are the first k selected rows of ``target``."""
-    if not k:
-        return Task(scaler, source, target, None, None)
-    return Task(scaler, source, target, *split_target(target, indices[:k]))
 
 
 class RunMap:
@@ -262,36 +241,40 @@ def _source_term(cfg: ExperimentConfig, run: RunMap,
     return h @ part
 
 
-def fit(cfg: ExperimentConfig, task: Task, run: RunMap,
-        term: np.ndarray | None) -> tuple[Classifier, np.ndarray | None]:
-    """Train ``cfg.method`` on one task with one run's maps and its pair's
-    source term (see `_source_term`); it predicts through ``run.fmap``.
-    daelm-t, which trains on the rest's H, also returns the rest's scores,
-    that H times the weights; the other methods return None."""
+def fit(cfg: ExperimentConfig, run: RunMap,
+        pair: tuple[ScalerParams, SampleSet, SampleSet], guides: np.ndarray | None,
+        term: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Train ``cfg.method`` on one (scaler, source, target) pair whose guides
+    are the target rows ``guides`` (None: no guides), with one run's maps and
+    the pair's source term (see `_source_term`); the weights predict through
+    ``run.fmap``. Returns the weights, the ascending row indices of the rest
+    (None: the whole target) and, for daelm-t, which trains on the rest's H,
+    the rest's scores, that H times the weights (None for the other methods)."""
+    if guides is None:  # elm without guides: the source's own ELM
+        return term, None, None
     pens = cfg.resolved_penalties()
-    scaler, source, guides, m = task.scaler, task.source, task.guides, N_CLASSES
+    (scaler, source, target), m = pair, N_CLASSES
+    labeled, rest = split_target(target, guides)
     if cfg.method == "daelm-t":
         # the coupled model is pulled toward the base classifier's scores of
         # the rest; both of its blocks are views of one projection of the
         # target's rows, the rest (ascending) and then the guides
         h = hidden_output(run.fmap, apply_scaler(
-            scaler, np.vstack([task.target.features[task.rest], guides.features])))
-        h_rest = h[:task.rest.size]
-        beta = train_daelm_t(h[task.rest.size:], encode_targets(guides.labels, m),
-                             h_rest, term[task.rest], pens["c_t"], pens["c_tu"])
-        return Classifier(run.fmap, beta), h_rest @ beta
+            scaler, np.vstack([target.features[rest], labeled.features])))
+        h_rest = h[:rest.size]
+        beta = train_daelm_t(h[rest.size:], encode_targets(labeled.labels, m),
+                             h_rest, term[rest], pens["c_t"], pens["c_tu"])
+        return beta, rest, h_rest @ beta
     if cfg.method == "daelm-s":
         beta = train_daelm_s(term, encode_targets(source.labels, m),
-                             _project(run.fmap, scaler, guides),
-                             encode_targets(guides.labels, m), pens["c_s"], pens["c_t"])
-    elif guides is not None:  # elm on source rows plus the labeled guides
-        feats = np.vstack([apply_scaler(scaler, s.features) for s in (source, guides)])
-        labels = np.concatenate([source.labels, guides.labels])
+                             _project(run.fmap, scaler, labeled),
+                             encode_targets(labeled.labels, m), pens["c_s"], pens["c_t"])
+    else:  # elm on source rows plus the labeled guides
+        feats = np.vstack([apply_scaler(scaler, s.features) for s in (source, labeled)])
+        labels = np.concatenate([source.labels, labeled.labels])
         beta = train_elm(hidden_output(run.fmap, feats), encode_targets(labels, m),
                          pens["c_s"])
-    else:
-        beta = term
-    return Classifier(run.fmap, beta), None
+    return beta, rest, None
 
 
 def _percent_correct(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -306,23 +289,23 @@ def _pair_accuracies(cfg: ExperimentConfig, run: RunMap,
                      ) -> list[float]:
     """One run's accuracy in percent on one (scaler, source, target) pair at
     each count in ``ks``, whose guides are prefixes of ``indices``, before
-    the run's ``next_pair``, if any. elm and daelm-s train every count before
-    the target is projected, so that no target H is alive at their solves;
-    that H then gives the part the next pair reads, if it reads the target."""
-    scaler, source, target = pair
+    the run's ``next_pair``, if any. elm and daelm-s keep each count's
+    weights and rest indices until every count is trained, and only then
+    project the target, so that no target H is alive at their solves; that
+    H then gives the part the next pair reads, if it reads the target."""
+    scaler, _, target = pair
     # the batch the next pair reads as its source, if it reads it under this scaler
     then = next_pair[1] if next_pair is not None and next_pair[0] is scaler else None
     term = _source_term(cfg, run, pair, ks, then)
     reads = term is not None
     acc, unscored = [0.0] * len(ks), []
     for i, k in enumerate(ks):
-        task = _task(scaler, source, target, indices, k)
-        clf, scores = fit(cfg, task, run, term)
+        beta, rest, scores = fit(cfg, run, pair, indices[:k] if k else None, term)
         if scores is None:
-            unscored.append((i, task.rest, clf.beta))
+            unscored.append((i, rest, beta))
         else:
-            acc[i] = _percent_correct(scores, target.labels[task.rest])
-        del clf, scores  # not kept into the next count's fit
+            acc[i] = _percent_correct(scores, target.labels[rest])
+        del beta, rest, scores  # not kept into the next count's fit
     del term  # held on only if the next pair reads it
     if unscored:
         h = _project(run.fmap, scaler, target)
@@ -342,8 +325,8 @@ def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
     target is then selected once, at the largest count, and each count takes
     a prefix of that selection: greedy max-min picks do not depend on k. A
     run draws one `RunMap` and goes through the pairs in order, every count
-    of a pair in a row (see `_pair_accuracies`), building each task when it
-    reaches it.
+    of a pair in a row (see `_pair_accuracies`), splitting each count's
+    guides off its target when it reaches it.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
@@ -381,7 +364,7 @@ def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
              target_id: int) -> tuple[Classifier, ScalerParams]:
     """One classifier for one (source, target) batch pair, and its scaler.
 
-    The task is scaled, checked and split as the protocols do it, and trained
+    The pair is scaled, checked and split as the protocols do it, and trained
     with the maps of run 0 (seed ``cfg.base_seed``). No protocol task scores
     the batch it trains on, so neither may this one.
     """
@@ -389,10 +372,10 @@ def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
         raise DataError(f"batch {source_id} cannot be both the source and the target")
     [pair] = pairs = _batch_pairs(cfg, corpus, [(source_id, target_id)])
     [indices] = _select(pairs, cfg.k_guides)
-    task = _task(*pair, indices, cfg.k_guides)
-    run = RunMap(cfg, task.source.n_features, cfg.base_seed)
-    clf, _ = fit(cfg, task, run, _source_term(cfg, run, pair, [cfg.k_guides]))
-    return clf, task.scaler
+    run = RunMap(cfg, pair[1].n_features, cfg.base_seed)
+    beta, _, _ = fit(cfg, run, pair, indices,
+                     _source_term(cfg, run, pair, [cfg.k_guides]))
+    return Classifier(run.fmap, beta), pair[0]
 
 
 REPORT_FORMATS = ("table", "csv", "jsonl")

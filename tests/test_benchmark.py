@@ -486,6 +486,15 @@ def test_selection_is_prefix_nested(seed, k, j):
                                   ssa_select(points, j))
 
 
+@pytest.mark.parametrize("accuracies, message", [
+    ((), "at least one run"), ((50.0, 100.5), r"\[0, 100\]"),
+    ((-0.5,), r"\[0, 100\]"), ((float("nan"),), r"\[0, 100\]")])
+def test_task_result_refuses_bad_accuracies(accuracies, message):
+    # an empty tuple would average to NaN, which the table would print
+    with pytest.raises(ValueError, match=message):
+        TaskResult(1, 2, accuracies)
+
+
 class TestEmitReport:
     def sample_report(self):
         from driftelm import ExperimentReport

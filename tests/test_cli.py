@@ -406,14 +406,15 @@ def test_train_daelm_t_model_uses_second_map_seed(drift_corpus_dir, tmp_path):
 
 
 def _reference_model_json(corpus_dir, method, k, target_batch, penalties, hidden=30,
-                          seed=5):
+                          seed=5, scaler=None):
     """The model `train` writes, built step by step from the public pieces.
 
-    ``penalties`` are laid over the method's defaults. The document is written
-    out here key by key, not by the package's writer.
+    ``penalties`` are laid over the method's defaults. ``scaler`` defaults to
+    the global one, fitted on the whole corpus. The document is written out
+    here key by key, not by the package's writer.
     """
     corpus = load_corpus(corpus_dir, expected_n=4)
-    scaler = fit_scaler(corpus)
+    scaler = fit_scaler(corpus) if scaler is None else scaler
     source, target = corpus[0], corpus[target_batch - 1]
     xs, xt = (apply_scaler(scaler, b.features) for b in (source, target))
     picks = ssa_select(xt, k) if k else np.zeros(0, dtype=np.int64)
@@ -463,6 +464,20 @@ def test_train_model_json_is_pinned(drift_corpus_dir, tmp_path, method, k, penal
                 + FAST_TRAIN + ["--guides", str(k)] + flags) == EXIT_OK
     assert model.read_text() == _reference_model_json(drift_corpus_dir, method, k, 6,
                                                       penalties)
+
+
+@pytest.mark.parametrize("method", ["daelm-s", "daelm-t"])
+def test_train_pair_scope_model_json_is_pinned(drift_corpus_dir, tmp_path, method):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data-dir", str(drift_corpus_dir), "--method", method,
+                 "--target-batch", "6", "--scaler-scope", "pair", "--out", str(model)]
+                + FAST_TRAIN) == EXIT_OK
+    corpus = load_corpus(drift_corpus_dir, expected_n=4)
+    pair_scaler = fit_scaler([corpus[0], corpus[5]])
+    assert model.read_text() == _reference_model_json(drift_corpus_dir, method, 4, 6, {},
+                                                      scaler=pair_scaler)
+    # the pair's scaler is not the corpus's, so the scope reaches the model
+    assert model.read_text() != _reference_model_json(drift_corpus_dir, method, 4, 6, {})
 
 
 def test_train_rejects_guides_at_the_target_size(drift_corpus_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -35,3 +36,12 @@ def test_import_loads_scipy_special_only_for_a_sigmoid_map():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_package_makes_no_runtime_check_with_assert():
+    # `python -O` strips assert statements, so a check written as one vanishes
+    package = Path(driftelm.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
