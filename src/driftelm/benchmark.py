@@ -137,6 +137,9 @@ class ExperimentReport:
 
     @property
     def average(self) -> float:
+        """Mean of the task means; ValueError on a report with no tasks."""
+        if not self.tasks:
+            raise ValueError("a report with no tasks has no average")
         return float(np.mean([t.mean for t in self.tasks]))
 
     @property

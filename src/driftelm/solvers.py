@@ -25,14 +25,24 @@ N^2*L + N^3/3, cross at N = L. The trainers always take `auto`; only
 Either form builds its system in one buffer, and `_solve_spd` factors it in
 that buffer, overwriting its argument, so a solve holds one L-by-L (or
 N-by-N) system and no copy of it.
+
+The Cholesky routines are the LAPACK that numpy's PyPI wheel already ships
+(``dpotrf``/``dpotrs`` of its ``libscipy_openblas64_`` library), called
+through ctypes, so a process loads one BLAS and no scipy. Where numpy has no
+such library (a conda, MKL or distro build), `cho_factor` and `cho_solve`
+fall back to ``numpy.linalg``: a copying Cholesky and two solves against the
+factor.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .dataset import DataError, ScalerParams
 from .feature_map import RandomFeatureMap, hidden_output, map_from_descriptor
@@ -53,19 +63,81 @@ def _check_matrix(name: str, a) -> np.ndarray:
     return arr
 
 
+@functools.cache
+def _lapack():
+    """numpy's own ``(dpotrf, dpotrs)``, or None where its wheel ships neither."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            potrf, potrs = lib.scipy_dpotrf_64_, lib.scipy_dpotrs_64_
+        except (OSError, AttributeError):
+            continue
+        # Fortran: every argument by reference, 64-bit integers, then the
+        # hidden length of the character argument
+        ref = ctypes.POINTER(ctypes.c_int64)
+        potrf.argtypes = [ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref, ctypes.c_size_t]
+        potrs.argtypes = [ctypes.c_char_p, ref, ref, ctypes.c_void_p, ref,
+                          ctypes.c_void_p, ref, ref, ctypes.c_size_t]
+        potrf.restype = potrs.restype = None
+        return potrf, potrs
+    return None
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def cho_factor(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric matrix; LinAlgError unless SPD.
+
+    On the LAPACK path ``matrix`` must be a square, contiguous, writable
+    float64 array: the factor is made in its buffer, read in Fortran order,
+    and the same array is returned. The fallback returns a new array.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        return np.linalg.cholesky(matrix)
+    flags = matrix.flags
+    if (matrix.dtype != np.float64 or matrix.ndim != 2 or not flags.forc
+            or not flags.writeable or matrix.shape[0] != matrix.shape[1]):
+        raise ValueError("matrix must be a square, contiguous, writable float64 array")
+    n, info = matrix.shape[0], ctypes.c_int64()
+    lapack[0](b"L", _int(n), matrix.ctypes.data, _int(max(n, 1)), ctypes.byref(info), 1)
+    if info.value > 0:
+        raise LinAlgError(f"leading minor of order {info.value} is not positive definite")
+    return matrix
+
+
+def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solution x of (L L') x = rhs, for L = cho_factor(matrix)."""
+    lapack = _lapack()
+    if lapack is None:
+        return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+    x = np.array(rhs, dtype=np.float64, order="F")  # overwritten by the solution
+    n = factor.shape[0]
+    if not factor.flags.forc or factor.dtype != np.float64 or x.shape[:1] != (n,):
+        raise ValueError("factor must be cho_factor's result, with rhs of as many rows")
+    lead, info = _int(max(n, 1)), ctypes.c_int64()
+    lapack[1](b"L", _int(n), _int(x.size // max(n, 1)), factor.ctypes.data, lead,
+              x.ctypes.data, lead, ctypes.byref(info), 1)
+    return x
+
+
 def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve an SPD system by Cholesky, with a single jitter retry.
 
-    ``matrix`` must be exactly symmetric, because LAPACK reads its upper
-    triangle: a C-ordered matrix is overwritten, its transpose being the
-    F-ordered view factored in place. That lower factor writes only the C
-    array's upper triangle and diagonal, so after a failure the strict lower
-    triangle and the saved diagonal still hold the system, and the retry
-    rebuilds it with jitter.
+    The factorization runs in numpy's own LAPACK (``dpotrf``), or, where
+    numpy ships none, in ``numpy.linalg.cholesky`` (see `cho_factor`).
+    ``matrix`` must be exactly symmetric and C-ordered, because LAPACK reads
+    the lower triangle of its buffer in Fortran order: that is the C array's
+    upper triangle, overwritten in place by the factor. After a failure the
+    strict lower triangle and the saved diagonal still hold the system, and
+    the retry rebuilds it with jitter.
     """
     diagonal = matrix.diagonal().copy()
     try:
-        factor = cho_factor(matrix.T, lower=True, overwrite_a=True, check_finite=False)
+        factor = cho_factor(matrix)
     except LinAlgError:
         n = matrix.shape[0]
         jitter = 1e-10 * diagonal.sum() / n
@@ -73,12 +145,11 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         matrix += matrix.T
         matrix[np.diag_indices(n)] = diagonal + jitter
         try:
-            factor = cho_factor(matrix.T, lower=True, overwrite_a=True,
-                                check_finite=False)
+            factor = cho_factor(matrix)
         except LinAlgError as exc:
             raise SolverError(
                 "system is not positive definite beyond jitter tolerance") from exc
-    return cho_solve(factor, rhs, check_finite=False)
+    return cho_solve(factor, rhs)
 
 
 def _stacked(arrays: list) -> np.ndarray:

@@ -506,6 +506,12 @@ class TestEmitReport:
         empty = ExperimentReport("elm", "fixed-source", 0, ())
         assert emit_report(empty, "csv") == "source,target,run,accuracy\n"
 
+    def test_empty_report_has_no_average(self):
+        from driftelm import ExperimentReport
+        empty = ExperimentReport("elm", "fixed-source", 0, ())
+        with pytest.raises(ValueError, match="no tasks"):
+            empty.average
+
     def test_csv_rows(self):
         text = emit_report(self.sample_report(), "csv")
         lines = text.strip().splitlines()

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from numpy.linalg import LinAlgError
 
 import driftelm.dataset
 import driftelm.solvers

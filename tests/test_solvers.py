@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 import driftelm.solvers
 from driftelm import (Classifier, DataError, SampleSet, ScalerParams,
@@ -15,6 +15,8 @@ from driftelm import (Classifier, DataError, SampleSet, ScalerParams,
                       labels_from_scores, new_feature_map, predict, solve_ridge,
                       split_target, ssa_select, train_daelm_s, train_daelm_t,
                       train_elm)
+# bound here, so a test that patches the module's names leaves these alone
+from driftelm.solvers import cho_factor, cho_solve
 
 from conftest import MALFORMED_MODELS, rel_diff
 
@@ -47,19 +49,22 @@ def factored_dims(monkeypatch):
 
 
 def copying_reference(blocks, branch):
-    """Both closed forms built with fresh temporaries and factored on a copy."""
+    """Both closed forms built with fresh temporaries and factored on a copy.
+
+    The copy is factored by the package's own Cholesky, so the reference
+    differs from `solve_ridge` in copying only, not in its LAPACK."""
     live = [(h, t, c) for h, t, c in blocks if c > 0 and h.shape[0] > 0]
     if branch == "primal":
         system = np.eye(live[0][0].shape[1])
         for h, _, c in live:
             system += c * (h.T @ h)
-        return cho_solve(cho_factor(system.copy(), lower=True),
+        return cho_solve(cho_factor(system.copy()),
                          sum(c * (h.T @ t) for h, t, c in live))
     h = np.vstack([h for h, _, _ in live])
     kernel = h @ h.T
     kernel[np.diag_indices(h.shape[0])] += np.concatenate(
         [np.full(b.shape[0], 1.0 / c) for b, _, c in live])
-    return h.T @ cho_solve(cho_factor(kernel.copy(), lower=True),
+    return h.T @ cho_solve(cho_factor(kernel.copy()),
                            np.vstack([t for _, t, _ in live]))
 
 
@@ -67,7 +72,7 @@ def jittered_reference(matrix, rhs):
     """The retry's answer: the untouched system plus jitter, factored on a copy."""
     n = matrix.shape[0]
     jitter = 1e-10 * np.trace(matrix) / n
-    return cho_solve(cho_factor(matrix + jitter * np.eye(n), lower=True), rhs)
+    return cho_solve(cho_factor(matrix + jitter * np.eye(n)), rhs)
 
 
 def traced_peak(fn):
@@ -95,21 +100,25 @@ block_lists = st.integers(1, 4).flatmap(lambda n_blocks: st.tuples(
     st.lists(st.integers(0, 30), min_size=n_blocks, max_size=n_blocks)))
 
 
+def check_forms_agree_and_are_stationary(case):
+    seed, hidden, m, weights, rows = case
+    blocks = random_blocks(seed, hidden, m, weights, rows)
+    primal = solve_ridge(blocks, branch="primal")
+    dual = solve_ridge(blocks, branch="dual")
+    assert primal.shape == dual.shape == (hidden, m)
+    if all(c == 0 or n == 0 for c, n in zip(weights, rows)):
+        assert not primal.any() and not dual.any()
+        return
+    assert rel_diff(primal, dual) < 1e-6
+    for beta in (primal, dual, solve_ridge(blocks)):
+        assert stationary(ridge_grad(beta, blocks), beta)
+
+
 class TestSolveRidge:
     @given(block_lists)
     @settings(max_examples=80, deadline=None)
     def test_primal_dual_agreement_and_stationarity(self, case):
-        seed, hidden, m, weights, rows = case
-        blocks = random_blocks(seed, hidden, m, weights, rows)
-        primal = solve_ridge(blocks, branch="primal")
-        dual = solve_ridge(blocks, branch="dual")
-        assert primal.shape == dual.shape == (hidden, m)
-        if all(c == 0 or n == 0 for c, n in zip(weights, rows)):
-            assert not primal.any() and not dual.any()
-            return
-        assert rel_diff(primal, dual) < 1e-6
-        for beta in (primal, dual, solve_ridge(blocks)):
-            assert stationary(ridge_grad(beta, blocks), beta)
+        check_forms_agree_and_are_stationary(case)
 
     def test_auto_branch_counts_total_rows(self, factored_dims):
         # neither block reaches L = 30 on its own, together they do
@@ -226,6 +235,23 @@ class TestSolveRidge:
                                   copying_reference(live, branch))
         for (h, t, _), (h0, t0) in zip(blocks, copies):
             assert np.array_equal(h, h0) and np.array_equal(t, t0)
+
+
+class TestNumpyFallback:
+    """The solvers on a numpy whose wheel ships no LAPACK library to call."""
+
+    @given(block_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_primal_dual_agreement_and_stationarity(self, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(driftelm.solvers, "_lapack", lambda: None)
+            check_forms_agree_and_are_stationary(case)
+
+    def test_not_positive_definite_is_solver_error(self, monkeypatch, factored_dims):
+        monkeypatch.setattr(driftelm.solvers, "_lapack", lambda: None)
+        with pytest.raises(SolverError):
+            driftelm.solvers._solve_spd(-np.eye(3), np.ones(3))
+        assert factored_dims == [3, 3]
 
 
 class TestTrainers:
