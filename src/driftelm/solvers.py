@@ -27,11 +27,10 @@ that buffer, overwriting its argument, so a solve holds one L-by-L (or
 N-by-N) system and no copy of it.
 
 The Cholesky routines are the LAPACK that numpy's PyPI wheel already ships
-(``dpotrf``/``dpotrs`` of its ``libscipy_openblas64_`` library), called
-through ctypes, so a process loads one BLAS and no scipy. Where numpy has no
-such library (a conda, MKL or distro build), `cho_factor` and `cho_solve`
-fall back to ``numpy.linalg``: a copying Cholesky and two solves against the
-factor.
+(``dpotrf``/``dpotrs`` of its ``numpy.libs/libscipy_openblas64_`` library),
+called through ctypes, so a process loads one BLAS and no scipy. Where numpy
+has no such library, `cho_factor` and `cho_solve` import ``scipy.linalg``
+when first called and make the same in-place calls through it.
 """
 
 from __future__ import annotations
@@ -88,20 +87,30 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def cho_factor(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric matrix; LinAlgError unless SPD.
+def _fortran(matrix: np.ndarray) -> np.ndarray:
+    """The Fortran-ordered view of a contiguous matrix's buffer."""
+    return matrix.T if matrix.flags.c_contiguous else matrix
 
-    On the LAPACK path ``matrix`` must be a square, contiguous, writable
-    float64 array: the factor is made in its buffer, read in Fortran order,
-    and the same array is returned. The fallback returns a new array.
+
+def cho_factor(matrix: np.ndarray) -> np.ndarray:
+    """Cholesky factor of an SPD matrix, made in its buffer; LinAlgError unless SPD.
+
+    ``matrix`` must be a square, contiguous, writable float64 array. The
+    lower triangle of its buffer, read in Fortran order, is overwritten by
+    the factor, and an array of ``matrix``'s shape and order over that buffer
+    is returned. Its other strict triangle still holds the system, so the
+    result is meant for `cho_solve` only.
     """
-    lapack = _lapack()
-    if lapack is None:
-        return np.linalg.cholesky(matrix)
     flags = matrix.flags
     if (matrix.dtype != np.float64 or matrix.ndim != 2 or not flags.forc
             or not flags.writeable or matrix.shape[0] != matrix.shape[1]):
         raise ValueError("matrix must be a square, contiguous, writable float64 array")
+    lapack = _lapack()
+    if lapack is None:
+        from scipy.linalg import cho_factor as factor  # only where numpy ships no LAPACK
+        fortran, _ = factor(_fortran(matrix), lower=True, overwrite_a=True,
+                            check_finite=False)
+        return fortran.T if flags.c_contiguous else fortran
     n, info = matrix.shape[0], ctypes.c_int64()
     lapack[0](b"L", _int(n), matrix.ctypes.data, _int(max(n, 1)), ctypes.byref(info), 1)
     if info.value > 0:
@@ -110,17 +119,22 @@ def cho_factor(matrix: np.ndarray) -> np.ndarray:
 
 
 def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The solution x of (L L') x = rhs, for L = cho_factor(matrix)."""
+    """The solution x of A x = rhs, for ``factor = cho_factor(A)``."""
+    n = factor.shape[0] if factor.ndim == 2 else -1
+    if factor.shape != (n, n) or factor.dtype != np.float64 or not factor.flags.forc:
+        raise ValueError("factor must be the result of cho_factor")
     lapack = _lapack()
     if lapack is None:
-        return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+        from scipy.linalg import cho_solve as solve  # only where numpy ships no LAPACK
+        return solve((_fortran(factor), True), rhs, check_finite=False)
     x = np.array(rhs, dtype=np.float64, order="F")  # overwritten by the solution
-    n = factor.shape[0]
-    if not factor.flags.forc or factor.dtype != np.float64 or x.shape[:1] != (n,):
-        raise ValueError("factor must be cho_factor's result, with rhs of as many rows")
+    if x.ndim not in (1, 2) or x.shape[0] != n:
+        raise ValueError("rhs must be a vector or matrix with as many rows as the factor")
     lead, info = _int(max(n, 1)), ctypes.c_int64()
     lapack[1](b"L", _int(n), _int(x.size // max(n, 1)), factor.ctypes.data, lead,
               x.ctypes.data, lead, ctypes.byref(info), 1)
+    if info.value != 0:
+        raise ValueError(f"dpotrs rejected its argument {-info.value}")
     return x
 
 
@@ -128,7 +142,7 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve an SPD system by Cholesky, with a single jitter retry.
 
     The factorization runs in numpy's own LAPACK (``dpotrf``), or, where
-    numpy ships none, in ``numpy.linalg.cholesky`` (see `cho_factor`).
+    numpy ships none, in scipy's (see `cho_factor`).
     ``matrix`` must be exactly symmetric and C-ordered, because LAPACK reads
     the lower triangle of its buffer in Fortran order: that is the C array's
     upper triangle, overwritten in place by the factor. After a failure the

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import driftelm
 import driftelm.benchmark
 import driftelm.solvers
@@ -42,6 +44,8 @@ def test_import_loads_scipy_special_only_for_a_sigmoid_map():
     """)
 
 
+@pytest.mark.skipif(driftelm.solvers._lapack() is None,
+                    reason="this numpy ships no LAPACK; the solvers use scipy's")
 def test_radbas_protocol_loads_no_scipy():
     # the Cholesky runs in numpy's own LAPACK: a radbas run needs no scipy.
     # 24 source rows and 12 per target against 16 hidden units take both

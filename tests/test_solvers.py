@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import LinAlgError
 
@@ -75,6 +75,11 @@ def jittered_reference(matrix, rhs):
     return cho_solve(cho_factor(matrix + jitter * np.eye(n)), rhs)
 
 
+def _fortran_view(matrix):
+    """The matrix's buffer read in Fortran order, as LAPACK reads it."""
+    return matrix.T if matrix.flags.c_contiguous else matrix
+
+
 def traced_peak(fn):
     """Peak bytes allocated while ``fn`` runs, above what was live before."""
     tracemalloc.start()
@@ -100,25 +105,23 @@ block_lists = st.integers(1, 4).flatmap(lambda n_blocks: st.tuples(
     st.lists(st.integers(0, 30), min_size=n_blocks, max_size=n_blocks)))
 
 
-def check_forms_agree_and_are_stationary(case):
-    seed, hidden, m, weights, rows = case
-    blocks = random_blocks(seed, hidden, m, weights, rows)
-    primal = solve_ridge(blocks, branch="primal")
-    dual = solve_ridge(blocks, branch="dual")
-    assert primal.shape == dual.shape == (hidden, m)
-    if all(c == 0 or n == 0 for c, n in zip(weights, rows)):
-        assert not primal.any() and not dual.any()
-        return
-    assert rel_diff(primal, dual) < 1e-6
-    for beta in (primal, dual, solve_ridge(blocks)):
-        assert stationary(ridge_grad(beta, blocks), beta)
-
-
 class TestSolveRidge:
     @given(block_lists)
-    @settings(max_examples=80, deadline=None)
+    # TestScipyFallback runs this body too; both classes hold the same property
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     def test_primal_dual_agreement_and_stationarity(self, case):
-        check_forms_agree_and_are_stationary(case)
+        seed, hidden, m, weights, rows = case
+        blocks = random_blocks(seed, hidden, m, weights, rows)
+        primal = solve_ridge(blocks, branch="primal")
+        dual = solve_ridge(blocks, branch="dual")
+        assert primal.shape == dual.shape == (hidden, m)
+        if all(c == 0 or n == 0 for c, n in zip(weights, rows)):
+            assert not primal.any() and not dual.any()
+            return
+        assert rel_diff(primal, dual) < 1e-6
+        for beta in (primal, dual, solve_ridge(blocks)):
+            assert stationary(ridge_grad(beta, blocks), beta)
 
     def test_auto_branch_counts_total_rows(self, factored_dims):
         # neither block reaches L = 30 on its own, together they do
@@ -223,6 +226,27 @@ class TestSolveRidge:
             driftelm.solvers._solve_spd(-np.eye(3), np.ones(3))
         assert factored_dims == [2, 2, 3, 3]
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_factor_is_made_in_the_matrix_buffer(self, order):
+        rng = np.random.default_rng(28)
+        a = rng.normal(size=(6, 6))
+        system = np.array(a @ a.T + np.eye(6), order=order)
+        saved = system.copy()
+        factor = cho_factor(system)
+        assert np.shares_memory(factor, system)
+        lower = np.tril(_fortran_view(factor))
+        assert rel_diff(lower @ lower.T, saved) < 1e-12
+        # the other strict triangle still holds the system
+        assert np.array_equal(np.triu(_fortran_view(factor), 1), np.triu(saved, 1))
+        rhs = rng.normal(size=(6, 2))
+        assert rel_diff(saved @ cho_solve(factor, rhs), rhs) < 1e-12
+        with pytest.raises(ValueError):
+            cho_factor(saved[:, :5].copy())
+        with pytest.raises(ValueError):
+            cho_solve(factor[:5], rhs)
+        with pytest.raises(ValueError):
+            cho_solve(factor, rhs[:5])
+
     @pytest.mark.parametrize("branch", ["primal", "dual"])
     def test_inputs_are_left_unchanged_and_may_be_read_only(self, branch):
         blocks = random_blocks(27, 20, 2, [1.0, 2.0], [12, 15])
@@ -237,21 +261,16 @@ class TestSolveRidge:
             assert np.array_equal(h, h0) and np.array_equal(t, t0)
 
 
-class TestNumpyFallback:
-    """The solvers on a numpy whose wheel ships no LAPACK library to call."""
+class TestScipyFallback(TestSolveRidge):
+    """Every solver test again, on a numpy that ships no LAPACK to call."""
 
-    @given(block_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_primal_dual_agreement_and_stationarity(self, case):
+    @pytest.fixture(autouse=True, scope="class")
+    def no_numpy_lapack(self):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(driftelm.solvers, "_lapack", lambda: None)
-            check_forms_agree_and_are_stationary(case)
-
-    def test_not_positive_definite_is_solver_error(self, monkeypatch, factored_dims):
-        monkeypatch.setattr(driftelm.solvers, "_lapack", lambda: None)
-        with pytest.raises(SolverError):
-            driftelm.solvers._solve_spd(-np.eye(3), np.ones(3))
-        assert factored_dims == [3, 3]
+            # the fallback imports scipy at its first solve: not inside a test
+            driftelm.solvers._solve_spd(np.eye(2), np.ones(2))
+            yield
 
 
 class TestTrainers:
