@@ -14,13 +14,15 @@ projects. A run draws its maps once from its seed, as one `RunMap`, and
 goes through the nine (source, target) pairs in order. A pair first
 computes the one term its tasks read from the source (see `_source_term`),
 then runs every guide count in a row. elm and daelm-s do not read the rest
-to train: each count is trained first, then the whole target is projected
-once, and each count scores its rest's rows of that H times its weights.
-daelm-t trains on its rest: each count projects the target's rest and
-guides once, and its pseudo-targets are rows of the pair's term. Between
-pairs a run holds only the source term its next pair reads. So no target
-H is alive at an elm or daelm-s solve, and a sweep projects the same
-matrices as a run at each of its counts.
+to train: each count is trained first, then the target is projected in
+equal row blocks of at most `_SCRATCH_VALUES` values, whole when the next
+pair reads it as its source, and each count scores its rest's rows of each
+block's H times its weights. daelm-t trains on its rest: each count
+projects the target's rest and guides once, and its pseudo-targets are rows
+of the pair's term. Between pairs a run holds only the source term its next
+pair reads. So no target H is alive at an elm or daelm-s solve, a
+fixed-source elm or daelm-s run never holds a whole target H, and a sweep
+projects the same matrices as a run at each of its counts.
 `sweep_guides` is the one protocol and `fit` the one training path. It
 returns weights; `fit_pair`, the `train` command's one pair, is the one
 caller that wraps them in a `Classifier`. With ``jobs > 1`` whole runs go
@@ -38,7 +40,7 @@ import numpy as np
 from .dataset import (BATCH_IDS, N_CLASSES, DataError, SampleSet,
                       ScalerParams, apply_scaler, encode_targets, fit_scaler)
 from .feature_map import ACTIVATIONS, hidden_output, new_feature_map
-from .guide_selection import split_target, ssa_select
+from .guide_selection import _SCRATCH_VALUES, split_target, ssa_select
 # predict is not called here; it stays bound because tracers of the
 # benchmark wrap this module's names (see perfbench/tracing.py)
 from .solvers import (Classifier, accuracy, labels_from_scores, predict,
@@ -280,11 +282,6 @@ def fit(cfg: ExperimentConfig, run: RunMap,
     return beta, rest, None
 
 
-def _percent_correct(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Percent of rows whose highest score is their label."""
-    return 100.0 * accuracy(labels_from_scores(scores), labels)
-
-
 def _pair_accuracies(cfg: ExperimentConfig, run: RunMap,
                      pair: tuple[ScalerParams, SampleSet, SampleSet],
                      indices: np.ndarray | None, ks: list[int],
@@ -294,8 +291,13 @@ def _pair_accuracies(cfg: ExperimentConfig, run: RunMap,
     each count in ``ks``, whose guides are prefixes of ``indices``, before
     the run's ``next_pair``, if any. elm and daelm-s keep each count's
     weights and rest indices until every count is trained, and only then
-    project the target, so that no target H is alive at their solves; that
-    H then gives the part the next pair reads, if it reads the target."""
+    project the target, so that no target H is alive at their solves. If
+    the next pair reads the target, its part comes from the target's whole
+    H; else the target is projected in ceil(n / B) equal row blocks, with
+    B = ``_SCRATCH_VALUES // L`` rows, and each count's labels are filled
+    in block by block. Equal blocks keep the smallest at about B/2 rows:
+    OpenBLAS's small-matrix kernels can give a few rows other bits than a
+    larger projection does."""
     scaler, _, target = pair
     # the batch the next pair reads as its source, if it reads it under this scaler
     then = next_pair[1] if next_pair is not None and next_pair[0] is scaler else None
@@ -307,16 +309,25 @@ def _pair_accuracies(cfg: ExperimentConfig, run: RunMap,
         if scores is None:
             unscored.append((i, rest, beta))
         else:
-            acc[i] = _percent_correct(scores, target.labels[rest])
+            acc[i] = 100.0 * accuracy(labels_from_scores(scores), target.labels[rest])
         del beta, rest, scores  # not kept into the next count's fit
     del term  # held on only if the next pair reads it
     if unscored:
-        h = _project(run.fmap, scaler, target)
-        if reads and then is target:
-            run.held = _part(cfg, h, target)
-        for i, rest, beta in unscored:
+        whole = reads and then is target
+        n = target.n_samples
+        blocks = 1 if whole else -(-n // max(1, _SCRATCH_VALUES // run.fmap.hidden_size))
+        predicted = np.empty((len(unscored), n), dtype=np.int64)
+        for b in range(blocks):
+            lo, hi = b * n // blocks, (b + 1) * n // blocks
+            h = hidden_output(run.fmap, apply_scaler(scaler, target.features[lo:hi]))
+            if whole:
+                run.held = _part(cfg, h, target)
+            for labels, (_, _, beta) in zip(predicted, unscored):
+                labels[lo:hi] = labels_from_scores(h @ beta)
+            del h  # not kept into the next block's projection
+        for labels, (i, rest, _) in zip(predicted, unscored):
             rows = slice(None) if rest is None else rest
-            acc[i] = _percent_correct((h @ beta)[rows], target.labels[rows])
+            acc[i] = 100.0 * accuracy(labels[rows], target.labels[rows])
     return acc
 
 

@@ -92,7 +92,8 @@ def _pair_rows(feats: np.ndarray) -> np.ndarray:
 
 
 # Values held at once by the farthest-pair pass (2**20 float64, 8 MB); its
-# blocks have _SCRATCH_VALUES // n rows.
+# blocks have _SCRATCH_VALUES // n rows. The benchmark scores a target in
+# row blocks of the same budget.
 _SCRATCH_VALUES = 1 << 20
 
 

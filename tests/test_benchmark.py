@@ -244,7 +244,8 @@ WORK_SITES = {"maps": (driftelm.benchmark, "new_feature_map"),
 # Upper bounds on one run's work, (maps drawn, hidden outputs computed, ridge
 # solves), per (method, guide counts, setting) on small_drift_corpus at FAST;
 # each count scales with the runs. They are today's counts: a change that
-# does less work lowers its row.
+# does less work lowers its row. A target split into row blocks counts one
+# projection per block; no target of this corpus splits at FAST.
 WORK_PER_RUN = {
     ("elm", (0,), "fixed-source"): (1, 10, 1),
     ("elm", (0,), "rolling-source"): (1, 10, 9),
@@ -344,6 +345,76 @@ class TestReuse:
                          for k in ks]):
             assert [[(t.source_batch, t.target_batch, t.accuracies) for t in report.tasks]
                     for report in reports] == expected
+
+    @pytest.mark.parametrize("setting, method, ks, blocked", [
+        ("fixed-source", "elm", [0, 10], 9), ("fixed-source", "elm", [10], 9),
+        ("fixed-source", "daelm-s", [10], 9), ("rolling-source", "elm", [0, 10], 1),
+        ("rolling-source", "elm", [10], 9), ("rolling-source", "daelm-s", [10], 1)],
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else None)
+    def test_blocked_targets_match_the_whole_projection(self, memory_corpus, monkeypatch,
+                                                        setting, method, ks, blocked):
+        """With the block budget forced to 200 rows of H, each of the
+        ``blocked`` targets that no next pair reads is projected in three
+        blocks of 200 rows, and the results still equal the reference's
+        scores from the whole target's H.
+
+        Blocks of a few rows may take other bits than the whole projection
+        (OpenBLAS's small-matrix kernels), so this corpus is used, not
+        small_drift_corpus, whose 36-row targets would split into such blocks.
+        """
+        cfg = ExperimentConfig(method=method, setting=setting, hidden_size=100, runs=2,
+                               base_seed=3)
+        expected = reference_tasks(cfg, memory_corpus, ks)
+        rows = []
+
+        def counted(fmap, x):
+            rows.append(len(x))
+            return hidden_output(fmap, x)
+
+        monkeypatch.setattr(driftelm.benchmark, "_SCRATCH_VALUES", 200 * cfg.hidden_size)
+        monkeypatch.setattr(driftelm.benchmark, "hidden_output", counted)
+        reports = sweep_guides(cfg, memory_corpus, ks)
+        assert [[(t.source_batch, t.target_batch, t.accuracies) for t in report.tasks]
+                for report in reports] == expected
+        assert {b.n_samples for b in memory_corpus[1:]} == {600}
+        assert rows.count(200) == 3 * blocked * cfg.runs
+
+    @pytest.mark.parametrize("method, ks", [("elm", (0, 10)), ("elm", (10,)),
+                                            ("daelm-s", (10,))],
+                             ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_no_whole_target_h_is_alive_while_a_target_is_scored(
+            self, memory_corpus, monkeypatch, method, ks):
+        """Under a forced budget of 200 rows of H, each fixed-source target's
+        scores are read with one block of its H alive: the bytes alive at
+        each read exceed those when the latest projected rows were scaled by
+        less than one whole target's H.
+
+        The whole protocol's peak cannot show this: on a small corpus it
+        lies in the guide selection.
+        """
+        cfg = ExperimentConfig(method=method, hidden_size=100, runs=2, base_seed=3)
+        monkeypatch.setattr(driftelm.benchmark, "_SCRATCH_VALUES", 200 * cfg.hidden_size)
+        sweep_guides(cfg, memory_corpus, list(ks))  # warm-up, as in the solve budgets
+        started, grown = [], []
+
+        def scaled(scaler, features):
+            started.append(tracemalloc.get_traced_memory()[0])
+            return apply_scaler(scaler, features)
+
+        def scored(scores):
+            grown.append(tracemalloc.get_traced_memory()[0] - started[-1])
+            return labels_from_scores(scores)
+
+        monkeypatch.setattr(driftelm.benchmark, "apply_scaler", scaled)
+        monkeypatch.setattr(driftelm.benchmark, "labels_from_scores", scored)
+        tracemalloc.start()
+        try:
+            sweep_guides(cfg, memory_corpus, list(ks))
+        finally:
+            tracemalloc.stop()
+        whole_h = 600 * cfg.hidden_size * 8  # every target has 600 rows
+        assert len(grown) >= 9 * len(ks) * cfg.runs
+        assert max(grown) < whole_h, (max(grown), whole_h)
 
     @pytest.mark.parametrize("method, ks, setting", list(WORK_PER_RUN), ids=[
         "-".join([method, *map(str, ks), setting]) for method, ks, setting in WORK_PER_RUN])
