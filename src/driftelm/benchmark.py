@@ -32,7 +32,6 @@ to a thread pool; results do not depend on it.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -357,6 +356,7 @@ def sweep_guides(cfg: ExperimentConfig, corpus: list[SampleSet],
             acc[:, p, r] = _pair_accuracies(cfg, run_map, pair, indices, ks, next_pair)
 
     if cfg.jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a jobs = 1 run never needs it
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             list(pool.map(run, range(cfg.runs)))
     else:  # on this thread, not a one-worker pool: a worker thread allocates from

@@ -30,7 +30,8 @@ The Cholesky routines are the LAPACK that numpy's PyPI wheel already ships
 (``dpotrf``/``dpotrs`` of its ``numpy.libs/libscipy_openblas64_`` library),
 called through ctypes, so a process loads one BLAS and no scipy. Where numpy
 has no such library, `cho_factor` and `cho_solve` import ``scipy.linalg``
-when first called and make the same in-place calls through it.
+when first called and make the same in-place calls through it. Both take
+the one layout `_solve_spd` builds, a C-ordered system read as its transpose.
 """
 
 from __future__ import annotations
@@ -87,30 +88,24 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _fortran(matrix: np.ndarray) -> np.ndarray:
-    """The Fortran-ordered view of a contiguous matrix's buffer."""
-    return matrix.T if matrix.flags.c_contiguous else matrix
-
-
 def cho_factor(matrix: np.ndarray) -> np.ndarray:
     """Cholesky factor of an SPD matrix, made in its buffer; LinAlgError unless SPD.
 
-    ``matrix`` must be a square, contiguous, writable float64 array. The
-    lower triangle of its buffer, read in Fortran order, is overwritten by
-    the factor, and an array of ``matrix``'s shape and order over that buffer
-    is returned. Its other strict triangle still holds the system, so the
-    result is meant for `cho_solve` only.
+    ``matrix`` must be a square, C-ordered, writable float64 array. The
+    lower triangle of its buffer, read in Fortran order (the C array's upper
+    triangle), is overwritten by the factor, and ``matrix`` is returned. Its
+    other strict triangle still holds the system, so the result is meant for
+    `cho_solve` only.
     """
     flags = matrix.flags
-    if (matrix.dtype != np.float64 or matrix.ndim != 2 or not flags.forc
+    if (matrix.dtype != np.float64 or matrix.ndim != 2 or not flags.c_contiguous
             or not flags.writeable or matrix.shape[0] != matrix.shape[1]):
-        raise ValueError("matrix must be a square, contiguous, writable float64 array")
+        raise ValueError("matrix must be a square, C-ordered, writable float64 array")
     lapack = _lapack()
     if lapack is None:
         from scipy.linalg import cho_factor as factor  # only where numpy ships no LAPACK
-        fortran, _ = factor(_fortran(matrix), lower=True, overwrite_a=True,
-                            check_finite=False)
-        return fortran.T if flags.c_contiguous else fortran
+        factor(matrix.T, lower=True, overwrite_a=True, check_finite=False)
+        return matrix
     n, info = matrix.shape[0], ctypes.c_int64()
     lapack[0](b"L", _int(n), matrix.ctypes.data, _int(max(n, 1)), ctypes.byref(info), 1)
     if info.value > 0:
@@ -121,12 +116,12 @@ def cho_factor(matrix: np.ndarray) -> np.ndarray:
 def cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The solution x of A x = rhs, for ``factor = cho_factor(A)``."""
     n = factor.shape[0] if factor.ndim == 2 else -1
-    if factor.shape != (n, n) or factor.dtype != np.float64 or not factor.flags.forc:
+    if factor.shape != (n, n) or factor.dtype != np.float64 or not factor.flags.c_contiguous:
         raise ValueError("factor must be the result of cho_factor")
     lapack = _lapack()
     if lapack is None:
         from scipy.linalg import cho_solve as solve  # only where numpy ships no LAPACK
-        return solve((_fortran(factor), True), rhs, check_finite=False)
+        return solve((factor.T, True), rhs, check_finite=False)
     x = np.array(rhs, dtype=np.float64, order="F")  # overwritten by the solution
     if x.ndim not in (1, 2) or x.shape[0] != n:
         raise ValueError("rhs must be a vector or matrix with as many rows as the factor")
@@ -215,12 +210,17 @@ def solve_ridge(blocks, branch: str = "auto") -> np.ndarray:
                 system = gram
             else:
                 system += gram
-        return _solve_spd(system, sum(c * (h.T @ t) for h, t, c in live))
-    h = _stacked([h for h, _, _ in live])
-    kernel = h @ h.T
-    kernel[np.diag_indices(rows)] += np.concatenate(
-        [np.full(b.shape[0], 1.0 / c) for b, _, c in live])
-    return h.T @ _solve_spd(kernel, _stacked([t for _, t, _ in live]))
+        beta = _solve_spd(system, sum(c * (h.T @ t) for h, t, c in live))
+    else:
+        h = _stacked([h for h, _, _ in live])
+        kernel = h @ h.T
+        kernel[np.diag_indices(rows)] += np.concatenate(
+            [np.full(b.shape[0], 1.0 / c) for b, _, c in live])
+        beta = h.T @ _solve_spd(kernel, _stacked([t for _, t, _ in live]))
+    # LAPACK factors a system that overflowed to inf without failing
+    if not np.isfinite(beta).all():
+        raise SolverError("the weights overflow float64; lower the penalties or the data's scale")
+    return beta
 
 
 def train_elm(h: np.ndarray, targets: np.ndarray, c: float) -> np.ndarray:

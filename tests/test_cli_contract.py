@@ -225,6 +225,18 @@ def test_cli_contract(paths, argv, code, names):
     check_contract(paths, argv, code, [names])
 
 
+# A penalty that overflows a solve's system is a solver error (exit 2) that
+# says so; numpy warns of the overflow first.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["bench", "--data-dir", "{D}", "--method", "elm", *FAST, *RUNS, "--cs", "1e308"],
+    ["train", "--data-dir", "{D}", "--method", "elm", "--target-batch", "6",
+     "--out", "{F}/overflow.json", *FAST, "--cs", "1e308"],
+], ids=["bench-overflowing-penalty", "train-overflowing-penalty"])
+def test_overflowing_penalty_is_a_solver_error(paths, argv):
+    check_contract(paths, argv, 2, ["the weights overflow"])
+
+
 # Values a draw gives each flag, from the table above: first those of the
 # flag's type and sign, then the boundary, negative, non-numeric, empty and
 # unreadable ones that can fail a check. Each is bounded, so that a draw that

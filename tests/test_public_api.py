@@ -47,9 +47,9 @@ def test_import_loads_scipy_special_only_for_a_sigmoid_map():
 @pytest.mark.skipif(driftelm.solvers._lapack() is None,
                     reason="this numpy ships no LAPACK; the solvers use scipy's")
 def test_radbas_protocol_loads_no_scipy():
-    # the Cholesky runs in numpy's own LAPACK: a radbas run needs no scipy.
-    # 24 source rows and 12 per target against 16 hidden units take both
-    # closed forms.
+    # the Cholesky runs in numpy's own LAPACK: a radbas run needs no scipy,
+    # and a jobs = 1 run no thread pool. 24 source rows and 12 per target
+    # against 16 hidden units take both closed forms.
     run_fresh("""if True:
         import sys
         import numpy as np
@@ -62,7 +62,7 @@ def test_radbas_protocol_loads_no_scipy():
             cfg = driftelm.ExperimentConfig(method=method, k_guides=k, hidden_size=16,
                                             runs=1)
             driftelm.run_experiment(cfg, corpus)
-        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        loaded = [m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent")]
         assert loaded == [], loaded
     """)
 

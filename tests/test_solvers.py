@@ -75,11 +75,6 @@ def jittered_reference(matrix, rhs):
     return cho_solve(cho_factor(matrix + jitter * np.eye(n)), rhs)
 
 
-def _fortran_view(matrix):
-    """The matrix's buffer read in Fortran order, as LAPACK reads it."""
-    return matrix.T if matrix.flags.c_contiguous else matrix
-
-
 def traced_peak(fn):
     """Peak bytes allocated while ``fn`` runs, above what was live before."""
     tracemalloc.start()
@@ -232,13 +227,21 @@ class TestSolveRidge:
         a = rng.normal(size=(6, 6))
         system = np.array(a @ a.T + np.eye(6), order=order)
         saved = system.copy()
+        rhs = rng.normal(size=(6, 2))
+        if order == "F":  # only the C-ordered layout `_solve_spd` builds is taken
+            with pytest.raises(ValueError, match="C-ordered"):
+                cho_factor(system)
+            with pytest.raises(ValueError):
+                cho_solve(system, rhs)
+            assert np.array_equal(system, saved)
+            return
         factor = cho_factor(system)
         assert np.shares_memory(factor, system)
-        lower = np.tril(_fortran_view(factor))
+        # LAPACK reads the buffer in Fortran order, as the transpose
+        lower = np.tril(factor.T)
         assert rel_diff(lower @ lower.T, saved) < 1e-12
         # the other strict triangle still holds the system
-        assert np.array_equal(np.triu(_fortran_view(factor), 1), np.triu(saved, 1))
-        rhs = rng.normal(size=(6, 2))
+        assert np.array_equal(np.triu(factor.T, 1), np.triu(saved, 1))
         assert rel_diff(saved @ cho_solve(factor, rhs), rhs) < 1e-12
         with pytest.raises(ValueError):
             cho_factor(saved[:, :5].copy())
@@ -246,6 +249,20 @@ class TestSolveRidge:
             cho_solve(factor[:5], rhs)
         with pytest.raises(ValueError):
             cho_solve(factor, rhs[:5])
+
+    @pytest.mark.parametrize("branch, h_scale, t_scale, c", [
+        ("primal", 1.0, 1.0, 1e308), ("dual", 1e154, 1.0, 1.0),
+        ("primal", 1.0, 1e308, 1.0), ("dual", 1.0, 1e308, 1.0)],
+        ids=["primal-c", "dual-h", "primal-t", "dual-t"])
+    def test_overflow_raises_solver_error(self, branch, h_scale, t_scale, c):
+        # finite inputs whose system or right-hand side overflows to inf;
+        # LAPACK factors such a system without failing
+        rng = np.random.default_rng(29)
+        h = rng.uniform(0.0, 1.0, size=(12, 8))
+        t = np.where(rng.random((12, 3)) < 0.5, 1.0, -1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SolverError, match="overflow"):
+            solve_ridge([(h_scale * h, t_scale * t, c)], branch)
 
     @pytest.mark.parametrize("branch", ["primal", "dual"])
     def test_inputs_are_left_unchanged_and_may_be_read_only(self, branch):

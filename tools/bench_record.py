@@ -20,8 +20,10 @@ example a ``git clone`` of the parent commit). Each side runs its own
   elm(50), daelm-s(50) and daelm-t(50) in both settings, 1000 hidden units,
   10 runs) ``--rounds`` times per side, pinned to one BLAS thread, with wall
   time, peak RSS and the CSV's sha256;
-- ``unpinned``: full fixed daelm-t(50) ``bench`` with the thread variables
-  unset, ``--rounds`` times per side.
+- ``threads_jobs``: full fixed daelm-t(50) and rolling daelm-s(50) ``bench``
+  (10 runs) with the BLAS pinned to one thread or the thread variables
+  unset, each with ``--jobs 1`` and ``--jobs 2``, ``--rounds`` times per
+  side, with wall time, peak RSS and the CSV's sha256.
 
 The record is rewritten after every run, so an interrupted build leaves the
 runs made so far. Neither the package nor its tests import this script.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -50,6 +53,7 @@ END_TO_END = {"protocol_s": False, "setup_s": False, "peak_rss_mb": False,
 REFERENCE_BENCH = [(setting, method, k) for setting in ("1", "2")
                    for method, k in (("elm", 0), ("elm", 50), ("daelm-s", 50),
                                      ("daelm-t", 50))]
+THREADS_JOBS = [("1", "daelm-t"), ("2", "daelm-s")]  # (setting, method), at k = 50
 
 PROBE = """if True:
     import json, os, sys
@@ -182,7 +186,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     record = {"host": host(sides), "commands": {"argv": sys.argv},
-              "workloads": {}, "reference_bench": {}, "unpinned": {}}
+              "workloads": {}, "reference_bench": {}, "threads_jobs": {}}
 
     def save():
         args.out.write_text(json.dumps(record, indent=1) + "\n")
@@ -219,13 +223,18 @@ def main(argv=None) -> int:
         print(name, json.dumps(runs), flush=True)
         save()
 
-    cmd = ["--setting", "1", "--method", "daelm-t", "--guides", "50", "--runs", "10"]
-    record["unpinned"] = {"args": cmd, "parent": [], "change": []}
-    for i in range(args.rounds):
-        for side in alternate(i):
-            record["unpinned"][side].append(_bench(sides[side], data, cmd, pinned=False))
-    print("unpinned", json.dumps(record["unpinned"]), flush=True)
-    save()
+    for (setting, method), pinned, jobs in itertools.product(THREADS_JOBS, (True, False),
+                                                             ("1", "2")):
+        name = f"setting{setting}-{method}(50)-{'pinned' if pinned else 'unset'}-jobs{jobs}"
+        cmd = ["--setting", setting, "--method", method, "--guides", "50", "--runs", "10",
+               "--jobs", jobs]
+        runs = record["threads_jobs"][name] = {"args": cmd, "pinned": pinned,
+                                               "parent": [], "change": []}
+        for i in range(args.rounds):
+            for side in alternate(i):
+                runs[side].append(_bench(sides[side], data, cmd, pinned))
+        print(name, json.dumps(runs), flush=True)
+        save()
     return 0
 
 
