@@ -18,8 +18,9 @@ to train: each count is trained first, then the target is projected in
 equal row blocks of at most `_SCRATCH_VALUES` values, whole when the next
 pair reads it as its source, and each count scores its rest's rows of each
 block's H times its weights. daelm-t trains on its rest: each count
-projects the target's rest and guides once, and its pseudo-targets are rows
-of the pair's term. Between pairs a run holds only the source term its next
+projects the target's rest and guides once, into the array of the target's
+base H that the pair's term was computed from, and its pseudo-targets are
+rows of that term. Between pairs a run holds only the source term its next
 pair reads. So no target H is alive at an elm or daelm-s solve, a
 fixed-source elm or daelm-s run never holds a whole target H, and a sweep
 projects the same matrices as a run at each of its counts.
@@ -222,38 +223,44 @@ def _part(cfg: ExperimentConfig, h: np.ndarray, batch: SampleSet) -> np.ndarray:
 
 def _source_term(cfg: ExperimentConfig, run: RunMap,
                  pair: tuple[ScalerParams, SampleSet, SampleSet], ks: list[int],
-                 then: SampleSet | None = None) -> np.ndarray | None:
+                 then: SampleSet | None = None
+                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """What every task of ``pair`` at the counts ``ks`` reads from its
     source: its `_part`, which daelm-t turns into the base ELM's scores of
-    the whole target, or None for elm with guides only. The held part, if
-    any, is this source's. ``then`` is the batch the next pair reads as its
-    source under this scaler, if any; its part is held if it is this
-    source, or for daelm-t the target, from the target's base H."""
+    the whole target, or None for elm with guides only; and, for daelm-t,
+    the target's base H, done with once the term is made, which each count
+    may overwrite with its own projection of the target (else None). The
+    held part, if any, is this source's. ``then`` is the batch the next pair
+    reads as its source under this scaler, if any; its part is held if it is
+    this source, or for daelm-t the target, from the target's base H."""
     scaler, source, target = pair
     if cfg.method == "elm" and 0 not in ks:
-        return None
+        return None, None
     part, run.held = run.held, None
     if part is None:
         part = _part(cfg, _project(run.base, scaler, source), source)
     if then is source:
         run.held = part
     if cfg.method != "daelm-t":
-        return part
+        return part, None
     h = _project(run.base, scaler, target)
     if then is target:
         run.held = _part(cfg, h, target)
-    return h @ part
+    return h @ part, h
 
 
 def fit(cfg: ExperimentConfig, run: RunMap,
         pair: tuple[ScalerParams, SampleSet, SampleSet], guides: np.ndarray | None,
-        term: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        term: np.ndarray | None, out: np.ndarray | None = None
+        ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Train ``cfg.method`` on one (scaler, source, target) pair whose guides
     are the target rows ``guides`` (None: no guides), with one run's maps and
     the pair's source term (see `_source_term`); the weights predict through
-    ``run.fmap``. Returns the weights, the ascending row indices of the rest
-    (None: the whole target) and, for daelm-t, which trains on the rest's H,
-    the rest's scores, that H times the weights (None for the other methods)."""
+    ``run.fmap``. daelm-t projects the target's rows into ``out`` if it is
+    given, an array of the target's H. Returns the weights, the ascending row
+    indices of the rest (None: the whole target) and, for daelm-t, which
+    trains on the rest's H, the rest's scores, that H times the weights (None
+    for the other methods)."""
     if guides is None:  # elm without guides: the source's own ELM
         return term, None, None
     pens = cfg.resolved_penalties()
@@ -264,7 +271,7 @@ def fit(cfg: ExperimentConfig, run: RunMap,
         # the rest; both of its blocks are views of one projection of the
         # target's rows, the rest (ascending) and then the guides
         h = hidden_output(run.fmap, apply_scaler(
-            scaler, np.vstack([target.features[rest], labeled.features])))
+            scaler, np.vstack([target.features[rest], labeled.features])), out)
         h_rest = h[:rest.size]
         beta = train_daelm_t(h[rest.size:], encode_targets(labeled.labels, m),
                              h_rest, term[rest], pens["c_t"], pens["c_tu"])
@@ -300,17 +307,18 @@ def _pair_accuracies(cfg: ExperimentConfig, run: RunMap,
     scaler, _, target = pair
     # the batch the next pair reads as its source, if it reads it under this scaler
     then = next_pair[1] if next_pair is not None and next_pair[0] is scaler else None
-    term = _source_term(cfg, run, pair, ks, then)
+    term, base_h = _source_term(cfg, run, pair, ks, then)
     reads = term is not None
     acc, unscored = [0.0] * len(ks), []
     for i, k in enumerate(ks):
-        beta, rest, scores = fit(cfg, run, pair, indices[:k] if k else None, term)
+        beta, rest, scores = fit(cfg, run, pair, indices[:k] if k else None, term,
+                                 base_h)
         if scores is None:
             unscored.append((i, rest, beta))
         else:
             acc[i] = 100.0 * accuracy(labels_from_scores(scores), target.labels[rest])
         del beta, rest, scores  # not kept into the next count's fit
-    del term  # held on only if the next pair reads it
+    del term, base_h  # held on only if the next pair reads it
     if unscored:
         whole = reads and then is target
         n = target.n_samples
@@ -387,8 +395,7 @@ def fit_pair(cfg: ExperimentConfig, corpus: list[SampleSet], source_id: int,
     [pair] = pairs = _batch_pairs(cfg, corpus, [(source_id, target_id)])
     [indices] = _select(pairs, cfg.k_guides)
     run = RunMap(cfg, pair[1].n_features, cfg.base_seed)
-    beta, _, _ = fit(cfg, run, pair, indices,
-                     _source_term(cfg, run, pair, [cfg.k_guides]))
+    beta, _, _ = fit(cfg, run, pair, indices, *_source_term(cfg, run, pair, [cfg.k_guides]))
     return Classifier(run.fmap, beta), pair[0]
 
 

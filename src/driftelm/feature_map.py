@@ -103,12 +103,22 @@ def map_from_descriptor(desc) -> RandomFeatureMap:
     return fmap
 
 
-def hidden_output(fmap: RandomFeatureMap, x) -> np.ndarray:
-    """Hidden layer output H with H[i, j] = act(w_j . x_i + b_j) for an (N, n) matrix x."""
+def hidden_output(fmap: RandomFeatureMap, x, out: np.ndarray | None = None) -> np.ndarray:
+    """Hidden layer output H with H[i, j] = act(w_j . x_i + b_j) for an (N, n) matrix x.
+
+    H is written into ``out`` when one is given, a writable, C-ordered
+    float64 (N, L) array, and returned; the bits are those of a fresh H.
+    """
     feats = np.asarray(x, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != fmap.n_features:
         raise ValueError(f"samples of shape {feats.shape} do not match the map's "
                          f"dimension ({fmap.n_features})")
-    z = feats @ fmap.weights.T
+    if out is not None and not (
+            isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == (feats.shape[0], fmap.hidden_size)
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writable, C-ordered float64 array of shape "
+                         f"({feats.shape[0]}, {fmap.hidden_size})")
+    z = np.matmul(feats, fmap.weights.T, out=out)
     z += fmap.biases
     return ACTIVATIONS[fmap.activation](z)

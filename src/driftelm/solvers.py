@@ -54,6 +54,9 @@ class SolverError(RuntimeError):
     """A linear system that should be SPD failed to factor."""
 
 
+_OVERFLOW = "the weights overflow float64; lower the penalties or the data's scale"
+
+
 def _check_matrix(name: str, a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
@@ -65,12 +68,13 @@ def _check_matrix(name: str, a) -> np.ndarray:
 
 @functools.cache
 def _lapack():
-    """numpy's own ``(dpotrf, dpotrs)``, or None where its wheel ships neither."""
+    """numpy's own ``(dpotrf, dpotrs, dsyrk)``, or None where its wheel ships none."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*")):
         try:
             lib = ctypes.CDLL(str(path))
             potrf, potrs = lib.scipy_dpotrf_64_, lib.scipy_dpotrs_64_
+            syrk = lib.scipy_cblas_dsyrk64_
         except (OSError, AttributeError):
             continue
         # Fortran: every argument by reference, 64-bit integers, then the
@@ -79,8 +83,12 @@ def _lapack():
         potrf.argtypes = [ctypes.c_char_p, ref, ctypes.c_void_p, ref, ref, ctypes.c_size_t]
         potrs.argtypes = [ctypes.c_char_p, ref, ref, ctypes.c_void_p, ref,
                           ctypes.c_void_p, ref, ref, ctypes.c_size_t]
-        potrf.restype = potrs.restype = None
-        return potrf, potrs
+        # CBLAS: three enums, then sizes, scalars and pointers by value
+        size, scalar = ctypes.c_int64, ctypes.c_double
+        syrk.argtypes = [ctypes.c_int] * 3 + [size, size, scalar, ctypes.c_void_p, size,
+                                              scalar, ctypes.c_void_p, size]
+        potrf.restype = potrs.restype = syrk.restype = None
+        return potrf, potrs, syrk
     return None
 
 
@@ -158,7 +166,52 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         except LinAlgError as exc:
             raise SolverError(
                 "system is not positive definite beyond jitter tolerance") from exc
+    # LAPACK factors a system that overflowed to inf without failing
+    if not np.isfinite(factor.diagonal()).all():
+        raise SolverError(_OVERFLOW)
     return cho_solve(factor, rhs)
+
+
+# CBLAS's CblasRowMajor, CblasUpper and CblasTrans
+_ROW_MAJOR, _UPPER, _TRANS = 101, 121, 112
+_PANEL_ROWS = 64
+
+
+def _add_gram(system: np.ndarray, h: np.ndarray, c: float) -> None:
+    """``system += c * (h.T @ h)`` for an exactly symmetric, C-ordered system,
+    with no L-by-L Gram beside it, and each entry's two roundings unchanged.
+
+    numpy's own ``dsyrk`` overwrites the system's upper triangle with the
+    Gram, the call numpy's ``h.T @ h`` makes before it mirrors the result.
+    Row panel by row panel, each entry then becomes ``s + c * g``, with the
+    earlier system's ``s`` read from the lower mirror (the diagonal from a
+    saved copy), and the sum is mirrored back. Where numpy ships no such
+    library, or ``h`` is not C-ordered, the Gram is made and added as is.
+    """
+    lapack = _lapack()
+    if lapack is None or not h.flags.c_contiguous:
+        gram = h.T @ h
+        gram *= c
+        system += gram
+        return
+    n = system.shape[0]
+    diagonal = system.diagonal().copy()
+    lapack[2](_ROW_MAJOR, _UPPER, _TRANS, n, h.shape[0], 1.0, h.ctypes.data, n,
+              0.0, system.ctypes.data, n)
+    diagonal += c * system.diagonal()
+    scratch = np.empty(min(_PANEL_ROWS, n) * n)
+    for lo in range(0, n, _PANEL_ROWS):
+        hi = min(lo + _PANEL_ROWS, n)
+        panel = scratch[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        # right of the diagonal: the Gram times c, plus the mirror's earlier system
+        np.multiply(system[lo:hi, lo:], c, out=panel)
+        panel += system[lo:, lo:hi].T
+        square = panel[:, :hi - lo]
+        below = np.tril_indices(hi - lo, -1)
+        square[below] = square.T[below]
+        np.fill_diagonal(square, diagonal[lo:hi])
+        system[lo:hi, lo:] = panel
+        system[hi:, lo:hi] = panel[:, hi - lo:].T
 
 
 def _stacked(arrays: list) -> np.ndarray:
@@ -199,17 +252,14 @@ def solve_ridge(blocks, branch: str = "auto") -> np.ndarray:
         branch = "primal" if rows >= hidden else "dual"
 
     if branch == "primal":
-        # (I + c_1 H_1'H_1) + c_2 H_2'H_2 + ..., each Gram scaled in place and
-        # the first one holding the system
-        system = None
-        for h, _, c in live:
-            gram = h.T @ h
-            gram *= c
-            if system is None:
-                gram[np.diag_indices(hidden)] += 1.0
-                system = gram
-            else:
-                system += gram
+        # (I + c_1 H_1'H_1) + c_2 H_2'H_2 + ...: the first Gram, scaled in
+        # place, holds the system, and each later one is added into it
+        (h, _, c), *later = live
+        system = h.T @ h
+        system *= c
+        system[np.diag_indices(hidden)] += 1.0
+        for h, _, c in later:
+            _add_gram(system, h, c)
         beta = _solve_spd(system, sum(c * (h.T @ t) for h, t, c in live))
     else:
         h = _stacked([h for h, _, _ in live])
@@ -217,9 +267,8 @@ def solve_ridge(blocks, branch: str = "auto") -> np.ndarray:
         kernel[np.diag_indices(rows)] += np.concatenate(
             [np.full(b.shape[0], 1.0 / c) for b, _, c in live])
         beta = h.T @ _solve_spd(kernel, _stacked([t for _, t, _ in live]))
-    # LAPACK factors a system that overflowed to inf without failing
-    if not np.isfinite(beta).all():
-        raise SolverError("the weights overflow float64; lower the penalties or the data's scale")
+    if not np.isfinite(beta).all():  # the right-hand side or H'alpha overflowed
+        raise SolverError(_OVERFLOW)
     return beta
 
 

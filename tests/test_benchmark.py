@@ -2,7 +2,6 @@ import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -270,18 +269,19 @@ WORK_PER_RUN = {
 # about 150 KiB, and a source H kept beside its ELM, or a previous target's
 # H that nothing reads, about 470 KiB.
 SOLVE_MEMORY_KIB = {
-    ("daelm-t", 10, "fixed-source"): 640 + 64,
-    ("daelm-t", 10, "rolling-source"): 645 + 64,
+    ("daelm-t", 10, "fixed-source"): 610 + 64,
+    ("daelm-t", 10, "rolling-source"): 610 + 64,
     ("elm", 0, "rolling-source"): 585 + 64,
     ("elm", 10, "rolling-source"): 710 + 64,
     ("daelm-s", 10, "fixed-source"): 615 + 64,
     ("daelm-s", 10, "rolling-source"): 560 + 64,
 }
 
-# The same when any hidden-layer projection starts. Its scaled rows are alive
-# then (150 KiB for a whole target), and so is the term the run holds (a
-# fixed daelm-s source's H); a previous target's H kept into the next
-# target's projection adds about 470 KiB.
+# The same when any hidden-layer projection starts, besides the array it is
+# handed as ``out``, its own result. Its scaled rows are alive then (150 KiB
+# for a whole target), and so is the term the run holds (a fixed daelm-s
+# source's H); a previous target's H kept into the next target's projection
+# adds about 470 KiB.
 PROJECTION_MEMORY_KIB = {
     ("daelm-t", 10, "fixed-source"): 305 + 64,
     ("daelm-t", 10, "rolling-source"): 315 + 64,
@@ -293,12 +293,12 @@ PROJECTION_MEMORY_KIB = {
 
 
 def on_call(monkeypatch, kind, hook):
-    """Call ``hook()`` as each call of the ``kind`` of work starts."""
+    """Call ``hook(*args)`` as each call of the ``kind`` of work starts."""
     module, name = WORK_SITES[kind]
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        hook()
+        hook(*args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -309,7 +309,7 @@ def work(monkeypatch):
     """How many calls of each kind of work the test makes."""
     counts = Counter()
     for kind in WORK_SITES:
-        on_call(monkeypatch, kind, partial(counts.update, [kind]))
+        on_call(monkeypatch, kind, lambda *args, kind=kind: counts.update([kind]))
     return counts
 
 
@@ -441,9 +441,15 @@ class TestReuse:
                                base_seed=3)
         sweep_guides(cfg, memory_corpus, list(ks))
         alive = {"solves": [], "projections": []}
+
+        def record(at):
+            # a projection's ``out`` (its third argument) is its own result:
+            # only the bytes alive besides it count
+            return lambda *args: at.append(tracemalloc.get_traced_memory()[0]
+                                           - sum(out.nbytes for out in args[2:3]))
+
         for kind, at in alive.items():
-            on_call(monkeypatch, kind,
-                    lambda at=at: at.append(tracemalloc.get_traced_memory()[0]))
+            on_call(monkeypatch, kind, record(at))
         tracemalloc.start()
         try:
             sweep_guides(cfg, memory_corpus, list(ks))

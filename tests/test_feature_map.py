@@ -53,6 +53,9 @@ def test_in_place_activation_is_bit_identical(activation, reference):
     np.testing.assert_array_equal(f.weights, w_before)
     np.testing.assert_array_equal(f.biases, b_before)
     assert h.flags.writeable and not np.shares_memory(h, x)
+    out = np.full_like(h, np.nan)
+    assert hidden_output(f, x, out) is out
+    np.testing.assert_array_equal(out, h)
 
 
 def test_output_ranges():
@@ -76,6 +79,16 @@ def test_dimension_mismatch():
     f = new_feature_map(5, 4, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         hidden_output(f, np.zeros((3, 7)))
+
+
+def test_out_must_be_a_writable_c_ordered_h():
+    f, x = new_feature_map(5, 4, seed=0), np.zeros((3, 4))
+    read_only = np.empty((3, 5))
+    read_only.flags.writeable = False
+    for out in (np.empty((3, 5), dtype=np.float32), np.empty((3, 6)), np.empty((5, 3)).T,
+                np.empty((3, 10))[:, ::2], read_only, [[0.0] * 5] * 3):
+        with pytest.raises(ValueError, match="out must be"):
+            hidden_output(f, x, out)
 
 
 def test_descriptor_round_trip():

@@ -178,13 +178,25 @@ class TestSolveRidge:
             train_daelm_t(h2, t2, h1, t1, c_t, c_tu)
 
     @pytest.mark.parametrize("branch", ["primal", "dual"])
-    @pytest.mark.parametrize("n_blocks", [1, 2])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
     @pytest.mark.parametrize("hidden", [40, 300])
     def test_in_place_forms_match_the_copying_reference(self, hidden, n_blocks, branch):
-        blocks = random_blocks(hidden + n_blocks, hidden, 3, [0.7, 30.0][:n_blocks],
-                               [hidden // 3, hidden // 2][:n_blocks])
+        blocks = random_blocks(hidden + n_blocks, hidden, 3, [0.7, 30.0, 5.0][:n_blocks],
+                               [hidden // 3, hidden // 2, hidden // 4][:n_blocks])
         assert np.array_equal(solve_ridge(blocks, branch),
                               copying_reference(blocks, branch))
+
+    @pytest.mark.parametrize("layout", ["one-row", "F", "strided"])
+    def test_a_later_block_of_any_layout_matches_the_copying_reference(self, layout):
+        # a C-ordered later block is folded into the system, any other adds its Gram
+        rng = np.random.default_rng(31)
+        h, t = random_instance(rng, 60, 40, 2)
+        later = {"one-row": rng.normal(size=(1, 40)),
+                 "F": np.asfortranarray(rng.normal(size=(9, 40))),
+                 "strided": rng.normal(size=(9, 80))[:, ::2]}[layout]
+        blocks = [(h, t, 0.7), (later, rng.normal(size=(later.shape[0], 2)), 30.0)]
+        assert np.array_equal(solve_ridge(blocks, "primal"),
+                              copying_reference(blocks, "primal"))
 
     def test_extra_allocation_is_one_system(self):
         # one L x L primal system, or one N x N dual kernel, and no copy of H
@@ -250,16 +262,18 @@ class TestSolveRidge:
         with pytest.raises(ValueError):
             cho_solve(factor, rhs[:5])
 
-    @pytest.mark.parametrize("branch, h_scale, t_scale, c", [
-        ("primal", 1.0, 1.0, 1e308), ("dual", 1e154, 1.0, 1.0),
-        ("primal", 1.0, 1e308, 1.0), ("dual", 1.0, 1e308, 1.0)],
-        ids=["primal-c", "dual-h", "primal-t", "dual-t"])
-    def test_overflow_raises_solver_error(self, branch, h_scale, t_scale, c):
+    @pytest.mark.parametrize("branch, h_scale, t_scale, c, rows, hidden", [
+        ("primal", 1.0, 1.0, 1e308, 12, 8), ("dual", 1e154, 1.0, 1.0, 12, 8),
+        ("primal", 1.0, 1e308, 1.0, 12, 8), ("dual", 1.0, 1e308, 1.0, 12, 8),
+        ("dual", 1e154, 1.0, 1.0, 3, 20), ("auto", 1e154, 1.0, 1.0, 3, 20)],
+        ids=["primal-c", "dual-h", "primal-t", "dual-t", "dual-kernel", "auto-kernel"])
+    def test_overflow_raises_solver_error(self, branch, h_scale, t_scale, c, rows, hidden):
         # finite inputs whose system or right-hand side overflows to inf;
-        # LAPACK factors such a system without failing
+        # LAPACK factors such a system without failing, and a dual kernel
+        # that is inf everywhere to a factor that solves to zero weights
         rng = np.random.default_rng(29)
-        h = rng.uniform(0.0, 1.0, size=(12, 8))
-        t = np.where(rng.random((12, 3)) < 0.5, 1.0, -1.0)
+        h = rng.uniform(0.0, 1.0, size=(rows, hidden))
+        t = np.where(rng.random((rows, 3)) < 0.5, 1.0, -1.0)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(SolverError, match="overflow"):
             solve_ridge([(h_scale * h, t_scale * t, c)], branch)
@@ -288,6 +302,18 @@ class TestScipyFallback(TestSolveRidge):
             # the fallback imports scipy at its first solve: not inside a test
             driftelm.solvers._solve_spd(np.eye(2), np.ones(2))
             yield
+
+
+@pytest.mark.skipif(driftelm.solvers._lapack() is None,
+                    reason="only numpy's own dsyrk folds a later Gram into the system")
+def test_a_later_block_adds_no_second_system():
+    # the second block's Gram goes into the system's spare triangle, so the
+    # solve holds one L x L array and one panel of scratch
+    rng = np.random.default_rng(30)
+    hidden = 300
+    blocks = [(*random_instance(rng, n, hidden, 3), c) for n, c in ((50, 0.5), (3000, 20.0))]
+    peak = traced_peak(lambda: solve_ridge(blocks))
+    assert peak < 1.25 * hidden ** 2 * 8 + driftelm.solvers._PANEL_ROWS * hidden * 8
 
 
 class TestTrainers:
