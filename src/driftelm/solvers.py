@@ -149,18 +149,17 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``matrix`` must be exactly symmetric and C-ordered, because LAPACK reads
     the lower triangle of its buffer in Fortran order: that is the C array's
     upper triangle, overwritten in place by the factor. After a failure the
-    strict lower triangle and the saved diagonal still hold the system, and
-    the retry rebuilds it with jitter.
+    strict lower triangle and the saved diagonal still hold the system, so
+    the retry mirrors that triangle back (`_mirror` of the transpose) and
+    adds the jitter to the diagonal, in the same buffer.
     """
     diagonal = matrix.diagonal().copy()
     try:
         factor = cho_factor(matrix)
     except LinAlgError:
         n = matrix.shape[0]
-        jitter = 1e-10 * diagonal.sum() / n
-        matrix = np.tril(matrix, -1)
-        matrix += matrix.T
-        matrix[np.diag_indices(n)] = diagonal + jitter
+        _mirror(matrix.T)
+        matrix[np.diag_indices(n)] = diagonal + 1e-10 * diagonal.sum() / n
         try:
             factor = cho_factor(matrix)
         except LinAlgError as exc:
@@ -174,19 +173,23 @@ def _solve_spd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 # CBLAS's CblasRowMajor, CblasUpper and CblasTrans
 _ROW_MAJOR, _UPPER, _TRANS = 101, 121, 112
-_PANEL_ROWS = 64
+
+
+def _mirror(a: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square ``a`` onto its lower one,
+    in place, one column at a time; nothing is allocated."""
+    for j in range(a.shape[0] - 1):
+        a[j + 1:, j] = a[j, j + 1:]
 
 
 def _add_gram(system: np.ndarray, h: np.ndarray, c: float) -> None:
-    """``system += c * (h.T @ h)`` for an exactly symmetric, C-ordered system,
-    with no L-by-L Gram beside it, and each entry's two roundings unchanged.
+    """``system += c * (h.T @ h)`` for an exactly symmetric, C-ordered
+    system, with no L-by-L Gram beside it; the sum is exactly symmetric.
 
-    numpy's own ``dsyrk`` overwrites the system's upper triangle with the
-    Gram, the call numpy's ``h.T @ h`` makes before it mirrors the result.
-    Row panel by row panel, each entry then becomes ``s + c * g``, with the
-    earlier system's ``s`` read from the lower mirror (the diagonal from a
-    saved copy), and the sum is mirrored back. Where numpy ships no such
-    library, or ``h`` is not C-ordered, the Gram is made and added as is.
+    numpy's own ``dsyrk`` (alpha ``c``, beta 1) adds the weighted Gram into
+    the system's upper triangle, and `_mirror` copies it onto the lower one.
+    Where numpy ships no such library, or ``h`` is not C-ordered, the Gram
+    is made and added as is.
     """
     lapack = _lapack()
     if lapack is None or not h.flags.c_contiguous:
@@ -195,23 +198,9 @@ def _add_gram(system: np.ndarray, h: np.ndarray, c: float) -> None:
         system += gram
         return
     n = system.shape[0]
-    diagonal = system.diagonal().copy()
-    lapack[2](_ROW_MAJOR, _UPPER, _TRANS, n, h.shape[0], 1.0, h.ctypes.data, n,
-              0.0, system.ctypes.data, n)
-    diagonal += c * system.diagonal()
-    scratch = np.empty(min(_PANEL_ROWS, n) * n)
-    for lo in range(0, n, _PANEL_ROWS):
-        hi = min(lo + _PANEL_ROWS, n)
-        panel = scratch[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-        # right of the diagonal: the Gram times c, plus the mirror's earlier system
-        np.multiply(system[lo:hi, lo:], c, out=panel)
-        panel += system[lo:, lo:hi].T
-        square = panel[:, :hi - lo]
-        below = np.tril_indices(hi - lo, -1)
-        square[below] = square.T[below]
-        np.fill_diagonal(square, diagonal[lo:hi])
-        system[lo:hi, lo:] = panel
-        system[hi:, lo:hi] = panel[:, hi - lo:].T
+    lapack[2](_ROW_MAJOR, _UPPER, _TRANS, n, h.shape[0], c, h.ctypes.data, n,
+              1.0, system.ctypes.data, n)
+    _mirror(system)
 
 
 def _stacked(arrays: list) -> np.ndarray:
@@ -253,14 +242,16 @@ def solve_ridge(blocks, branch: str = "auto") -> np.ndarray:
 
     if branch == "primal":
         # (I + c_1 H_1'H_1) + c_2 H_2'H_2 + ...: the first Gram, scaled in
-        # place, holds the system, and each later one is added into it
+        # place, holds the system, and each later one is added into it; the
+        # right-hand side comes first, so its temporaries never sit beside the system
+        rhs = sum(c * (h.T @ t) for h, t, c in live)
         (h, _, c), *later = live
         system = h.T @ h
         system *= c
         system[np.diag_indices(hidden)] += 1.0
         for h, _, c in later:
             _add_gram(system, h, c)
-        beta = _solve_spd(system, sum(c * (h.T @ t) for h, t, c in live))
+        beta = _solve_spd(system, rhs)
     else:
         h = _stacked([h for h, _, _ in live])
         kernel = h @ h.T

@@ -291,15 +291,36 @@ PROJECTION_MEMORY_KIB = {
     ("daelm-s", 10, "rolling-source"): 555 + 64,
 }
 
+# Upper bounds on what each kind of work allocates while it runs, in KiB, in
+# every run of SOLVE_MEMORY_KIB: tracemalloc's peak during the call minus the
+# bytes alive as it starts (less a projection's ``out``, so a projection
+# counts the H it writes either way); today's largest value, rounded up to
+# the KiB, plus 64 KiB. Each states the design at L = 100: a solve holds one
+# system (78 KiB for L x L) and its right-hand side, a projection one block
+# of H (a whole target's 600 rows, 469 KiB), a selection the selector's
+# scratch, and a scoring one block's labels. A second L x L Gram in a solve
+# adds 78 KiB.
+PEAK_MEMORY_KIB = {"solves": 91 + 64, "projections": 542 + 64, "selections": 6211 + 64,
+                   "scorings": 10 + 64}
 
-def on_call(monkeypatch, kind, hook):
-    """Call ``hook(*args)`` as each call of the ``kind`` of work starts."""
-    module, name = WORK_SITES[kind]
+# Where the protocol calls each kind of work that PEAK_MEMORY_KIB budgets
+MEMORY_SITES = {"solves": WORK_SITES["solves"], "projections": WORK_SITES["projections"],
+                "selections": (driftelm.benchmark, "ssa_select"),
+                "scorings": (driftelm.benchmark, "labels_from_scores")}
+
+
+def on_call(monkeypatch, site, hook, returned=None):
+    """Call ``hook(*args)`` as each call at the (module, name) ``site``
+    starts, and ``returned()``, if given, as it returns."""
+    module, name = site
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         hook(*args)
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        if returned is not None:
+            returned()
+        return result
 
     monkeypatch.setattr(module, name, wrapper)
 
@@ -308,8 +329,8 @@ def on_call(monkeypatch, kind, hook):
 def work(monkeypatch):
     """How many calls of each kind of work the test makes."""
     counts = Counter()
-    for kind in WORK_SITES:
-        on_call(monkeypatch, kind, lambda *args, kind=kind: counts.update([kind]))
+    for kind, site in WORK_SITES.items():
+        on_call(monkeypatch, site, lambda *args, kind=kind: counts.update([kind]))
     return counts
 
 
@@ -434,32 +455,43 @@ class TestReuse:
                                                          method, ks, setting):
         """Each solve and each projection starts within its budget, and a
         sweep within its largest count's: no count or target holds on to
-        another's H."""
+        another's H. Each solve, projection, selection and scoring also
+        allocates within its budget while it runs."""
         # tracemalloc counts what is allocated after it starts: the run's arrays,
         # not the corpus, nor what a first sweep allocates once (the warm-up's)
         cfg = ExperimentConfig(method=method, setting=setting, hidden_size=100, runs=2,
                                base_seed=3)
         sweep_guides(cfg, memory_corpus, list(ks))
-        alive = {"solves": [], "projections": []}
+        alive = {kind: [] for kind in MEMORY_SITES}
+        grown = {kind: [] for kind in MEMORY_SITES}
 
-        def record(at):
+        def started(at):
             # a projection's ``out`` (its third argument) is its own result:
             # only the bytes alive besides it count
-            return lambda *args: at.append(tracemalloc.get_traced_memory()[0]
-                                           - sum(out.nbytes for out in args[2:3]))
+            def hook(*args):
+                at.append(tracemalloc.get_traced_memory()[0]
+                          - sum(out.nbytes for out in args[2:3]))
+                tracemalloc.reset_peak()
+            return hook
 
-        for kind, at in alive.items():
-            on_call(monkeypatch, kind, record(at))
+        for kind, site in MEMORY_SITES.items():
+            on_call(monkeypatch, site, started(alive[kind]),
+                    lambda kind=kind: grown[kind].append(
+                        tracemalloc.get_traced_memory()[1] - alive[kind][-1]))
         tracemalloc.start()
         try:
             sweep_guides(cfg, memory_corpus, list(ks))
         finally:
             tracemalloc.stop()
-        assert all(len(at) >= 9 * len(ks) * cfg.runs for at in alive.values())
+        assert all(len(alive[kind]) >= 9 * len(ks) * cfg.runs
+                   for kind in ("solves", "projections", "scorings"))
+        assert len(alive["selections"]) == (9 if max(ks) else 0)
         key = method, max(ks), setting
         budgets = {"solves": SOLVE_MEMORY_KIB[key], "projections": PROJECTION_MEMORY_KIB[key]}
-        peaks = {kind: max(at) / 1024 for kind, at in alive.items()}
+        peaks = {kind: max(alive[kind]) / 1024 for kind in budgets}
         assert all(peaks[kind] <= budgets[kind] for kind in peaks), (peaks, budgets)
+        grown = {kind: max(at, default=0) / 1024 for kind, at in grown.items()}
+        assert all(grown[kind] <= PEAK_MEMORY_KIB[kind] for kind in grown), grown
 
     @pytest.mark.parametrize("setting", ["fixed-source", "rolling-source"])
     @pytest.mark.parametrize("method, k", [("elm", 0), ("elm", 4), ("daelm-s", 4),

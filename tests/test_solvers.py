@@ -48,17 +48,38 @@ def factored_dims(monkeypatch):
     return dims
 
 
+def plus_gram(system, h, c):
+    """``system + c * (h.T @ h)`` as a fresh array, by the arithmetic
+    `solve_ridge` uses for a later block: numpy's own ``dsyrk`` (beta 1) on a
+    copy, mirrored by ``triu``, where that library exists and ``h`` is
+    C-ordered, else a separate Gram."""
+    solvers = driftelm.solvers
+    if solvers._lapack() is None or not h.flags.c_contiguous:
+        return system + c * (h.T @ h)
+    upper, n = system.copy(), system.shape[0]
+    solvers._lapack()[2](solvers._ROW_MAJOR, solvers._UPPER, solvers._TRANS, n, h.shape[0],
+                         c, h.ctypes.data, n, 1.0, upper.ctypes.data, n)
+    return np.triu(upper) + np.triu(upper, 1).T
+
+
+def primal_system(live):
+    """I + sum_i c_i Hi'Hi, built with fresh temporaries."""
+    (h, _, c), *later = live
+    system = np.eye(h.shape[1]) + c * (h.T @ h)
+    for h, _, c in later:
+        system = plus_gram(system, h, c)
+    return system
+
+
 def copying_reference(blocks, branch):
     """Both closed forms built with fresh temporaries and factored on a copy.
 
-    The copy is factored by the package's own Cholesky, so the reference
-    differs from `solve_ridge` in copying only, not in its LAPACK."""
+    The copy is factored by the package's own Cholesky, and a later block's
+    Gram is added by the same ``dsyrk``, so the reference differs from
+    `solve_ridge` in copying only."""
     live = [(h, t, c) for h, t, c in blocks if c > 0 and h.shape[0] > 0]
     if branch == "primal":
-        system = np.eye(live[0][0].shape[1])
-        for h, _, c in live:
-            system += c * (h.T @ h)
-        return cho_solve(cho_factor(system.copy()),
+        return cho_solve(cho_factor(primal_system(live)),
                          sum(c * (h.T @ t) for h, t, c in live))
     h = np.vstack([h for h, _, _ in live])
     kernel = h @ h.T
@@ -224,6 +245,28 @@ class TestSolveRidge:
         expected = jittered_reference(np.eye(hidden) + c * (h.T @ h), c * (h.T @ t))
         assert np.array_equal(beta, expected)
 
+    def test_jitter_retry_keeps_a_later_block(self, factored_dims):
+        # the retry rebuilds the system from its lower triangle, which holds
+        # the later block's Gram only once that Gram is mirrored into it
+        rng = np.random.default_rng(32)
+        fmap = new_feature_map(200, 2, seed=32)
+        blocks = [(hidden_output(fmap, rng.uniform(-1.0, 1.0, size=(rows, 2))),
+                   rng.normal(size=(rows, 2)), c) for rows, c in ((20, 1e13), (10, 1e13))]
+        beta = solve_ridge(blocks, "primal")
+        assert factored_dims == [200, 200]
+        expected = jittered_reference(primal_system(blocks),
+                                      sum(c * (h.T @ t) for h, t, c in blocks))
+        assert np.array_equal(beta, expected)
+
+    def test_jitter_retry_allocates_no_second_system(self):
+        rng = np.random.default_rng(33)
+        hidden = 600
+        h = hidden_output(new_feature_map(hidden, 4, seed=33),
+                          rng.uniform(-1.0, 1.0, size=(100, 4)))
+        t = rng.normal(size=(100, 2))
+        peak = traced_peak(lambda: solve_ridge([(h, t, 1e12)], "primal"))
+        assert peak < 1.5 * hidden ** 2 * 8
+
     def test_jitter_retry_on_a_singular_system(self, factored_dims):
         singular, rhs = np.ones((2, 2)), np.array([1.0, 2.0])
         expected = jittered_reference(singular, rhs)
@@ -305,15 +348,32 @@ class TestScipyFallback(TestSolveRidge):
 
 
 @pytest.mark.skipif(driftelm.solvers._lapack() is None,
-                    reason="only numpy's own dsyrk folds a later Gram into the system")
+                    reason="only numpy's own dsyrk adds a later Gram in place")
 def test_a_later_block_adds_no_second_system():
-    # the second block's Gram goes into the system's spare triangle, so the
-    # solve holds one L x L array and one panel of scratch
+    # the second block's Gram is added into the system itself, so the solve
+    # holds one L x L array
     rng = np.random.default_rng(30)
     hidden = 300
     blocks = [(*random_instance(rng, n, hidden, 3), c) for n, c in ((50, 0.5), (3000, 20.0))]
     peak = traced_peak(lambda: solve_ridge(blocks))
-    assert peak < 1.25 * hidden ** 2 * 8 + driftelm.solvers._PANEL_ROWS * hidden * 8
+    assert peak < 1.25 * hidden ** 2 * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize("hidden", [1, 63, 64, 65, 129, 300])
+def test_a_later_gram_is_added_symmetric_within_one_rounding(hidden):
+    # exactly mirrored, and each entry s + c*g, with g summed as dsyrk sums
+    # it, differs from s + (c*g rounded) by at most one rounding
+    # (nonnegative entries; 50 rows, the protocol's guide count)
+    rng = np.random.default_rng(hidden)
+    fmap = new_feature_map(hidden, 8, seed=hidden)
+    h0, h = (hidden_output(fmap, rng.uniform(-1.0, 1.0, size=(50, 8))) for _ in range(2))
+    system = h0.T @ h0
+    system *= 0.5
+    system[np.diag_indices(hidden)] += 1.0
+    expected = system + 20.0 * plus_gram(np.zeros_like(system), h, 1.0)
+    driftelm.solvers._add_gram(system, h, 20.0)
+    assert np.array_equal(system, system.T)
+    assert (np.abs(system - expected) <= np.finfo(float).eps * expected).all()
 
 
 class TestTrainers:

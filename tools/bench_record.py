@@ -20,6 +20,10 @@ example a ``git clone`` of the parent commit). Each side runs its own
   elm(50), daelm-s(50) and daelm-t(50) in both settings, 1000 hidden units,
   10 runs) ``--rounds`` times per side, pinned to one BLAS thread, with wall
   time, peak RSS and the CSV's sha256;
+- ``coretypes``: the same eight commands once per side under each
+  ``OPENBLAS_CORETYPE`` in `CORETYPES`, with the core OpenBLAS reports and
+  the CSV's sha256, so a record shows whether the CSVs depend on the BLAS
+  kernel;
 - ``threads_jobs``: full fixed daelm-t(50) and rolling daelm-s(50) ``bench``
   (10 runs) with the BLAS pinned to one thread or the thread variables
   unset, each with ``--jobs 1`` and ``--jobs 2``, ``--rounds`` times per
@@ -54,6 +58,9 @@ REFERENCE_BENCH = [(setting, method, k) for setting in ("1", "2")
                    for method, k in (("elm", 0), ("elm", 50), ("daelm-s", 50),
                                      ("daelm-t", 50))]
 THREADS_JOBS = [("1", "daelm-t"), ("2", "daelm-s")]  # (setting, method), at k = 50
+# OpenBLAS kernels numpy's DYNAMIC_ARCH wheel can be told to take on an
+# x86-64 host that supports AVX-512; Prescott runs the Katmai kernels
+CORETYPES = ("SkylakeX", "Haswell", "Prescott")
 
 PROBE = """if True:
     import json, os, sys
@@ -128,20 +135,29 @@ def _perfbench(side: Path, workload: str, trace: int) -> dict:
     return {"result": result, "document": json.loads(doc_path.read_text())}
 
 
-def _bench(side: Path, data: Path, args: list[str], pinned: bool) -> dict:
+def _bench(side: Path, data: Path, args: list[str], pinned: bool,
+           coretype: str | None = None) -> dict:
+    env = _env(side, pinned)
+    if coretype is not None:
+        env.update(OPENBLAS_CORETYPE=coretype, OPENBLAS_VERBOSE="2")
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out.csv"
-        t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "driftelm.cli", "bench",
-                                 "--data-dir", str(data), *args, "--format", "csv",
-                                 "--out", str(out)], cwd=side, env=_env(side, pinned))
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - t0
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode != 0:
-            raise RuntimeError(f"bench {args} failed on {side}")
-        return {"s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0,
-                "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+        out, log = Path(tmp) / "out.csv", Path(tmp) / "log"
+        with log.open("w") as fh:
+            t0 = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "driftelm.cli", "bench",
+                                     "--data-dir", str(data), *args, "--format", "csv",
+                                     "--out", str(out)], cwd=side, env=env,
+                                    stdout=fh, stderr=subprocess.STDOUT)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - t0
+        lines = log.read_text().splitlines()
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError(f"bench {args} failed on {side}: " + "\n".join(lines[-20:]))
+        run = {"s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0,
+               "csv_sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+        if coretype is not None:
+            run["core"] = sorted({line.strip() for line in lines if line.startswith("Core")})
+        return run
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -186,7 +202,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     record = {"host": host(sides), "commands": {"argv": sys.argv},
-              "workloads": {}, "reference_bench": {}, "threads_jobs": {}}
+              "workloads": {}, "reference_bench": {}, "coretypes": {}, "threads_jobs": {}}
 
     def save():
         args.out.write_text(json.dumps(record, indent=1) + "\n")
@@ -221,6 +237,14 @@ def main(argv=None) -> int:
             for side in alternate(i):
                 runs[side].append(_bench(sides[side], data, cmd, pinned=True))
         print(name, json.dumps(runs), flush=True)
+        save()
+
+    for name, runs in record["reference_bench"].items():
+        cores = record["coretypes"][name] = {}
+        for i, coretype in enumerate(CORETYPES):
+            cores[coretype] = {side: _bench(sides[side], data, runs["args"], True, coretype)
+                               for side in alternate(i)}
+        print(name, json.dumps(cores), flush=True)
         save()
 
     for (setting, method), pinned, jobs in itertools.product(THREADS_JOBS, (True, False),
